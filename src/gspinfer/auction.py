@@ -20,6 +20,11 @@ from typing import Iterable, Sequence
 
 MICRO = 10**6  # quantization of scores and bids for exact rank comparisons
 
+# Largest accepted score, bid or reserve. Ranking multiplies micro-units, so at
+# 1e3 both micro(score) * micro(bid) and reserve * MICRO * MICRO stay at or
+# below 1e18, inside int64 for an array form of the ranking.
+MAX_MAGNITUDE = 1e3
+
 
 class AuctionError(ValueError):
     """Base class for auction-level errors."""
@@ -47,12 +52,12 @@ class BidderEntry:
     bid: float
 
     def __post_init__(self):
-        if not (self.score > 0 and self.score == self.score):
-            raise ValidationError(f"score must be positive (entry {self.id!r}: score={self.score})")
+        if not 0.0 < self.score <= MAX_MAGNITUDE:
+            raise ValidationError(f"score must lie in (0, {MAX_MAGNITUDE:g}] (entry {self.id!r}: score={self.score})")
         if not 0.0 <= self.quality <= 1.0:
             raise ValidationError(f"quality must lie in [0, 1] (entry {self.id!r}: quality={self.quality})")
-        if not self.bid >= 0.0:
-            raise ValidationError(f"bid must be non-negative (entry {self.id!r}: bid={self.bid})")
+        if not 0.0 <= self.bid <= MAX_MAGNITUDE:
+            raise ValidationError(f"bid must lie in [0, {MAX_MAGNITUDE:g}] (entry {self.id!r}: bid={self.bid})")
 
     def rank_score_int(self) -> int:
         """Exact integer rank-score (micro-score times micro-bid)."""
@@ -98,10 +103,12 @@ class AuctionParams:
         for a, b in zip(self.position_curve, self.position_curve[1:]):
             if not b < a:
                 raise ValidationError("position_curve must be strictly decreasing")
-        if self.rank_reserve < 0:
-            raise ValidationError(f"rank_reserve must be non-negative (got {self.rank_reserve})")
-        if self.mainline_reserve < self.rank_reserve:
-            raise ValidationError("mainline_reserve must be at least rank_reserve")
+        if not 0.0 <= self.rank_reserve <= MAX_MAGNITUDE:
+            raise ValidationError(f"rank_reserve must lie in [0, {MAX_MAGNITUDE:g}] (got {self.rank_reserve})")
+        if not self.rank_reserve <= self.mainline_reserve <= MAX_MAGNITUDE:
+            raise ValidationError(
+                f"mainline_reserve must lie in [rank_reserve, {MAX_MAGNITUDE:g}] (got {self.mainline_reserve})"
+            )
         if self.mainline_cap < 0:
             raise ValidationError(f"mainline_cap must be non-negative (got {self.mainline_cap})")
         m = self.mainline_positions

@@ -2,7 +2,8 @@
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed);
 values are parsed as JSON, so lists like ``position_curve = [1.0, 0.6]``
-work. Unknown keys are errors. Command-line flags override config values.
+work. Unknown keys are errors. Command-line flags override config values;
+each subcommand takes only the flags it reads.
 Exits 0 on success and 1 with a JSON error list on stderr otherwise.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -20,10 +22,14 @@ from .inference import InferenceError
 from .pipeline import (
     InferenceConfig,
     ParseError,
+    _json_dump,
+    _json_text,
+    artifacts_from_json,
     artifacts_to_json,
     export,
     infer_account,
     ingest,
+    predictions_payload,
     write_histories,
     write_rate_study,
 )
@@ -79,7 +85,6 @@ CONFIG_KEYS: dict[str, tuple] = {
     "rate_replications": (int, 20),
     "rate_smoothness_order": (int, 0),
     "rate_holder_exponent": (float, 1.0),
-    "rate_holder_constant": (float, 2.0),
     "rate_grid_coeff": (float, 1.5),
     "rate_eps_cap": (float, 0.4),
     "direction_count": (int, 720),
@@ -130,16 +135,7 @@ def load_config(path: str | None) -> dict:
 
 
 def _inference_config(cfg: dict) -> InferenceConfig:
-    return InferenceConfig(
-        bid_max=cfg["bid_max"],
-        grid_step=cfg["grid_step"],
-        epsilon_max=cfg["epsilon_max"],
-        precision=cfg["precision"],
-        learning_threshold=cfg["learning_threshold"],
-        boundary_samples=cfg["boundary_samples"],
-        histogram_bucket_width=cfg["histogram_bucket_width"],
-        value_cap=cfg["value_cap"],
-    )
+    return InferenceConfig(**{f.name: cfg[f.name] for f in fields(InferenceConfig)})
 
 
 def _market_spec(cfg: dict) -> MarketSpec:
@@ -180,7 +176,6 @@ def build_learners(cfg: dict) -> list[LearnerSpec]:
                     bid_grid=grid,
                     learning_rate=cfg["learning_rate"],
                     exploration=cfg["exploration"],
-                    seed=cfg["seed"],
                 ),
             )
         )
@@ -198,38 +193,23 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_infer(args, cfg) -> int:
-    histories = ingest(args.log)
-    summary, artifacts = infer_account(histories, _inference_config(cfg), jobs=cfg["jobs"])
-    bundle = artifacts_to_json(summary, artifacts, _inference_config(cfg))
+    config = _inference_config(cfg)
+    summary, artifacts = infer_account(ingest(args.log), config, jobs=cfg["jobs"])
+    bundle = artifacts_to_json(summary, artifacts, config)
     os.makedirs(args.out, exist_ok=True)
-    bundle_path = os.path.join(args.out, "artifacts.json")
-    with open(bundle_path, "w", encoding="utf-8") as fh:
-        json.dump(bundle, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _json_dump(bundle, os.path.join(args.out, "artifacts.json"))
     written = export(summary, artifacts, args.out)
     print(f"inferred {summary.listing_count} listings ({len(summary.errors)} failed); wrote {len(written) + 1} files to {args.out}")
     return 0
 
 
 def cmd_predict(args, cfg) -> int:
-    histories = ingest(args.log)
-    summary, artifacts = infer_account(histories, _inference_config(cfg), jobs=cfg["jobs"])
-    predictions = [
-        {
-            "listing_id": lid,
-            "delta_star": artifacts[lid].prediction.delta_star,
-            "v_star": artifacts[lid].prediction.v_star,
-            "eps0": artifacts[lid].prediction.epsilon_min,
-            "shading_ratio": artifacts[lid].shading_ratio,
-        }
-        for lid in sorted(artifacts)
-    ]
-    payload = json.dumps(predictions, indent=2, sort_keys=True) + "\n"
+    summary, artifacts = infer_account(ingest(args.log), _inference_config(cfg), jobs=cfg["jobs"])
+    predictions = predictions_payload(artifacts)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        _json_dump(predictions, args.out)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.write(_json_text(predictions))
     if summary.errors:
         sys.stderr.write(json.dumps({"errors": [list(e) for e in summary.errors]}) + "\n")
     return 0
@@ -241,7 +221,6 @@ def cmd_rate_study(args, cfg) -> int:
         replications=cfg["rate_replications"],
         smoothness_order=cfg["rate_smoothness_order"],
         holder_exponent=cfg["rate_holder_exponent"],
-        holder_constant=cfg["rate_holder_constant"],
         seed=cfg["seed"],
         market=SingleSlotMarket(),
         eps_cap=cfg["rate_eps_cap"],
@@ -258,102 +237,56 @@ def cmd_rate_study(args, cfg) -> int:
 
 def cmd_export(args, cfg) -> int:
     with open(args.bundle, "r", encoding="utf-8") as fh:
-        bundle = json.load(fh)
-    from .inference import AssumptionReport, DeviationCurve, PointPrediction, RationalizableRegion
-    from .pipeline import AccountSummary, ListingArtifacts
-
-    s = bundle["summary"]
-    summary = AccountSummary(
-        listing_count=s["listing_count"],
-        bucket_width=s["bucket_width"],
-        nonpositive_count=s["nonpositive_count"],
-        histogram_counts=tuple(s["histogram_counts"]),
-        shading_ratios=dict(s["shading_ratios"]),
-        scatter=tuple((a, b, c) for a, b, c in s["scatter"]),
-        learning_threshold=s["learning_threshold"],
-        errors=tuple((a, b) for a, b in s["errors"]),
-    )
-    artifacts = {}
-    for lid, payload in bundle["listings"].items():
-        curve = DeviationCurve(
-            grid=tuple(payload["curve"]["grid"]),
-            delta_p=tuple(payload["curve"]["delta_p"]),
-            delta_c=tuple(payload["curve"]["delta_c"]),
-            baseline_p=payload["curve"]["baseline_p"],
-            baseline_c=payload["curve"]["baseline_c"],
-        )
-        reg = payload["region"]
-        region = RationalizableRegion(
-            curve=curve,
-            epsilon_cap=reg["epsilon_cap"],
-            value_cap=reg["value_cap"],
-            epsilon_min=reg["epsilon_min"],
-            boundary=tuple((v, e) for v, e in reg["boundary"]),
-            assumption_report=AssumptionReport(
-                delta_p_monotone=reg["assumptions"]["delta_p_monotone"],
-                delta_c_monotone=reg["assumptions"]["delta_c_monotone"],
-                icc_increasing=reg["assumptions"]["icc_increasing"],
-                violation_sites=tuple(tuple(v) for v in reg["assumptions"]["violation_sites"]),
-            ),
-        )
-        pred = payload["prediction"]
-        artifacts[lid] = ListingArtifacts(
-            listing_id=lid,
-            curve=curve,
-            region=region,
-            prediction=PointPrediction(
-                delta_star=pred["delta_star"],
-                v_star=pred["v_star"],
-                v_interval_at_delta_star=tuple(pred["v_interval"]),
-                epsilon_min=pred["epsilon_min"],
-                iterations=pred["iterations"],
-            ),
-            mean_bid=payload["mean_bid"],
-            shading_ratio=payload["shading_ratio"],
-        )
+        summary, artifacts, _ = artifacts_from_json(json.load(fh))
     written = export(summary, artifacts, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="flat key=value config file")
-    shared.add_argument("--seed", type=int, help="override the config seed")
-    shared.add_argument("--jobs", type=int, help="worker processes for per-listing inference")
-    shared.add_argument("--grid-step", type=float, dest="grid_step", help="deviation grid step")
-    shared.add_argument("--epsilon-max", type=float, dest="epsilon_max", help="regret cap for the bounded set")
-    shared.add_argument("--precision", type=float, help="bisection precision for the point prediction")
+# flag -> add_argument keywords; each subcommand takes the flags its command reads
+FLAGS: dict[str, dict] = {
+    "--config": {"help": "flat key=value config file"},
+    "--seed": {"type": int, "help": "override the config seed"},
+    "--jobs": {"type": int, "help": "worker processes for per-listing inference"},
+    "--grid-step": {"type": float, "help": "deviation grid step"},
+    "--epsilon-max": {"type": float, "help": "regret cap for the bounded set"},
+    "--precision": {"type": float, "help": "bisection precision for the point prediction"},
+}
+INFERENCE_FLAGS = ("--config", "--jobs", "--grid-step", "--epsilon-max", "--precision")
 
+
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="gspinfer", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[shared], help="generate a synthetic auction log")
-    p.add_argument("--out", required=True, help="output JSONL path")
-    p.set_defaults(func=cmd_simulate)
+    def command(name, func, about, flags):
+        p = sub.add_parser(name, help=about)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("infer", parents=[shared], help="full inference + exports for a log")
+    p = command("simulate", cmd_simulate, "generate a synthetic auction log", ("--config", "--seed", "--grid-step"))
+    p.add_argument("--out", required=True, help="output JSONL path")
+
+    p = command("infer", cmd_infer, "full inference + exports for a log", INFERENCE_FLAGS)
     p.add_argument("log", help="input JSONL auction log")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser("predict", parents=[shared], help="point predictions only")
+    p = command("predict", cmd_predict, "point predictions only", INFERENCE_FLAGS)
     p.add_argument("log", help="input JSONL auction log")
     p.add_argument("--out", help="output JSON path (default: stdout)")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("rate-study", parents=[shared], help="subsampling convergence experiment")
+    p = command("rate-study", cmd_rate_study, "subsampling convergence experiment", ("--config", "--seed"))
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_rate_study)
 
-    p = sub.add_parser("export", parents=[shared], help="re-emit exports from a saved artifacts bundle")
+    p = command("export", cmd_export, "re-emit exports from a saved artifacts bundle", ())
     p.add_argument("bundle", help="artifacts.json written by 'infer'")
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_export)
 
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(getattr(args, "config", None))
         for key in ("seed", "jobs", "grid_step", "epsilon_max", "precision"):
             val = getattr(args, key, None)
             if val is not None:

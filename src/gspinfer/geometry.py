@@ -413,7 +413,6 @@ class RateStudyConfig:
     replications: int = 20
     smoothness_order: int = 0
     holder_exponent: float = 1.0
-    holder_constant: float = 2.0
     seed: int = 0
     market: SingleSlotMarket = field(default_factory=SingleSlotMarket)
     eps_cap: float = 0.4
@@ -430,8 +429,6 @@ class RateStudyConfig:
             raise GeometryError("need at least one replication")
         if self.smoothness_order < 0 or not 0.0 < self.holder_exponent <= 1.0:
             raise GeometryError("smoothness must satisfy k >= 0 and 0 < alpha <= 1")
-        if self.holder_constant < 0:
-            raise GeometryError("holder_constant must be non-negative")
 
     @property
     def gamma(self) -> float:

@@ -193,20 +193,27 @@ def value_interval(
 ) -> tuple[float, float] | None:
     """Values rationalizable at additive regret ``eps``, or None if empty.
 
-    Lower bounds come from grid bids with negative ``dP``, upper bounds from
-    positive ``dP``; bids with ``dP == 0`` are pure feasibility tests. The
-    result is intersected with ``[0, v_max]``.
+    One half-line ``v * dP(b') <= dC(b') + eps`` per grid bid, intersected
+    with ``[0, v_max]``.
+    """
+    return _half_line_interval(((dp, dc + eps) for dp, dc in zip(curve.delta_p, curve.delta_c)), v_max)
+
+
+def _half_line_interval(rows, v_max: float) -> tuple[float, float] | None:
+    """Values ``v`` in ``[0, v_max]`` with ``v * a <= rhs`` for every ``(a, rhs)`` row, or None.
+
+    Positive coefficients give upper bounds, negative ones lower bounds, and
+    zero coefficients are pure feasibility tests.
     """
     lower = 0.0
     upper = v_max
-    for dp, dc in zip(curve.delta_p, curve.delta_c):
-        rhs = dc + eps
-        if dp > 0.0:
-            bound = rhs / dp
+    for a, rhs in rows:
+        if a > 0.0:
+            bound = rhs / a
             if bound < upper:
                 upper = bound
-        elif dp < 0.0:
-            bound = rhs / dp
+        elif a < 0.0:
+            bound = rhs / a
             if bound > lower:
                 lower = bound
         elif rhs < -FEASIBILITY_TOL:
@@ -360,33 +367,17 @@ def feasible_values_mult(
 
         v * [(1-delta)*dP(b') - delta*P0] <= (1-delta)*dC(b') - delta*C0
 
-    and sign-split exactly like the additive interval: positive coefficients
-    give upper bounds, negative ones lower bounds, zero coefficients are pure
-    feasibility tests. Intersected with ``[0, v_max]``.
+    one half-line per grid bid, intersected with ``[0, v_max]``.
     """
     if not 0.0 <= delta < 1.0:
         raise InferenceError(f"delta must lie in [0, 1) (got {delta})")
     one_minus = 1.0 - delta
     p0 = curve.baseline_p
     c0 = curve.baseline_c
-    lower = 0.0
-    upper = v_max
-    for dp, dc in zip(curve.delta_p, curve.delta_c):
-        a = one_minus * dp - delta * p0
-        rhs = one_minus * dc - delta * c0
-        if a > 0.0:
-            bound = rhs / a
-            if bound < upper:
-                upper = bound
-        elif a < 0.0:
-            bound = rhs / a
-            if bound > lower:
-                lower = bound
-        elif rhs < -FEASIBILITY_TOL:
-            return None
-    if lower > upper + FEASIBILITY_TOL:
-        return None
-    return (lower, min(upper, v_max))
+    return _half_line_interval(
+        ((one_minus * dp - delta * p0, one_minus * dc - delta * c0) for dp, dc in zip(curve.delta_p, curve.delta_c)),
+        v_max,
+    )
 
 
 def min_mult_regret(

@@ -8,8 +8,10 @@ The log format is JSONL with one record per (listing, period, auction draw):
      "position_curve": [1.0, 0.6, 0.35, 0.2]}
 
 Optional per-record fields: ``own_score``/``own_quality`` (default 1.0),
-``weight`` (default 1.0), ``truth_value`` (ground truth on synthetic logs),
-``mainline_count`` (default ``min(mainline_cap, len(position_curve))``).
+``truth_value`` (ground truth on synthetic logs), ``mainline_count``
+(default ``min(mainline_cap, len(position_curve))``). Non-finite numbers
+(``NaN``, ``Infinity``) and scores, bids or reserves above
+:data:`~gspinfer.auction.MAX_MAGNITUDE` are rejected with the line number.
 Synthetic and real data flow through the same reader.
 """
 
@@ -23,9 +25,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .auction import AuctionParams, BidderEntry, ValidationError
+from .auction import AuctionParams, BidderEntry
 from .geometry import RateStudyResult
 from .inference import (
+    AssumptionReport,
     DeviationCurve,
     InferenceError,
     PointPrediction,
@@ -40,7 +43,7 @@ REQUIRED_FIELDS = {
     "listing_id", "period", "own_bid", "competitors",
     "rank_reserve", "mainline_reserve", "mainline_cap", "position_curve",
 }
-OPTIONAL_FIELDS = {"own_score", "own_quality", "weight", "truth_value", "mainline_count"}
+OPTIONAL_FIELDS = {"own_score", "own_quality", "truth_value", "mainline_count"}
 COMPETITOR_FIELDS = {"score", "bid", "quality"}
 
 
@@ -118,7 +121,7 @@ class AccountSummary:
 # ---------------------------------------------------------------------------
 
 
-def _parse_record(obj: dict, line: int) -> tuple[str, int, float, float, float | None, AuctionParams]:
+def _parse_record(obj: dict, line: int) -> tuple[str, int, float, float | None, AuctionParams]:
     if not isinstance(obj, dict):
         raise ParseError(line, "record must be a JSON object")
     unknown = set(obj) - REQUIRED_FIELDS - OPTIONAL_FIELDS
@@ -157,6 +160,8 @@ def _parse_record(obj: dict, line: int) -> tuple[str, int, float, float, float |
     n_main = obj.get("mainline_count")
     if n_main is None:
         n_main = min(cap, len(curve))
+    elif not isinstance(n_main, int) or not 0 <= n_main <= len(curve):
+        raise ParseError(line, "mainline_count must be an integer in [0, len(position_curve)]")
     params = AuctionParams(
         entries=tuple(entries),
         rank_reserve=float(obj["rank_reserve"]),
@@ -165,48 +170,51 @@ def _parse_record(obj: dict, line: int) -> tuple[str, int, float, float, float |
         position_curve=tuple(float(a) for a in curve),
         mainline_positions=frozenset(range(1, n_main + 1)),
     )
-    weight = float(obj.get("weight", 1.0))
     truth = obj.get("truth_value")
-    return listing_id, period, float(obj["own_bid"]), weight, (None if truth is None else float(truth)), params
+    return listing_id, period, float(obj["own_bid"]), (None if truth is None else float(truth)), params
+
+
+def _non_finite(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+_DECODER = json.JSONDecoder(parse_constant=_non_finite)
 
 
 def ingest(path: str, fmt: str = "jsonl") -> list[ListingHistory]:
     """Read an auction log into histories grouped by listing, ordered by period.
 
-    Raises :class:`ParseError` with the offending line number for schema
-    violations, inconsistent per-period data, or non-contiguous periods.
+    Raises :class:`ParseError` with the offending line number for undecodable
+    lines, schema violations, inconsistent per-period data, or non-contiguous
+    periods.
     """
     if fmt != "jsonl":
         raise ParseError(0, f"unsupported format {fmt!r} (expected 'jsonl')")
     groups: dict[str, dict[int, list[AuctionParams]]] = {}
     bids: dict[tuple[str, int], float] = {}
-    weights: dict[tuple[str, int], float] = {}
     truths: dict[str, float | None] = {}
     first_line: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 gets its line number
         for line_no, raw in enumerate(fh, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
+            try:  # bad UTF-8 or JSON, a non-finite constant, an over-long integer, deep nesting
+                text = raw.decode("utf-8").strip()
+                if not text:
+                    continue
+                obj = _DECODER.decode(text)
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
-            try:
-                lid, period, own_bid, weight, truth, params = _parse_record(obj, line_no)
-            except (ValidationError, ValueError, TypeError) as exc:
+                lid, period, own_bid, truth, params = _parse_record(obj, line_no)
+            except (ValueError, TypeError, OverflowError) as exc:
                 if isinstance(exc, ParseError):
                     raise
                 raise ParseError(line_no, str(exc)) from exc
             key = (lid, period)
             if key in bids and bids[key] != own_bid:
                 raise ParseError(line_no, f"inconsistent own_bid within listing {lid!r} period {period}")
-            if key in weights and weights[key] != weight:
-                raise ParseError(line_no, f"inconsistent weight within listing {lid!r} period {period}")
             if lid in truths and truth is not None and truths[lid] is not None and truths[lid] != truth:
                 raise ParseError(line_no, f"inconsistent truth_value for listing {lid!r}")
             bids[key] = own_bid
-            weights[key] = weight
             if truth is not None:
                 truths[lid] = truth
             truths.setdefault(lid, None)
@@ -227,7 +235,6 @@ def ingest(path: str, fmt: str = "jsonl") -> list[ListingHistory]:
                     period_index=t,
                     own_bid=bids[(lid, t)],
                     auction_sample=tuple(period_map[t]),
-                    weight=weights[(lid, t)],
                 )
                 for t in ordered
             )
@@ -262,8 +269,6 @@ def history_records(history: ListingHistory) -> Iterable[dict]:
                 out["own_score"] = own.score
             if own.quality != 1.0:
                 out["own_quality"] = own.quality
-            if rec.weight != 1.0:
-                out["weight"] = rec.weight
             if history.truth is not None:
                 out["truth_value"] = history.truth
             yield out
@@ -308,7 +313,7 @@ def _infer_one(args: tuple[ListingHistory, InferenceConfig]):
     history, config = args
     try:
         return history.listing_id, infer_listing(history, config), None
-    except (InferenceError, ValidationError, ValueError) as exc:
+    except ValueError as exc:
         return history.listing_id, None, str(exc)
 
 
@@ -371,10 +376,14 @@ def infer_account(
 # ---------------------------------------------------------------------------
 
 
+def _json_text(obj) -> str:
+    """The JSON form of every output: two-space indent, sorted keys, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _json_dump(obj, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(obj))
 
 
 def artifacts_to_json(
@@ -385,13 +394,7 @@ def artifacts_to_json(
     for lid in sorted(artifacts):
         art = artifacts[lid]
         listings[lid] = {
-            "curve": {
-                "grid": list(art.curve.grid),
-                "delta_p": list(art.curve.delta_p),
-                "delta_c": list(art.curve.delta_c),
-                "baseline_p": art.curve.baseline_p,
-                "baseline_c": art.curve.baseline_c,
-            },
+            "curve": asdict(art.curve),
             "region": {
                 "epsilon_cap": art.region.epsilon_cap,
                 "value_cap": art.region.value_cap,
@@ -410,28 +413,67 @@ def artifacts_to_json(
             "shading_ratio": art.shading_ratio,
         }
     return {
-        "config": {
-            "bid_max": config.bid_max,
-            "grid_step": config.grid_step,
-            "epsilon_max": config.epsilon_max,
-            "precision": config.precision,
-            "learning_threshold": config.learning_threshold,
-            "boundary_samples": config.boundary_samples,
-            "histogram_bucket_width": config.histogram_bucket_width,
-            "value_cap": config.value_cap,
-        },
-        "summary": {
-            "listing_count": summary.listing_count,
-            "bucket_width": summary.bucket_width,
-            "nonpositive_count": summary.nonpositive_count,
-            "histogram_counts": list(summary.histogram_counts),
-            "shading_ratios": {k: summary.shading_ratios[k] for k in sorted(summary.shading_ratios)},
-            "scatter": [list(s) for s in summary.scatter],
-            "learning_threshold": summary.learning_threshold,
-            "errors": [list(e) for e in summary.errors],
-        },
+        "config": asdict(config),
+        "summary": asdict(summary),
         "listings": listings,
     }
+
+
+def artifacts_from_json(
+    bundle: dict,
+) -> tuple[AccountSummary, dict[str, ListingArtifacts], InferenceConfig]:
+    """Inverse of :func:`artifacts_to_json`: the summary, artifacts and config it encodes."""
+    s = bundle["summary"]
+    summary = AccountSummary(**{
+        **s,
+        "histogram_counts": tuple(s["histogram_counts"]),
+        "scatter": tuple(map(tuple, s["scatter"])),
+        "errors": tuple(map(tuple, s["errors"])),
+    })
+    artifacts = {}
+    for lid, payload in bundle["listings"].items():
+        curve = DeviationCurve(**payload["curve"])
+        reg = payload["region"]
+        assumptions = reg["assumptions"]
+        pred = payload["prediction"]
+        artifacts[lid] = ListingArtifacts(
+            listing_id=lid,
+            curve=curve,
+            region=RationalizableRegion(
+                curve=curve,
+                epsilon_cap=reg["epsilon_cap"],
+                value_cap=reg["value_cap"],
+                epsilon_min=reg["epsilon_min"],
+                boundary=tuple(map(tuple, reg["boundary"])),
+                assumption_report=AssumptionReport(
+                    **{**assumptions, "violation_sites": tuple(map(tuple, assumptions["violation_sites"]))}
+                ),
+            ),
+            prediction=PointPrediction(
+                delta_star=pred["delta_star"],
+                v_star=pred["v_star"],
+                v_interval_at_delta_star=tuple(pred["v_interval"]),
+                epsilon_min=pred["epsilon_min"],
+                iterations=pred["iterations"],
+            ),
+            mean_bid=payload["mean_bid"],
+            shading_ratio=payload["shading_ratio"],
+        )
+    return summary, artifacts, InferenceConfig(**bundle["config"])
+
+
+def predictions_payload(artifacts: dict[str, ListingArtifacts]) -> list[dict]:
+    """Per-listing point predictions, the content of ``predictions.json``."""
+    return [
+        {
+            "listing_id": lid,
+            "delta_star": artifacts[lid].prediction.delta_star,
+            "v_star": artifacts[lid].prediction.v_star,
+            "eps0": artifacts[lid].prediction.epsilon_min,
+            "shading_ratio": artifacts[lid].shading_ratio,
+        }
+        for lid in sorted(artifacts)
+    ]
 
 
 def export(
@@ -458,18 +500,8 @@ def export(
                 writer.writerow([repr(v), repr(e)])
         written.append(path)
 
-    predictions = [
-        {
-            "listing_id": lid,
-            "delta_star": artifacts[lid].prediction.delta_star,
-            "v_star": artifacts[lid].prediction.v_star,
-            "eps0": artifacts[lid].prediction.epsilon_min,
-            "shading_ratio": artifacts[lid].shading_ratio,
-        }
-        for lid in sorted(artifacts)
-    ]
     path = os.path.join(out_dir, "predictions.json")
-    _json_dump(predictions, path)
+    _json_dump(predictions_payload(artifacts), path)
     written.append(path)
 
     path = os.path.join(out_dir, "account_summary.json")

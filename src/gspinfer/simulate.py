@@ -37,14 +37,11 @@ class PeriodRecord:
     period_index: int
     own_bid: float
     auction_sample: tuple[AuctionParams, ...]
-    weight: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "auction_sample", tuple(self.auction_sample))
         if not self.auction_sample:
             raise SimulationError(f"period {self.period_index} has an empty auction sample")
-        if not self.weight > 0:
-            raise SimulationError("period weight must be positive")
 
 
 @dataclass(frozen=True)
@@ -62,15 +59,8 @@ class ListingHistory:
         for a, b in zip(self.periods, self.periods[1:]):
             if not b.period_index > a.period_index:
                 raise SimulationError("periods must be ordered by period_index")
-        w = self.periods[0].weight
-        if any(rec.weight != w for rec in self.periods):
-            raise SimulationError("period weights must be equal across a history")
         if self.truth is not None and self.truth < 0:
             raise SimulationError("truth value must be non-negative")
-
-    def own_entry(self) -> BidderEntry:
-        """The player's entry in the first sampled auction."""
-        return self.periods[0].auction_sample[0].entry(self.listing_id)
 
     def mean_bid(self) -> float:
         return sum(rec.own_bid for rec in self.periods) / len(self.periods)
@@ -83,14 +73,14 @@ class LearnerConfig:
     ``learning_rate=None`` means the standard tuned rate
     ``sqrt(8 * ln K / T)`` for hedge. Payoffs are divided by
     ``alpha_1 * max(value, max bid)`` before hedge updates so the usual
-    tuning for unit-range payoffs applies.
+    tuning for unit-range payoffs applies. Each learner's random stream is
+    spawned from the market seed passed to :func:`simulate_market`.
     """
 
     algorithm: str
     bid_grid: tuple[float, ...]
     learning_rate: float | None = None
     exploration: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "bid_grid", tuple(float(b) for b in self.bid_grid))

@@ -175,7 +175,7 @@ def test_criterion_3_ground_truth_containment():
             for seed in range(25):
                 value = 0.2 + 0.6 * ((seed * 7919) % 25) / 25.0
                 learner = LearnerSpec(
-                    "L000", value, LearnerConfig(algorithm, grid, seed=seed)
+                    "L000", value, LearnerConfig(algorithm, grid)
                 )
                 hist, = simulate_market(spec, [learner], horizon, 1, seed)
                 eps = realized_regret(hist, value, grid)
@@ -210,7 +210,7 @@ def test_criterion_4_hedge_regret_decay():
         for seed in range(50):
             learner = LearnerSpec(
                 "L000", 0.7,
-                LearnerConfig("hedge", grid, learning_rate=tuned_hedge_rate(k, horizon), seed=seed),
+                LearnerConfig("hedge", grid, learning_rate=tuned_hedge_rate(k, horizon)),
             )
             hist, = simulate_market(spec, [learner], horizon, 1, seed)
             vals.append(realized_regret(hist, 0.7, grid))
@@ -338,9 +338,9 @@ def test_criterion_6_rate_study_slope():
 def acceptance_account(tmpdir):
     grid = default_bid_grid(1.0, 0.05)
     learners = [
-        LearnerSpec("L000", 0.55, LearnerConfig("hedge", grid, seed=1)),
-        LearnerSpec("L001", 0.75, LearnerConfig("epsilon_greedy", grid, seed=2)),
-        LearnerSpec("L002", 0.35, LearnerConfig("fixed_best_response", grid, seed=3)),
+        LearnerSpec("L000", 0.55, LearnerConfig("hedge", grid)),
+        LearnerSpec("L001", 0.75, LearnerConfig("epsilon_greedy", grid)),
+        LearnerSpec("L002", 0.35, LearnerConfig("fixed_best_response", grid)),
     ]
     return simulate_market(containment_market(), learners, 25, 2, 404)
 

@@ -1,14 +1,18 @@
 import json
 import math
 import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gspinfer.cli import ConfigError, load_config, main
 from gspinfer.pipeline import (
     AccountSummary,
     InferenceConfig,
     ParseError,
+    artifacts_from_json,
     artifacts_to_json,
     export,
     infer_account,
@@ -59,7 +63,7 @@ def write_jsonl(records, path):
 def tiny_market_histories(seed=11, periods=12, listings=2):
     grid = default_bid_grid(1.0, 0.1)
     learners = [
-        LearnerSpec(f"L{k:03d}", 0.4 + 0.2 * k, LearnerConfig("hedge", grid, seed=k))
+        LearnerSpec(f"L{k:03d}", 0.4 + 0.2 * k, LearnerConfig("hedge", grid))
         for k in range(listings)
     ]
     spec = MarketSpec(
@@ -70,6 +74,23 @@ def tiny_market_histories(seed=11, periods=12, listings=2):
         background=BackgroundSpec(count=2, quality_low=0.5, quality_high=0.5),
     )
     return simulate_market(spec, learners, periods, 2, seed)
+
+
+def _set(field, value):
+    return lambda rec: rec.__setitem__(field, value)
+
+
+# one record edit per number the reader must reject, and the word the error names
+BAD_NUMBERS = [
+    (_set("rank_reserve", math.inf), "Infinity"),
+    (lambda rec: rec.update(rank_reserve=1e300, mainline_reserve=1e300), "rank_reserve must"),
+    (lambda rec: rec["competitors"][0].__setitem__("bid", 1e305), "bid"),
+    (lambda rec: rec["competitors"][0].__setitem__("score", 1e305), "score"),
+    (_set("mainline_reserve", math.nan), "NaN"),
+    (_set("mainline_reserve", "NaN"), "mainline_reserve"),
+    (_set("own_bid", 10**400), "int too large"),
+    (_set("mainline_count", 10**5), "mainline_count"),
+]
 
 
 class TestIngest:
@@ -130,6 +151,65 @@ class TestIngest:
         path.write_text('{"listing_id": "a"\n')
         with pytest.raises(ParseError, match="line 1"):
             ingest(str(path))
+
+    @pytest.mark.parametrize("line, match", [
+        (b'{"listing_id": "\xff"}', "can't decode"),
+        (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+    ], ids=["utf8", "nesting"])
+    def test_undecodable_line_reports_line(self, tmp_path, line, match):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(json.dumps(micro_fixture_records()[0]).encode() + b"\n" + line + b"\n")
+        with pytest.raises(ParseError, match=f"line 2.*{match}"):
+            ingest(str(path))
+
+    @pytest.mark.parametrize("mutate, match", BAD_NUMBERS, ids=[m for _, m in BAD_NUMBERS])
+    def test_bad_number_reports_line(self, tmp_path, mutate, match):
+        records = micro_fixture_records() + micro_fixture_records()
+        mutate(records[1])
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(records, path)
+        with pytest.raises(ParseError, match=f"line 2.*{match}"):
+            ingest(str(path))
+
+
+# JSON-like values, including the numbers a log may carry: non-finite, huge, negative
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+RECORD_FIELDS = sorted(micro_fixture_records()[0]) + ["own_score", "own_quality", "truth_value", "mainline_count"]
+
+
+@st.composite
+def fuzzed_records(draw):
+    """The micro fixture with some fields replaced, dropped, or added."""
+    rec = micro_fixture_records()[0]
+    for field in draw(st.lists(st.sampled_from(RECORD_FIELDS), max_size=3)):
+        if draw(st.booleans()):
+            rec[field] = draw(JSON_VALUES)
+        else:
+            rec.pop(field, None)
+    if draw(st.booleans()):
+        rec["competitors"] = draw(st.lists(
+            st.fixed_dictionaries({"score": JSON_VALUES, "bid": JSON_VALUES, "quality": JSON_VALUES}), max_size=2
+        ))
+    return rec
+
+
+class TestIngestFuzz:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(records=st.lists(fuzzed_records() | JSON_VALUES, min_size=1, max_size=3))
+    def test_ingest_yields_histories_or_parse_error(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.jsonl")
+            write_jsonl(records, path)
+            try:
+                histories = ingest(path)
+            except ParseError as exc:
+                assert exc.line >= 1
+            else:
+                assert isinstance(histories, list)
 
 
 class TestMicroFixturePipeline:
@@ -263,6 +343,21 @@ class TestDeterminism:
             assert open(f1, "rb").read() == open(f2, "rb").read()
 
 
+class TestBundleCodec:
+    def test_round_trip_restores_objects(self, tmp_path):
+        # a listing whose every deviation loses clicks fails and is kept under errors
+        solo = dict(micro_fixture_records()[0], listing_id="Z9", own_bid=1.0, competitors=[],
+                    position_curve=[1.0], rank_reserve=0.0, mainline_reserve=0.0)
+        path = tmp_path / "solo.jsonl"
+        write_jsonl([solo], path)
+        histories = tiny_market_histories(seed=7, listings=3) + ingest(str(path))
+        config = InferenceConfig(grid_step=0.1, epsilon_max=1.0)
+        summary, artifacts = infer_account(histories, config)
+        assert summary.scatter and summary.shading_ratios and summary.errors
+        bundle = json.loads(json.dumps(artifacts_to_json(summary, artifacts, config)))
+        assert artifacts_from_json(bundle) == (summary, artifacts, config)
+
+
 class TestEmptyAccountExport:
     def test_zero_listings_still_produce_valid_files(self, tmp_path):
         summary = AccountSummary(
@@ -327,19 +422,30 @@ class TestCli:
         assert main(["simulate", "--config", str(cfg), "--seed", "9", "--out", str(log)]) == 0
         out = tmp_path / "out"
         assert main(["infer", "--config", str(cfg), str(log), "--out", str(out)]) == 0
-        for name in (
-            "artifacts.json",
-            "predictions.json",
-            "account_summary.json",
-            "histogram_delta.csv",
-            "scatter_v_delta.csv",
-        ):
-            assert (out / name).exists()
-        # re-export from the bundle reproduces the files byte for byte
+        assert (out / "artifacts.json").exists()
+        # re-export from the bundle reproduces every export byte for byte
         out2 = tmp_path / "out2"
         assert main(["export", str(out / "artifacts.json"), "--out", str(out2)]) == 0
-        for name in ("predictions.json", "account_summary.json", "histogram_delta.csv"):
+        exported = sorted(p.name for p in out2.iterdir())
+        assert exported == [
+            "account_summary.json", "histogram_delta.csv", "nr_boundary_L000.csv",
+            "nr_boundary_L001.csv", "predictions.json", "scatter_v_delta.csv",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == sorted(exported + ["artifacts.json"])
+        for name in exported:
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_predict_out_matches_infer_predictions(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        out = tmp_path / "out"
+        assert main(["infer", str(log), "--grid-step", "0.1", "--out", str(out)]) == 0
+        pred = tmp_path / "pred.json"
+        assert main(["predict", str(log), "--grid-step", "0.1", "--out", str(pred)]) == 0
+        assert pred.read_bytes() == (out / "predictions.json").read_bytes()
+        capsys.readouterr()
+        assert main(["predict", str(log), "--grid-step", "0.1"]) == 0
+        assert capsys.readouterr().out.encode() == pred.read_bytes()
 
     def test_predict_stdout(self, tmp_path, capsys):
         log = tmp_path / "micro.jsonl"
@@ -363,6 +469,24 @@ class TestCli:
         assert main(["infer", str(missing), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert json.loads(err)["errors"]
+
+    @pytest.mark.parametrize("command", ["predict", "infer"])
+    def test_bad_number_exits_with_error_list(self, tmp_path, capsys, command):
+        records = micro_fixture_records()
+        records[0]["rank_reserve"] = math.inf
+        records[0]["mainline_reserve"] = math.inf
+        log = tmp_path / "bad.jsonl"
+        write_jsonl(records, log)
+        assert main([command, str(log), "--out", str(tmp_path / "o")]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert len(errors) == 1 and errors[0].startswith("line 1:")
+
+    def test_subcommands_take_only_the_flags_they_read(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["export", "bundle.json", "--out", "o", "--jobs", "2"])
+        with pytest.raises(SystemExit):
+            main(["simulate", "--out", "o", "--epsilon-max", "0.5"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_parse_error_surfaces(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

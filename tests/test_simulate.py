@@ -62,9 +62,9 @@ def simple_market(competitors=2):
     )
 
 
-def one_learner(algorithm, value=0.7, grid=None, seed=0):
+def one_learner(algorithm, value=0.7, grid=None):
     grid = grid or default_bid_grid(1.0, 0.1)
-    return LearnerSpec("L000", value, LearnerConfig(algorithm, grid, seed=seed))
+    return LearnerSpec("L000", value, LearnerConfig(algorithm, grid))
 
 
 class TestSimulateMarket:
@@ -140,8 +140,8 @@ class TestSimulateMarket:
 
     def test_multi_learner_views_are_consistent(self):
         learners = [
-            LearnerSpec("L000", 0.7, LearnerConfig("hedge", default_bid_grid(1.0, 0.1), seed=1)),
-            LearnerSpec("L001", 0.5, LearnerConfig("hedge", default_bid_grid(1.0, 0.1), seed=2)),
+            LearnerSpec("L000", 0.7, LearnerConfig("hedge", default_bid_grid(1.0, 0.1))),
+            LearnerSpec("L001", 0.5, LearnerConfig("hedge", default_bid_grid(1.0, 0.1))),
         ]
         h0, h1 = simulate_market(simple_market(), learners, 8, 2, 77)
         for r0, r1 in zip(h0.periods, h1.periods):
@@ -188,7 +188,7 @@ class TestRealizedRegret:
 
     def test_ground_truth_containment(self):
         for seed in range(5):
-            hist, = simulate_market(simple_market(), [one_learner("hedge", value=0.66, seed=seed)], 25, 2, seed)
+            hist, = simulate_market(simple_market(), [one_learner("hedge", value=0.66)], 25, 2, seed)
             grid = default_bid_grid(1.0, 0.1)
             eps = realized_regret(hist, 0.66, grid)
             curve = build_deviation_curve(hist, grid)
@@ -211,7 +211,7 @@ class TestHedgeRegretGuarantee:
         for seed in range(8):
             hist, = simulate_market(
                 simple_market(),
-                [LearnerSpec("L000", 0.7, LearnerConfig("hedge", grid, learning_rate=tuned_hedge_rate(k, t), seed=seed))],
+                [LearnerSpec("L000", 0.7, LearnerConfig("hedge", grid, learning_rate=tuned_hedge_rate(k, t)))],
                 t, 1, seed,
             )
             vals.append(realized_regret(hist, 0.7, grid))
