@@ -129,7 +129,7 @@ def load_config(path: str | None) -> dict:
                     values[key] = str(parsed)
                 else:
                     values[key] = caster(parsed)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from exc
     return values
 
@@ -237,7 +237,11 @@ def cmd_rate_study(args, cfg) -> int:
 
 def cmd_export(args, cfg) -> int:
     with open(args.bundle, "r", encoding="utf-8") as fh:
-        summary, artifacts, _ = artifacts_from_json(json.load(fh))
+        try:
+            bundle = json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(None, f"{args.bundle}: not a JSON bundle: {exc}") from exc
+    summary, artifacts, _ = artifacts_from_json(bundle)
     written = export(summary, artifacts, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return 0

@@ -19,7 +19,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .auction import AuctionParams, BidderEntry
-from .inference import DeviationCurve
+from .inference import DeviationCurve, binding_rows, lower_hull
 
 _SLOPE_TOL = 1e-12
 
@@ -51,8 +51,8 @@ def _direction(u) -> tuple[float, float]:
 class LinkFunction:
     """Piecewise-linear payment-change versus click-change curve.
 
-    Knots are sorted by ``z``; ties keep the largest payment change (the
-    conservative side for feasibility). ``convexified`` marks that the raw
+    Knots are sorted by ``z``; ties keep the smallest payment change, whose
+    half-plane is the binding one. ``convexified`` marks that the raw
     knots violated increasing incremental cost per click and were replaced by
     their lower convex hull.
     """
@@ -90,42 +90,19 @@ def _slopes_convex(zs: Sequence[float], cs: Sequence[float], tol: float = _SLOPE
     return True
 
 
-def _lower_hull(zs: Sequence[float], cs: Sequence[float]) -> tuple[list[float], list[float]]:
-    hull: list[tuple[float, float]] = []
-    for p in zip(zs, cs):
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            # drop the middle point when it sits on or above the chord
-            if (y2 - y1) * (p[0] - x2) >= (p[1] - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    return [z for z, _ in hull], [c for _, c in hull]
-
-
 def link_from_curve(curve: DeviationCurve, convexify: bool = True) -> LinkFunction:
     """Build the link function from a deviation curve.
 
-    Sorts knots by click change, deduplicates ties keeping the largest
-    payment change, and (by default) falls back to the lower convex hull when
-    the knots violate increasing incremental cost per click.
+    Sorts knots by click change, keeps the smallest payment change among
+    ties (the binding constraint), and (by default) falls back to the lower
+    convex hull when the knots violate increasing incremental cost per click.
     """
-    pairs = sorted(zip(curve.delta_p, curve.delta_c))
-    zs: list[float] = []
-    cs: list[float] = []
-    for z, c in pairs:
-        if zs and z == zs[-1]:
-            if c > cs[-1]:
-                cs[-1] = c
-        else:
-            zs.append(z)
-            cs.append(c)
-    convexified = False
-    if convexify and len(zs) >= 3 and not _slopes_convex(zs, cs):
-        zs, cs = _lower_hull(zs, cs)
-        convexified = True
-    return LinkFunction(tuple(zs), tuple(cs), convexified)
+    knots = binding_rows(curve.delta_p, curve.delta_c)
+    convexified = convexify and len(knots) >= 3 and not _slopes_convex(*zip(*knots))
+    if convexified:
+        knots = lower_hull(knots)
+    zs, cs = zip(*knots)
+    return LinkFunction(zs, cs, convexified)
 
 
 def link_eval(link: LinkFunction, z: float) -> float:

@@ -12,10 +12,11 @@ average regret for a bidder with value-per-click ``v``:
 
 so the rationalizable set is the intersection of half-planes, one per grid
 bid. Everything else here is exact piecewise-linear geometry on that family:
-the value interval at a given ``eps``, the lower boundary ``eps(v)``, the
-smallest rationalizable additive regret ``eps0``, and the smallest
-*multiplicative* regret ``delta*`` (regret measured relative to the deviation
-utility), located by bisection.
+the value interval at a given ``eps``, the lower boundary ``eps(v)`` (the
+convex conjugate of the lower convex hull of the points ``(dP, dC)``), the
+smallest rationalizable additive regret ``eps0``, read off that hull's edge
+slopes, and the smallest *multiplicative* regret ``delta*`` (regret measured
+relative to the deviation utility), located by bisection.
 """
 
 from __future__ import annotations
@@ -244,32 +245,42 @@ def best_deviation(curve: DeviationCurve, v: float) -> float:
     return best_bid
 
 
+def binding_rows(delta_p: Sequence[float], delta_c: Sequence[float]) -> list[tuple[float, float]]:
+    """Rows ``(dP, dC)`` sorted by ``dP``; of equal ``dP`` only the smallest, binding ``dC``."""
+    rows = sorted(zip(delta_p, delta_c))
+    return [r for k, r in enumerate(rows) if k == 0 or r[0] != rows[k - 1][0]]
+
+
+def lower_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+    """Monotone-chain lower convex hull of points with strictly increasing first coordinate.
+
+    Points on or above a chord are dropped, so the edge slopes strictly increase.
+    """
+    hull: list[tuple[float, float]] = []
+    for z, c in points:
+        while len(hull) >= 2:
+            (z1, c1), (z2, c2) = hull[-2:]
+            if (c2 - c1) * (z - z2) < (c - c2) * (z2 - z1):
+                break
+            hull.pop()
+        hull.append((z, c))
+    return hull
+
+
 def min_additive_regret(curve: DeviationCurve) -> tuple[float, tuple[float, float]]:
     """Smallest additive regret with a non-empty value interval, and that interval.
 
-    The boundary ``eps(v) = max_k (v * dP_k - dC_k)`` is a convex piecewise
-    linear function, so its minimum over ``v >= 0`` sits either at ``v = 0``
-    or at an intersection of two of the lines; those breakpoints are
-    enumerated exactly.
+    The boundary ``eps(v) = max_k (v * dP_k - dC_k)`` is the convex conjugate
+    of the lower convex hull of the points ``(dP_k, dC_k)``, so its
+    breakpoints are the hull's edge slopes and its minimum over ``v >= 0``
+    sits at ``v = 0`` or at a positive edge slope: O(n log n + h * n) for
+    ``h`` hull vertices.
     """
-    dps = curve.delta_p
-    dcs = curve.delta_c
-    if max(dps) < 0.0:
+    if max(curve.delta_p) < 0.0:
         raise InferenceError("minimum regret is unbounded below (every deviation loses clicks)")
-    candidates = [0.0]
-    n = len(dps)
-    for i in range(n):
-        for j in range(i + 1, n):
-            denom = dps[i] - dps[j]
-            if denom != 0.0:
-                v = (dcs[i] - dcs[j]) / denom
-                if v > 0.0 and math.isfinite(v):
-                    candidates.append(v)
-    eps0 = math.inf
-    for v in candidates:
-        e = boundary(curve, v)
-        if e < eps0:
-            eps0 = e
+    hull = lower_hull(binding_rows(curve.delta_p, curve.delta_c))
+    slopes = [(c1 - c2) / (z1 - z2) for (z1, c1), (z2, c2) in zip(hull, hull[1:])]
+    eps0 = min(boundary(curve, v) for v in [0.0] + [v for v in slopes if v > 0.0 and math.isfinite(v)])
     interval = value_interval(curve, eps0)
     if interval is None:  # guard against a one-ulp-short minimum
         interval = value_interval(curve, eps0 + 1e-12)
@@ -285,7 +296,7 @@ def min_additive_regret_bisect(
 
     Brackets the smallest feasible regret by walking down from the boundary
     value at v = 0, then bisects the feasibility predicate. Kept as an
-    independent route for testing the exact breakpoint enumeration.
+    independent route for testing the hull-based minimum.
     """
     if max(curve.delta_p) < 0.0:
         raise InferenceError("minimum regret is unbounded below (every deviation loses clicks)")

@@ -48,10 +48,10 @@ COMPETITOR_FIELDS = {"score", "bid", "quality"}
 
 
 class ParseError(ValueError):
-    """A malformed log record; carries the line number."""
+    """A malformed log record or bundle; carries the line number when there is one."""
 
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, line: int | None, message: str):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 
@@ -422,44 +422,50 @@ def artifacts_to_json(
 def artifacts_from_json(
     bundle: dict,
 ) -> tuple[AccountSummary, dict[str, ListingArtifacts], InferenceConfig]:
-    """Inverse of :func:`artifacts_to_json`: the summary, artifacts and config it encodes."""
-    s = bundle["summary"]
-    summary = AccountSummary(**{
-        **s,
-        "histogram_counts": tuple(s["histogram_counts"]),
-        "scatter": tuple(map(tuple, s["scatter"])),
-        "errors": tuple(map(tuple, s["errors"])),
-    })
-    artifacts = {}
-    for lid, payload in bundle["listings"].items():
-        curve = DeviationCurve(**payload["curve"])
-        reg = payload["region"]
-        assumptions = reg["assumptions"]
-        pred = payload["prediction"]
-        artifacts[lid] = ListingArtifacts(
-            listing_id=lid,
-            curve=curve,
-            region=RationalizableRegion(
+    """Inverse of :func:`artifacts_to_json`: the summary, artifacts and config it encodes.
+
+    A bundle that lacks a key or holds a value of the wrong shape raises :class:`ParseError`.
+    """
+    try:
+        s = bundle["summary"]
+        summary = AccountSummary(**{
+            **s,
+            "histogram_counts": tuple(s["histogram_counts"]),
+            "scatter": tuple(map(tuple, s["scatter"])),
+            "errors": tuple(map(tuple, s["errors"])),
+        })
+        artifacts = {}
+        for lid, payload in bundle["listings"].items():
+            curve = DeviationCurve(**payload["curve"])
+            reg = payload["region"]
+            assumptions = reg["assumptions"]
+            pred = payload["prediction"]
+            artifacts[lid] = ListingArtifacts(
+                listing_id=lid,
                 curve=curve,
-                epsilon_cap=reg["epsilon_cap"],
-                value_cap=reg["value_cap"],
-                epsilon_min=reg["epsilon_min"],
-                boundary=tuple(map(tuple, reg["boundary"])),
-                assumption_report=AssumptionReport(
-                    **{**assumptions, "violation_sites": tuple(map(tuple, assumptions["violation_sites"]))}
+                region=RationalizableRegion(
+                    curve=curve,
+                    epsilon_cap=reg["epsilon_cap"],
+                    value_cap=reg["value_cap"],
+                    epsilon_min=reg["epsilon_min"],
+                    boundary=tuple(map(tuple, reg["boundary"])),
+                    assumption_report=AssumptionReport(
+                        **{**assumptions, "violation_sites": tuple(map(tuple, assumptions["violation_sites"]))}
+                    ),
                 ),
-            ),
-            prediction=PointPrediction(
-                delta_star=pred["delta_star"],
-                v_star=pred["v_star"],
-                v_interval_at_delta_star=tuple(pred["v_interval"]),
-                epsilon_min=pred["epsilon_min"],
-                iterations=pred["iterations"],
-            ),
-            mean_bid=payload["mean_bid"],
-            shading_ratio=payload["shading_ratio"],
-        )
-    return summary, artifacts, InferenceConfig(**bundle["config"])
+                prediction=PointPrediction(
+                    delta_star=pred["delta_star"],
+                    v_star=pred["v_star"],
+                    v_interval_at_delta_star=tuple(pred["v_interval"]),
+                    epsilon_min=pred["epsilon_min"],
+                    iterations=pred["iterations"],
+                ),
+                mean_bid=payload["mean_bid"],
+                shading_ratio=payload["shading_ratio"],
+            )
+        return summary, artifacts, InferenceConfig(**bundle["config"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(None, f"bad artifacts bundle: {type(exc).__name__}: {exc}") from exc
 
 
 def predictions_payload(artifacts: dict[str, ListingArtifacts]) -> list[dict]:

@@ -22,7 +22,7 @@ from gspinfer.geometry import (
     support_nrb,
     true_region,
 )
-from gspinfer.inference import DeviationCurve
+from gspinfer.inference import DeviationCurve, boundary
 
 
 def convex_link():
@@ -44,17 +44,18 @@ class TestLinkFunction:
     def test_eval_out_of_domain(self):
         assert math.isnan(link_eval(convex_link(), 0.2))
 
-    def test_from_curve_dedup_keeps_max_c(self):
+    def test_from_curve_dedup_keeps_min_c(self):
+        # among equal click changes the smallest payment change binds
         curve = DeviationCurve(
             grid=(1.0, 2.0, 3.0),
             delta_p=(0.0, 0.0, 0.1),
-            delta_c=(-0.05, 0.02, 0.08),
+            delta_c=(0.02, -0.05, 0.08),
             baseline_p=0.5,
             baseline_c=0.1,
         )
         link = link_from_curve(curve, convexify=False)
         assert link.z_knots == (0.0, 0.1)
-        assert link.c_values == (0.02, 0.08)
+        assert link.c_values == (-0.05, 0.08)
 
     def test_from_curve_convexifies_when_icc_fails(self):
         curve = DeviationCurve(
@@ -120,6 +121,41 @@ class TestSupportNR:
 
     def test_slope_outside_range_infinite(self):
         assert support_nr(convex_link(), unit(1.0, -1.0)) == math.inf
+
+    @staticmethod
+    def brute_force_support(curve, u):
+        """``max over v >= 0`` of ``u . (v, eps(v))``, over v = 0 and every pairwise line intersection."""
+        rows = list(zip(curve.delta_p, curve.delta_c))
+        vs = [(c1 - c2) / (p1 - p2) for k, (p1, c1) in enumerate(rows) for p2, c2 in rows[k + 1:] if p1 != p2]
+        return max(u[0] * v + u[1] * boundary(curve, v) for v in [0.0] + [v for v in vs if v > 0.0])
+
+    def test_tied_click_changes_match_brute_force(self):
+        curve = DeviationCurve(
+            grid=(1.0, 2.0, 3.0, 4.0),
+            delta_p=(0.0, 0.1, 0.1, 0.2),
+            delta_c=(0.0, 0.02, 0.05, 0.06),
+            baseline_p=0.5,
+            baseline_c=0.1,
+        )
+        u = (0.0995, -0.995)
+        assert support_nr(link_from_curve(curve), u) == pytest.approx(0.0199, abs=1e-12)
+        assert self.brute_force_support(curve, u) == pytest.approx(0.0199, abs=1e-12)
+
+    def test_matches_brute_force_on_penny_curves_with_ties(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            n = rng.randint(2, 8)
+            dps = [rng.randint(-5, 5) / 20.0 for _ in range(n)]  # ties are common
+            dcs = [rng.randint(-20, 20) / 100.0 for _ in range(n)]
+            curve = DeviationCurve(
+                grid=tuple(0.1 * (k + 1) for k in range(n)),
+                delta_p=tuple(dps), delta_c=tuple(dcs), baseline_p=0.5, baseline_c=0.1,
+            )
+            link = link_from_curve(curve)
+            # slopes from the v = 0 tangency rightwards are supported at some v >= 0
+            z_lo = link.z_knots[link.c_values.index(min(link.c_values))]
+            u = (rng.uniform(z_lo, link.z_max), -1.0)
+            assert support_nr(link, u) == pytest.approx(self.brute_force_support(curve, u), abs=1e-12)
 
 
 class TestSupportNRB:

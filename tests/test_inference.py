@@ -2,8 +2,11 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gspinfer.auction import AuctionParams, BidderEntry
+from gspinfer.cli import main
 from gspinfer.inference import (
     DeviationCurve,
     InferenceError,
@@ -22,6 +25,7 @@ from gspinfer.inference import (
     min_mult_regret,
     value_interval,
 )
+from gspinfer.pipeline import InferenceConfig, ingest
 from gspinfer.simulate import ListingHistory, PeriodRecord
 
 
@@ -185,6 +189,72 @@ class TestMinAdditiveRegret:
             eps0, _ = min_additive_regret(curve)
             assert value_interval(curve, eps0 + 1e-6) is not None
             assert value_interval(curve, eps0 - 1e-6) is None
+
+
+def pairwise_eps0(curve: DeviationCurve) -> float:
+    """Reference for ``min_additive_regret``: the O(n^3) breakpoint enumeration.
+
+    The boundary minimum over ``v = 0`` and the intersection of every pair of
+    half-plane lines, each checked with a full O(n) ``boundary`` call.
+    """
+    dps, dcs = curve.delta_p, curve.delta_c
+    candidates = [0.0]
+    for i in range(len(dps)):
+        for j in range(i + 1, len(dps)):
+            denom = dps[i] - dps[j]
+            if denom != 0.0:
+                v = (dcs[i] - dcs[j]) / denom
+                if v > 0.0 and math.isfinite(v):
+                    candidates.append(v)
+    return min(boundary(curve, v) for v in candidates)
+
+
+def curve_from_rows(rows) -> DeviationCurve:
+    dps, dcs = zip(*rows)
+    grid = tuple(0.01 * (k + 1) for k in range(len(rows)))
+    return DeviationCurve(grid=grid, delta_p=dps, delta_c=dcs, baseline_p=0.5, baseline_c=0.1)
+
+
+# a narrow penny range, so equal dP (and equal rows) are common
+PENNIES = st.integers(-20, 20).map(lambda k: k / 100.0)
+PENNY_ROWS = st.lists(st.tuples(PENNIES, PENNIES), min_size=1, max_size=12)
+
+
+@st.composite
+def near_collinear_rows(draw):
+    """Rows on one line, each nudged by -1e-15, 0 or +1e-15."""
+    slope = draw(st.integers(-50, 50)) / 100.0
+    intercept = draw(PENNIES)
+    dps = draw(st.lists(PENNIES, min_size=1, max_size=12))
+    return [(dp, slope * dp + intercept + draw(st.sampled_from((-1e-15, 0.0, 1e-15)))) for dp in dps]
+
+
+class TestHullMatchesPairwiseOracle:
+    @settings(max_examples=600, deadline=None)
+    @given(rows=PENNY_ROWS | near_collinear_rows())
+    @example(rows=[(0.1, 0.05)])
+    @example(rows=[(0.0, -0.02)])
+    @example(rows=[(-0.1, 0.05)])
+    @example(rows=[(-0.2, 0.1), (-0.1, -0.05), (-0.1, 0.2)])
+    def test_eps0_matches_oracle(self, rows):
+        curve = curve_from_rows(rows)
+        if max(curve.delta_p) < 0.0:
+            with pytest.raises(InferenceError, match="unbounded"):
+                min_additive_regret(curve)
+            return
+        eps0, _ = min_additive_regret(curve)
+        assert abs(eps0 - pairwise_eps0(curve)) <= 1e-15
+
+    @pytest.mark.parametrize("seed, grid_step", [(1, 0.01), (2, 0.01), (3, 0.01), (7, 0.004)])
+    def test_exact_on_simulated_curves(self, tmp_path, capsys, seed, grid_step):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("listings = 2\nperiods = 20\nauctions_per_period = 3\n")
+        log = tmp_path / "log.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(log)]) == 0
+        grid = InferenceConfig(grid_step=grid_step).bid_grid()
+        for history in ingest(str(log)):
+            curve = build_deviation_curve(history, grid)
+            assert min_additive_regret(curve)[0] == pairwise_eps0(curve)
 
 
 class TestIccAndAssumptions:

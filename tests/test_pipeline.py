@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gspinfer.cli import ConfigError, load_config, main
+from gspinfer.cli import CONFIG_KEYS, ConfigError, load_config, main
 from gspinfer.pipeline import (
     AccountSummary,
     InferenceConfig,
@@ -410,6 +411,34 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="bad value"):
             load_config(str(path))
 
+    def test_number_too_large_for_int_key_rejected(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("# header\nperiods = 1e400\n")
+        with pytest.raises(ConfigError, match=r":2: bad value for 'periods'"):
+            load_config(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(
+        st.tuples(
+            st.sampled_from(sorted(CONFIG_KEYS)),
+            (st.integers() | st.floats() | JSON_VALUES).map(json.dumps)
+            | st.sampled_from(["1e400", "-1e400", "Infinity", "NaN", "1e-400", str(10**400)])
+            | st.text(max_size=8),
+        ),
+        max_size=4,
+    ))
+    def test_every_config_parses_or_raises_config_error(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("".join(f"{key} = {value}\n" for key, value in lines))
+            try:
+                cfg = load_config(path)
+            except ConfigError:
+                pass
+            else:
+                assert set(cfg) == set(CONFIG_KEYS)
+
 
 class TestCli:
     def test_simulate_infer_export_cycle(self, tmp_path, capsys):
@@ -434,6 +463,22 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == sorted(exported + ["artifacts.json"])
         for name in exported:
             assert (out / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_infer_outputs_match_pinned_digests(self, tmp_path, capsys):
+        # A fine grid (n = 251) on a small seeded market: any rewrite of the
+        # envelope, the curve or the encoders that drifts an output byte fails.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("listings = 1\nperiods = 20\nauctions_per_period = 3\ngrid_step = 0.004\n")
+        log = tmp_path / "log.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--seed", "5", "--out", str(log)]) == 0
+        out = tmp_path / "out"
+        assert main(["infer", "--config", str(cfg), str(log), "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("predictions.json", "artifacts.json")}
+        assert digests == {
+            "predictions.json": "fac06b1109f3bbf31a05cb7ec8cb64258ad66f6a98d6ec6d70caa7be342f9429",
+            "artifacts.json": "185454eb378f7b68a6d5acacbf0a2083348c48bca45219eb43f81eaa31cdd209",
+        }
 
     def test_predict_out_matches_infer_predictions(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
@@ -480,6 +525,21 @@ class TestCli:
         assert main([command, str(log), "--out", str(tmp_path / "o")]) == 1
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert len(errors) == 1 and errors[0].startswith("line 1:")
+
+    @pytest.mark.parametrize("damage", ["empty-object", "truncated"])
+    def test_export_bad_bundle_exits_with_error_list(self, tmp_path, capsys, damage):
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        out = tmp_path / "out"
+        assert main(["infer", str(log), "--grid-step", "0.1", "--out", str(out)]) == 0
+        bundle = out / "artifacts.json"
+        text = bundle.read_text()
+        bundle.write_text("{}" if damage == "empty-object" else text[: len(text) // 2])
+        capsys.readouterr()
+        assert main(["export", str(bundle), "--out", str(tmp_path / "again")]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert len(errors) == 1
+        assert ("KeyError: 'summary'" if damage == "empty-object" else "not a JSON bundle") in errors[0]
 
     def test_subcommands_take_only_the_flags_they_read(self, capsys):
         with pytest.raises(SystemExit):
