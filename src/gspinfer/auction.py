@@ -159,14 +159,13 @@ def rank_and_allocate(params: AuctionParams) -> AllocationResult:
         key=lambda t: (-t[0], t[1]),
     )
     n_main = len(params.mainline_positions)
-    slots_main = min(n_main, params.mainline_cap)
     n_pos = len(params.position_curve)
     position_of: dict[str, int] = {}
     bidder_at: dict[int, str] = {}
     main_used = 0
     rest_next = n_main + 1
     for q, eid in ranked:
-        if q >= m_int and main_used < slots_main:
+        if q >= m_int and main_used < n_main:
             main_used += 1
             pos = main_used
         elif rest_next <= n_pos:
@@ -250,7 +249,7 @@ class DeviationSweep:
 
     __slots__ = (
         "_pid", "_gamma", "_s_int", "_r_int", "_m_int", "_alpha", "_n_pos",
-        "_n_main", "_slots_main", "_qual_desc", "_qual_asc", "_qual_ties",
+        "_n_main", "_qual_desc", "_qual_asc", "_qual_ties",
         "_non_desc", "_non_asc", "_non_ties",
     )
 
@@ -264,7 +263,6 @@ class DeviationSweep:
         self._alpha = params.position_curve
         self._n_pos = len(params.position_curve)
         self._n_main = len(params.mainline_positions)
-        self._slots_main = min(self._n_main, params.mainline_cap)
         qual: list[tuple[int, str]] = []
         non: list[tuple[int, str]] = []
         for e in params.entries:
@@ -304,7 +302,7 @@ class DeviationSweep:
         a_n = self._count_above(self._non_asc, self._non_ties, q_p)
         mainline = False
         next_q = 0
-        if q_p >= self._m_int and a_q < self._slots_main:
+        if q_p >= self._m_int and a_q < self._n_main:
             pos = a_q + 1
             mainline = True
             if pos + 1 <= self._n_main:
@@ -319,8 +317,8 @@ class DeviationSweep:
                 if a_q < len(self._qual_desc) and self._qual_desc[a_q] > next_q:
                     next_q = self._qual_desc[a_q]
         else:
-            skip = self._slots_main - a_q if a_q < self._slots_main else 0
-            rest_above = (a_q + a_n) - min(a_q, self._slots_main)
+            skip = self._n_main - a_q if a_q < self._n_main else 0
+            rest_above = (a_q + a_n) - min(a_q, self._n_main)
             pos = self._n_main + rest_above + 1
             if pos > self._n_pos:
                 return (0.0, 0.0)

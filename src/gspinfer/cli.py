@@ -39,7 +39,6 @@ from .simulate import (
     LearnerSpec,
     MarketSpec,
     SimulationError,
-    default_bid_grid,
     simulate_market,
 )
 
@@ -160,9 +159,11 @@ def _market_spec(cfg: dict) -> MarketSpec:
 
 
 def build_learners(cfg: dict) -> list[LearnerSpec]:
-    """Learner roster with ground-truth values drawn from the seeded range."""
-    step = cfg["grid_step"] if cfg["grid_step"] is not None else 0.01 * cfg["bid_max"]
-    grid = default_bid_grid(cfg["bid_max"], step / cfg["bid_max"])
+    """Learner roster with ground-truth values drawn from the seeded range.
+
+    The learners bid on the grid that ``infer`` replays, ``InferenceConfig.bid_grid``.
+    """
+    grid = _inference_config(cfg).bid_grid()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg["seed"], 0xB1D5))))
     out = []
     for k in range(cfg["listings"]):

@@ -1,8 +1,8 @@
 """Support-function geometry of the rationalizable set and its estimation error.
 
 The bounded rationalizable set is fully described by a one-dimensional link
-function ``f(z)``: the payment change at click-probability change ``z``
-(``dC`` composed with the inverse of ``dP``). Support functions of the set
+function ``f(z)``: the lower convex envelope of the payment changes ``dC``
+against the click-probability changes ``dP``. Support functions of the set
 and of its bounded truncation are evaluated straight from ``f``, Hausdorff
 distances are taken as the largest support gap over a fan of directions, and
 a subsampling study measures how fast the estimated set approaches the truth
@@ -21,45 +21,22 @@ import numpy as np
 from .auction import AuctionParams, BidderEntry
 from .inference import DeviationCurve, binding_rows, lower_hull
 
-_SLOPE_TOL = 1e-12
-
 
 class GeometryError(ValueError):
     """Bad geometry inputs (unbounded regions, empty links, bad configs)."""
 
 
 @dataclass(frozen=True)
-class SupportQuery:
-    """A unit direction in the (value, regret) plane."""
-
-    u: tuple[float, float]
-
-    def __post_init__(self):
-        u1, u2 = self.u
-        norm = math.hypot(u1, u2)
-        if not math.isclose(norm, 1.0, rel_tol=1e-9, abs_tol=1e-9):
-            raise GeometryError(f"direction must have unit norm (got {norm})")
-
-
-def _direction(u) -> tuple[float, float]:
-    if isinstance(u, SupportQuery):
-        return u.u
-    return (float(u[0]), float(u[1]))
-
-
-@dataclass(frozen=True)
 class LinkFunction:
     """Piecewise-linear payment-change versus click-change curve.
 
-    Knots are sorted by ``z``; ties keep the smallest payment change, whose
-    half-plane is the binding one. ``convexified`` marks that the raw
-    knots violated increasing incremental cost per click and were replaced by
-    their lower convex hull.
+    Knots are sorted by ``z``. :func:`link_from_curve` builds them as the
+    lower convex hull of the binding ``(dP, dC)`` rows, the envelope whose
+    convex conjugate is the rationalizable set's lower boundary.
     """
 
     z_knots: tuple[float, ...]
     c_values: tuple[float, ...]
-    convexified: bool = False
 
     def __post_init__(self):
         if not self.z_knots or len(self.z_knots) != len(self.c_values):
@@ -76,33 +53,17 @@ class LinkFunction:
     def z_max(self) -> float:
         return self.z_knots[-1]
 
-    def is_convex(self, tol: float = _SLOPE_TOL) -> bool:
-        return _slopes_convex(self.z_knots, self.c_values, tol)
 
+def link_from_curve(curve: DeviationCurve) -> LinkFunction:
+    """The link function of a deviation curve: the lower hull of its binding rows.
 
-def _slopes_convex(zs: Sequence[float], cs: Sequence[float], tol: float = _SLOPE_TOL) -> bool:
-    prev = None
-    for k in range(len(zs) - 1):
-        s = (cs[k + 1] - cs[k]) / (zs[k + 1] - zs[k])
-        if prev is not None and s < prev - tol * max(1.0, abs(prev)):
-            return False
-        prev = s
-    return True
-
-
-def link_from_curve(curve: DeviationCurve, convexify: bool = True) -> LinkFunction:
-    """Build the link function from a deviation curve.
-
-    Sorts knots by click change, keeps the smallest payment change among
-    ties (the binding constraint), and (by default) falls back to the lower
-    convex hull when the knots violate increasing incremental cost per click.
+    Of equal click changes only the smallest payment change is kept (the
+    binding constraint). Where the rows violate increasing incremental cost
+    per click the hull drops the knots above it;
+    ``inference.check_assumptions`` reports that violation.
     """
-    knots = binding_rows(curve.delta_p, curve.delta_c)
-    convexified = convexify and len(knots) >= 3 and not _slopes_convex(*zip(*knots))
-    if convexified:
-        knots = lower_hull(knots)
-    zs, cs = zip(*knots)
-    return LinkFunction(zs, cs, convexified)
+    zs, cs = zip(*lower_hull(binding_rows(curve.delta_p, curve.delta_c)))
+    return LinkFunction(zs, cs)
 
 
 def link_eval(link: LinkFunction, z: float) -> float:
@@ -124,12 +85,11 @@ def link_eval(link: LinkFunction, z: float) -> float:
 def support_nr(link: LinkFunction, u) -> float:
     """Support function of the (unbounded) rationalizable set.
 
-    ``u`` is a direction (pair or :class:`SupportQuery`). Infinite unless the
-    direction points downward in regret and its slope ``u1/|u2|`` lies within
-    the attainable click-change range, in which case the value is
-    ``|u2| * f(u1/|u2|)``.
+    ``u`` is a direction pair. Infinite unless the direction points downward
+    in regret and its slope ``u1/|u2|`` lies within the attainable
+    click-change range, in which case the value is ``|u2| * f(u1/|u2|)``.
     """
-    u1, u2 = _direction(u)
+    u1, u2 = u
     if u2 >= 0.0:
         return math.inf
     z = u1 / abs(u2)
@@ -167,58 +127,17 @@ def natural_value_cap(link: LinkFunction, eps_cap: float) -> float:
     return best
 
 
-def _support_cases(
-    link: LinkFunction,
-    u: tuple[float, float],
-    eps_cap: float,
-    value_cap: float,
-    eps_at_zero: float,
-    z_lo: float,
-    z_hi: float,
-) -> float:
-    u1, u2 = u
-    if u2 >= 0.0:
-        if u1 >= 0.0:
-            return u1 * value_cap + u2 * eps_cap
-        return u2 * eps_cap
-    z = u1 / abs(u2)
-    if z > z_hi:
-        return u1 * value_cap + u2 * eps_cap
-    if z < z_lo:
-        return u2 * eps_at_zero
-    return abs(u2) * link_eval(link, z)
-
-
-def support_nrb(
-    link: LinkFunction,
-    u,
-    eps_cap: float,
-    value_cap: float,
-    eps_at_zero: float,
-) -> float:
-    """Support function of the bounded rationalizable set.
-
-    ``u`` is a direction (pair or :class:`SupportQuery`). The point
-    ``(value_cap, eps_cap)`` is treated as the set's top-right vertex (pass
-    the natural corner where the boundary meets ``eps_cap`` for exact
-    geometry) and ``eps_at_zero`` as the boundary height on the value axis.
-    Downward directions use the curved part between the tangency slopes at
-    ``v = 0`` and ``v = value_cap``; everything outside is supported at a
-    vertex.
-    """
-    if not eps_cap > eps_at_zero:
-        raise GeometryError("eps_cap must exceed the boundary height at v = 0")
-    z_lo, z_hi = _tangency_knots(link, value_cap)
-    return _support_cases(link, _direction(u), eps_cap, value_cap, eps_at_zero, z_lo, z_hi)
-
-
 class SupportRegion:
-    """A bounded rationalizable set evaluated through its link function."""
+    """The bounded rationalizable set, evaluated through its link function.
 
-    def __init__(self, link: LinkFunction, eps_cap: float, value_cap: float,
-                 eps_at_zero: float | None = None):
-        if eps_at_zero is None:
-            eps_at_zero = -min(link.c_values)
+    The point ``(value_cap, eps_cap)`` is the set's top-right vertex (pass
+    the natural corner, where the boundary meets ``eps_cap``, for exact
+    geometry). Its lowest point on the regret axis is ``(0, eps_at_zero)``,
+    where ``eps_at_zero = -min f`` is the boundary height at ``v = 0``.
+    """
+
+    def __init__(self, link: LinkFunction, eps_cap: float, value_cap: float):
+        eps_at_zero = -min(link.c_values)
         if not eps_cap > eps_at_zero:
             raise GeometryError("eps_cap must exceed the boundary height at v = 0")
         if not value_cap > 0:
@@ -236,13 +155,26 @@ class SupportRegion:
         link = link_from_curve(curve)
         if value_cap is None:
             value_cap = natural_value_cap(link, eps_cap)
-        return cls(link, eps_cap, value_cap, -min(link.c_values))
+        return cls(link, eps_cap, value_cap)
 
-    def support(self, u) -> float:
-        return _support_cases(
-            self.link, _direction(u), self.eps_cap, self.value_cap,
-            self.eps_at_zero, self._z_lo, self._z_hi,
-        )
+    def support(self, u: tuple[float, float]) -> float:
+        """Support function in direction ``u``.
+
+        Downward directions with slope between the tangency slopes at
+        ``v = 0`` and ``v = value_cap`` are supported on the curved boundary;
+        every other direction at a vertex.
+        """
+        u1, u2 = u
+        if u2 >= 0.0:
+            if u1 >= 0.0:
+                return u1 * self.value_cap + u2 * self.eps_cap
+            return u2 * self.eps_cap
+        z = u1 / abs(u2)
+        if z > self._z_hi:
+            return u1 * self.value_cap + u2 * self.eps_cap
+        if z < self._z_lo:
+            return u2 * self.eps_at_zero
+        return abs(u2) * link_eval(self.link, z)
 
 
 class PolygonRegion:
@@ -253,8 +185,8 @@ class PolygonRegion:
             raise GeometryError("polygon needs at least one vertex")
         self.vertices = [(float(x), float(y)) for x, y in vertices]
 
-    def support(self, u) -> float:
-        u1, u2 = _direction(u)
+    def support(self, u: tuple[float, float]) -> float:
+        u1, u2 = u
         return max(u1 * x + u2 * y for x, y in self.vertices)
 
     def translate(self, shift: tuple[float, float]) -> "PolygonRegion":

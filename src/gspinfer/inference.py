@@ -105,7 +105,6 @@ class PointPrediction:
     delta_star: float
     v_star: float
     v_interval_at_delta_star: tuple[float, float]
-    epsilon_min: float
     iterations: int
 
 
@@ -119,11 +118,6 @@ class RationalizableRegion:
     epsilon_min: float
     boundary: tuple[tuple[float, float], ...]
     assumption_report: AssumptionReport
-
-    @property
-    def epsilon_at_zero(self) -> float:
-        """Boundary height at v = 0 (the set's intersection with the eps axis)."""
-        return boundary(self.curve, 0.0)
 
 
 def build_deviation_curve(history, grid: Sequence[float]) -> DeviationCurve:
@@ -405,7 +399,6 @@ def min_mult_regret(
     """
     if precision <= 0:
         raise InferenceError(f"precision must be positive (got {precision})")
-    eps0, _ = min_additive_regret(curve)
     interval = feasible_values_mult(curve, 0.0, v_max)
     iterations = 0
     if interval is None:
@@ -433,7 +426,6 @@ def min_mult_regret(
         delta_star=delta_star,
         v_star=v_star,
         v_interval_at_delta_star=interval,
-        epsilon_min=eps0,
         iterations=iterations,
     )
 
@@ -443,6 +435,11 @@ def default_value_cap(curve: DeviationCurve, eps_cap: float) -> float:
 
     Intersects ``v * max(dP) - eps = max(dC)`` with ``eps = eps_cap``. Needs
     some deviation that gains clicks; otherwise the caller must supply a cap.
+
+    It pairs the largest ``dP`` with the largest ``dC``, which may come from
+    different rows, so it is at least ``geometry.natural_value_cap``, the
+    capped set's true right corner. ``infer`` keeps this cap because changing
+    it would move every ``nr_boundary_*.csv`` and some ``v*``.
     """
     sup_dp = max(curve.delta_p)
     if sup_dp <= 0.0:

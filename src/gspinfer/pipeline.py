@@ -37,7 +37,7 @@ from .inference import (
     build_region,
     min_mult_regret,
 )
-from .simulate import ListingHistory, PeriodRecord
+from .simulate import ListingHistory, PeriodRecord, default_bid_grid
 
 REQUIRED_FIELDS = {
     "listing_id", "period", "own_bid", "competitors",
@@ -76,8 +76,7 @@ class InferenceConfig:
         step = self.grid_step if self.grid_step is not None else 0.01 * self.bid_max
         if step <= 0 or step > self.bid_max:
             raise InferenceError(f"grid step must lie in (0, bid_max] (got {step})")
-        n = int(math.floor(self.bid_max / step + 1e-9))
-        return tuple(round(k * step, 12) for k in range(n + 1))
+        return default_bid_grid(self.bid_max, step / self.bid_max)
 
 
 @dataclass(frozen=True)
@@ -181,15 +180,13 @@ def _non_finite(token: str):
 _DECODER = json.JSONDecoder(parse_constant=_non_finite)
 
 
-def ingest(path: str, fmt: str = "jsonl") -> list[ListingHistory]:
+def ingest(path: str) -> list[ListingHistory]:
     """Read an auction log into histories grouped by listing, ordered by period.
 
     Raises :class:`ParseError` with the offending line number for undecodable
     lines, schema violations, inconsistent per-period data, or non-contiguous
     periods.
     """
-    if fmt != "jsonl":
-        raise ParseError(0, f"unsupported format {fmt!r} (expected 'jsonl')")
     groups: dict[str, dict[int, list[AuctionParams]]] = {}
     bids: dict[tuple[str, int], float] = {}
     truths: dict[str, float | None] = {}
@@ -406,7 +403,7 @@ def artifacts_to_json(
                 "delta_star": art.prediction.delta_star,
                 "v_star": art.prediction.v_star,
                 "v_interval": list(art.prediction.v_interval_at_delta_star),
-                "epsilon_min": art.prediction.epsilon_min,
+                "epsilon_min": art.region.epsilon_min,
                 "iterations": art.prediction.iterations,
             },
             "mean_bid": art.mean_bid,
@@ -419,52 +416,101 @@ def artifacts_to_json(
     }
 
 
+def _value(x, kind: type, optional: bool = False):
+    """``x`` if it is a bundle value of ``kind``, else ValueError.
+
+    ``float`` means a finite number, ``int`` an integer; neither accepts a
+    bool. ``optional`` also accepts None.
+    """
+    if optional and x is None:
+        return x
+    if isinstance(x, bool) and kind is not bool:
+        ok = False
+    elif kind is float:
+        ok = isinstance(x, (int, float)) and math.isfinite(x)
+    else:
+        ok = isinstance(x, kind)
+    if not ok:
+        raise ValueError(f"expected {kind.__name__}, got {x!r}")
+    return x
+
+
+def _row(xs, *kinds: type) -> tuple:
+    """A JSON list with one value per kind, checked by :func:`_value`."""
+    if not isinstance(xs, list) or len(xs) != len(kinds):
+        raise ValueError(f"expected a list of {len(kinds)}, got {xs!r}")
+    return tuple(map(_value, xs, kinds))
+
+
 def artifacts_from_json(
     bundle: dict,
 ) -> tuple[AccountSummary, dict[str, ListingArtifacts], InferenceConfig]:
     """Inverse of :func:`artifacts_to_json`: the summary, artifacts and config it encodes.
 
-    A bundle that lacks a key or holds a value of the wrong shape raises :class:`ParseError`.
+    A bundle that lacks a key, has an unknown key in a block written by
+    ``asdict``, or holds a value of the wrong type or shape raises
+    :class:`ParseError`.
     """
     try:
         s = bundle["summary"]
         summary = AccountSummary(**{
             **s,
-            "histogram_counts": tuple(s["histogram_counts"]),
-            "scatter": tuple(map(tuple, s["scatter"])),
-            "errors": tuple(map(tuple, s["errors"])),
+            "listing_count": _value(s["listing_count"], int),
+            "bucket_width": _value(s["bucket_width"], float),
+            "nonpositive_count": _value(s["nonpositive_count"], int),
+            "histogram_counts": tuple(_value(n, int) for n in s["histogram_counts"]),
+            "shading_ratios": {lid: _value(r, float) for lid, r in s["shading_ratios"].items()},
+            "scatter": tuple(_row(row, str, float, float) for row in s["scatter"]),
+            "learning_threshold": _value(s["learning_threshold"], float),
+            "errors": tuple(_row(row, str, str) for row in s["errors"]),
         })
         artifacts = {}
         for lid, payload in bundle["listings"].items():
-            curve = DeviationCurve(**payload["curve"])
+            c = payload["curve"]
+            curve = DeviationCurve(**{
+                **c,
+                **{k: tuple(_value(x, float) for x in c[k]) for k in ("grid", "delta_p", "delta_c")},
+                **{k: _value(c[k], float) for k in ("baseline_p", "baseline_c")},
+            })
             reg = payload["region"]
             assumptions = reg["assumptions"]
             pred = payload["prediction"]
+            _value(pred["epsilon_min"], float)  # a copy of the region's eps0
             artifacts[lid] = ListingArtifacts(
                 listing_id=lid,
                 curve=curve,
                 region=RationalizableRegion(
                     curve=curve,
-                    epsilon_cap=reg["epsilon_cap"],
-                    value_cap=reg["value_cap"],
-                    epsilon_min=reg["epsilon_min"],
-                    boundary=tuple(map(tuple, reg["boundary"])),
-                    assumption_report=AssumptionReport(
-                        **{**assumptions, "violation_sites": tuple(map(tuple, assumptions["violation_sites"]))}
-                    ),
+                    epsilon_cap=_value(reg["epsilon_cap"], float),
+                    value_cap=_value(reg["value_cap"], float),
+                    epsilon_min=_value(reg["epsilon_min"], float),
+                    boundary=tuple(_row(p, float, float) for p in reg["boundary"]),
+                    assumption_report=AssumptionReport(**{
+                        **assumptions,
+                        **{k: _value(assumptions[k], bool)
+                           for k in ("delta_p_monotone", "delta_c_monotone", "icc_increasing")},
+                        "violation_sites": tuple(_row(p, int, int) for p in assumptions["violation_sites"]),
+                    }),
                 ),
                 prediction=PointPrediction(
-                    delta_star=pred["delta_star"],
-                    v_star=pred["v_star"],
-                    v_interval_at_delta_star=tuple(pred["v_interval"]),
-                    epsilon_min=pred["epsilon_min"],
-                    iterations=pred["iterations"],
+                    delta_star=_value(pred["delta_star"], float),
+                    v_star=_value(pred["v_star"], float),
+                    v_interval_at_delta_star=_row(pred["v_interval"], float, float),
+                    iterations=_value(pred["iterations"], int),
                 ),
-                mean_bid=payload["mean_bid"],
-                shading_ratio=payload["shading_ratio"],
+                mean_bid=_value(payload["mean_bid"], float),
+                shading_ratio=_value(payload["shading_ratio"], float, optional=True),
             )
-        return summary, artifacts, InferenceConfig(**bundle["config"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        config = bundle["config"]
+        config = InferenceConfig(**{
+            **config,
+            **{k: _value(config[k], float) for k in (
+                "bid_max", "epsilon_max", "precision", "learning_threshold", "histogram_bucket_width")},
+            **{k: _value(config[k], float, optional=True) for k in ("grid_step", "value_cap")},
+            "boundary_samples": _value(config["boundary_samples"], int),
+        })
+        return summary, artifacts, config
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(None, f"bad artifacts bundle: {type(exc).__name__}: {exc}") from exc
 
 
@@ -475,7 +521,7 @@ def predictions_payload(artifacts: dict[str, ListingArtifacts]) -> list[dict]:
             "listing_id": lid,
             "delta_star": artifacts[lid].prediction.delta_star,
             "v_star": artifacts[lid].prediction.v_star,
-            "eps0": artifacts[lid].prediction.epsilon_min,
+            "eps0": artifacts[lid].region.epsilon_min,
             "shading_ratio": artifacts[lid].shading_ratio,
         }
         for lid in sorted(artifacts)

@@ -98,10 +98,10 @@ class LearnerConfig:
 
 
 def default_bid_grid(bid_max: float, step_fraction: float = 0.01) -> tuple[float, ...]:
-    """Even grid over [0, bid_max] with step ``step_fraction * bid_max``."""
+    """Even grid from 0 with step ``step_fraction * bid_max``, up to the last point not above ``bid_max``."""
     if bid_max <= 0:
         raise SimulationError("bid_max must be positive")
-    n = round(1.0 / step_fraction)
+    n = math.floor(1.0 / step_fraction + 1e-9)
     return tuple(round(k * step_fraction * bid_max, 12) for k in range(n + 1))
 
 

@@ -11,7 +11,6 @@ from gspinfer.geometry import (
     PolygonRegion,
     RateStudyConfig,
     SingleSlotMarket,
-    SupportQuery,
     SupportRegion,
     hausdorff,
     link_eval,
@@ -19,10 +18,15 @@ from gspinfer.geometry import (
     natural_value_cap,
     run_rate_study,
     support_nr,
-    support_nrb,
     true_region,
 )
-from gspinfer.inference import DeviationCurve, boundary
+from gspinfer.inference import DeviationCurve, binding_rows, boundary, check_assumptions
+
+
+def slopes_convex(zs, cs, tol=1e-12):
+    """Whether the piecewise-linear knots have non-decreasing slopes, up to ``tol`` relative."""
+    slopes = [(c1 - c0) / (z1 - z0) for z0, c0, z1, c1 in zip(zs, cs, zs[1:], cs[1:])]
+    return all(s >= prev - tol * max(1.0, abs(prev)) for prev, s in zip(slopes, slopes[1:]))
 
 
 def convex_link():
@@ -53,7 +57,7 @@ class TestLinkFunction:
             baseline_p=0.5,
             baseline_c=0.1,
         )
-        link = link_from_curve(curve, convexify=False)
+        link = link_from_curve(curve)
         assert link.z_knots == (0.0, 0.1)
         assert link.c_values == (-0.05, 0.08)
 
@@ -65,9 +69,9 @@ class TestLinkFunction:
             baseline_p=0.4,
             baseline_c=0.2,
         )
+        assert not slopes_convex(curve.delta_p, curve.delta_c)
         link = link_from_curve(curve)
-        assert link.convexified
-        assert link.is_convex()
+        assert slopes_convex(link.z_knots, link.c_values)
         # hull keeps the endpoints and drops the middle knot
         assert link.z_knots == (-0.2, 0.1)
 
@@ -80,19 +84,12 @@ class TestLinkFunction:
             baseline_c=0.2,
         )
         link = link_from_curve(curve)
-        assert not link.convexified
         assert link.z_knots == (-0.2, 0.0, 0.1)
-
-    def test_query_norm_validation(self):
-        with pytest.raises(GeometryError):
-            SupportQuery((1.0, 1.0))
-        SupportQuery(unit(1.0, 1.0))
+        assert link.c_values == (-0.15, 0.0, 0.08)
 
 
 class TestLinkConvexityMatchesAssumptions:
     def test_equivalence_on_tie_free_monotone_curves(self):
-        from gspinfer.inference import check_assumptions
-
         rng = random.Random(19)
         checked = 0
         while checked < 200:
@@ -107,8 +104,14 @@ class TestLinkConvexityMatchesAssumptions:
                 baseline_c=0.1,
             )
             checked += 1
-            link = link_from_curve(curve, convexify=False)
-            assert link.is_convex() == check_assumptions(curve).icc_increasing
+            zs, cs = zip(*binding_rows(curve.delta_p, curve.delta_c))
+            icc_holds = slopes_convex(zs, cs)
+            assert icc_holds == check_assumptions(curve).icc_increasing
+            link = link_from_curve(curve)
+            assert slopes_convex(link.z_knots, link.c_values)
+            if icc_holds:  # the hull only drops knots that lie on it
+                for z, c in zip(zs, cs):
+                    assert link_eval(link, z) == pytest.approx(c, abs=1e-12)
 
 
 class TestSupportNR:
@@ -159,22 +162,50 @@ class TestSupportNR:
 
 
 class TestSupportNRB:
+    # convex_link() has boundary height 0.15 at v = 0
     def test_top_face(self):
-        assert support_nrb(convex_link(), (0.0, 1.0), 0.5, 2.0, 0.15) == pytest.approx(0.5)
+        assert SupportRegion(convex_link(), 0.5, 2.0).support((0.0, 1.0)) == pytest.approx(0.5)
 
     def test_left_face_zero(self):
-        assert support_nrb(convex_link(), (-1.0, 0.0), 0.5, 2.0, 0.15) == pytest.approx(0.0)
+        assert SupportRegion(convex_link(), 0.5, 2.0).support((-1.0, 0.0)) == pytest.approx(0.0)
 
     def test_right_corner(self):
-        assert support_nrb(convex_link(), (1.0, 0.0), 0.5, 2.0, 0.15) == pytest.approx(2.0)
+        assert SupportRegion(convex_link(), 0.5, 2.0).support((1.0, 0.0)) == pytest.approx(2.0)
 
     def test_requires_cap_above_axis_height(self):
         with pytest.raises(GeometryError):
-            support_nrb(convex_link(), (0.0, 1.0), 0.1, 2.0, 0.15)
+            SupportRegion(convex_link(), 0.1, 2.0)
 
     def test_shallow_direction_supported_on_axis(self):
         u = unit(-1.0, -1.0)  # slope -1 below inf dP
-        assert support_nrb(convex_link(), u, 0.5, 2.0, 0.15) == pytest.approx(u[1] * 0.15)
+        assert SupportRegion(convex_link(), 0.5, 2.0).support(u) == pytest.approx(u[1] * 0.15)
+
+    def test_matches_polygon_oracle_on_penny_curves(self):
+        # the capped set is the polygon spanned by its top corners and the
+        # boundary at v = 0, v = cap and every row-pair breakpoint in between
+        rng = random.Random(41)
+        fan = [(math.cos(2 * math.pi * k / 64), math.sin(2 * math.pi * k / 64)) for k in range(64)]
+        checked = 0
+        while checked < 300:
+            n = rng.randint(2, 8)
+            dps = [rng.randint(-5, 5) / 20.0 for _ in range(n)]  # ties are common
+            dcs = [rng.randint(-20, 20) / 100.0 for _ in range(n)]
+            if max(dps) <= 0.0:
+                continue
+            checked += 1
+            curve = DeviationCurve(
+                grid=tuple(0.1 * (k + 1) for k in range(n)),
+                delta_p=tuple(dps), delta_c=tuple(dcs), baseline_p=0.5, baseline_c=0.1,
+            )
+            eps_cap = boundary(curve, 0.0) + rng.uniform(0.05, 0.5)
+            region = SupportRegion.from_curve(curve, eps_cap)
+            cap = region.value_cap
+            rows = list(zip(dps, dcs))
+            vs = [(c1 - c2) / (p1 - p2) for k, (p1, c1) in enumerate(rows) for p2, c2 in rows[k + 1:] if p1 != p2]
+            lower = [(v, boundary(curve, v)) for v in [0.0, cap] + [v for v in vs if 0.0 < v < cap]]
+            polygon = PolygonRegion([(0.0, eps_cap), (cap, eps_cap)] + lower)
+            for u in fan:
+                assert region.support(u) == pytest.approx(polygon.support(u), abs=1e-12)
 
     def test_bounded_below_unbounded(self):
         link = convex_link()
@@ -337,7 +368,7 @@ class TestHausdorffBoundByLinkError:
             link_a = LinkFunction(tuple(zs), tuple(cs))
             perturb = [rng.uniform(-0.05, 0.05) for _ in cs]
             cs_b = [c + e for c, e in zip(cs, perturb)]
-            if not LinkFunction(tuple(zs), tuple(cs_b)).is_convex():
+            if not slopes_convex(zs, cs_b):
                 continue
             link_b = LinkFunction(tuple(zs), tuple(cs_b))
             eps_cap = max(-min(cs), -min(cs_b)) + rng.uniform(0.3, 1.0)
@@ -382,7 +413,7 @@ class TestRateStudy:
     def test_identical_curves_give_zero_distance(self):
         cfg = RateStudyConfig(sample_sizes=(1000, 2000, 4000), replications=2)
         truth = true_region(cfg)
-        rebuilt = SupportRegion(truth.link, truth.eps_cap, truth.value_cap, truth.eps_at_zero)
+        rebuilt = SupportRegion(truth.link, truth.eps_cap, truth.value_cap)
         assert hausdorff(truth, rebuilt, cfg.direction_count) == 0.0
 
     def test_requires_three_sample_sizes(self):

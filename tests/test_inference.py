@@ -333,7 +333,7 @@ class TestMultiplicative:
         pred = min_mult_regret(micro_curve(), precision=1e-7)
         assert pred.delta_star == pytest.approx(1.0 / 9.0, abs=1e-4)
         assert pred.v_star == pytest.approx(0.7, abs=1e-4)
-        assert pred.epsilon_min == pytest.approx(0.01, abs=1e-9)
+        assert min_additive_regret(micro_curve())[0] == pytest.approx(0.01, abs=1e-9)
         assert pred.iterations > 0
 
     def test_zero_regret_curve_gives_delta_zero(self):
@@ -374,13 +374,14 @@ class TestMultiplicative:
             curve = random_monotone_curve(rng)
             try:
                 pred = min_mult_regret(curve, v_max=20.0)
+                eps0, _ = min_additive_regret(curve)
             except InferenceError:
                 continue
             implied = (
                 pred.delta_star / (1.0 - pred.delta_star)
                 * (pred.v_star * curve.baseline_p - curve.baseline_c)
             )
-            assert implied >= pred.epsilon_min - 1e-6
+            assert implied >= eps0 - 1e-6
 
 
 class TestConvexity:
@@ -483,7 +484,7 @@ class TestRegion:
         v, e = region.boundary[70]
         assert v == pytest.approx(0.7) and e == pytest.approx(0.01)
         assert region.epsilon_min == pytest.approx(0.01)
-        assert region.epsilon_at_zero == pytest.approx(0.15)
+        assert boundary(region.curve, 0.0) == pytest.approx(0.15)
 
     def test_region_needs_positive_dp(self):
         curve = DeviationCurve(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gspinfer.cli import CONFIG_KEYS, ConfigError, load_config, main
+from gspinfer.cli import CONFIG_KEYS, ConfigError, build_learners, load_config, main
 from gspinfer.pipeline import (
     AccountSummary,
     InferenceConfig,
@@ -226,7 +226,7 @@ class TestMicroFixturePipeline:
         assert art.curve.baseline_c == pytest.approx(0.2, abs=1e-12)
         assert art.prediction.delta_star == pytest.approx(1.0 / 9.0, abs=1e-4)
         assert art.prediction.v_star == pytest.approx(0.7, abs=1e-4)
-        assert art.prediction.epsilon_min == pytest.approx(0.01, abs=1e-9)
+        assert art.region.epsilon_min == pytest.approx(0.01, abs=1e-9)
         assert art.shading_ratio == pytest.approx(0.51 / art.prediction.v_star)
 
     def test_boundary_csv_row_at_point_prediction(self, tmp_path):
@@ -384,6 +384,14 @@ class TestConfigFile:
         cfg = load_config(None)
         assert cfg["epsilon_max"] == 1.0 and cfg["jobs"] == 1
 
+    @pytest.mark.parametrize("step", [0.01, 0.004, 0.05, 0.06, 0.15])
+    def test_learners_bid_on_the_inference_grid(self, step):
+        # simulate's learners and infer's replay use one grid, ending at or below bid_max
+        cfg = {**load_config(None), "grid_step": step, "listings": 1}
+        grid = build_learners(cfg)[0].config.bid_grid
+        assert grid == InferenceConfig(grid_step=step).bid_grid()
+        assert grid[-1] <= cfg["bid_max"]
+
     def test_parses_values_and_lists(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text(
@@ -526,7 +534,30 @@ class TestCli:
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert len(errors) == 1 and errors[0].startswith("line 1:")
 
-    @pytest.mark.parametrize("damage", ["empty-object", "truncated"])
+    # damage -> (edit of the decoded bundle, or None for a text edit; expected message)
+    BUNDLE_DAMAGE = {
+        "empty-object": (None, "KeyError: 'summary'"),
+        "truncated": (None, "not a JSON bundle"),
+        "one-number-boundary-row": (
+            lambda b, lst: lst["region"].update(boundary=[[1]]), "expected a list of 2, got [1]"),
+        "string-bucket-width": (
+            lambda b, lst: b["summary"].update(bucket_width="0.05"), "expected float, got '0.05'"),
+        "string-value-cap": (
+            lambda b, lst: lst["region"].update(value_cap="2.0"), "expected float, got '2.0'"),
+        "string-delta-star": (
+            lambda b, lst: lst["prediction"].update(delta_star="0.1"), "expected float, got '0.1'"),
+        "bool-value-cap": (lambda b, lst: lst["region"].update(value_cap=True), "expected float, got True"),
+        "nan-delta-star": (lambda b, lst: lst["prediction"].update(delta_star=math.nan), "expected float, got nan"),
+        "float-iterations": (lambda b, lst: lst["prediction"].update(iterations=3.0), "expected int, got 3.0"),
+        "one-number-v-interval": (
+            lambda b, lst: lst["prediction"].update(v_interval=[0.5]), "expected a list of 2, got [0.5]"),
+        "string-in-curve": (lambda b, lst: lst["curve"].update(delta_p=["0.1"]), "expected float, got '0.1'"),
+        "bool-count": (lambda b, lst: b["summary"].update(nonpositive_count=True), "expected int, got True"),
+        "float-config-count": (
+            lambda b, lst: b["config"].update(boundary_samples=201.0), "expected int, got 201.0"),
+    }
+
+    @pytest.mark.parametrize("damage", list(BUNDLE_DAMAGE))
     def test_export_bad_bundle_exits_with_error_list(self, tmp_path, capsys, damage):
         log = tmp_path / "log.jsonl"
         write_histories(tiny_market_histories(seed=17), str(log))
@@ -534,12 +565,18 @@ class TestCli:
         assert main(["infer", str(log), "--grid-step", "0.1", "--out", str(out)]) == 0
         bundle = out / "artifacts.json"
         text = bundle.read_text()
-        bundle.write_text("{}" if damage == "empty-object" else text[: len(text) // 2])
+        edit, message = self.BUNDLE_DAMAGE[damage]
+        if edit is None:
+            bundle.write_text("{}" if damage == "empty-object" else text[: len(text) // 2])
+        else:
+            decoded = json.loads(text)
+            edit(decoded, next(iter(decoded["listings"].values())))
+            bundle.write_text(json.dumps(decoded))
         capsys.readouterr()
         assert main(["export", str(bundle), "--out", str(tmp_path / "again")]) == 1
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert len(errors) == 1
-        assert ("KeyError: 'summary'" if damage == "empty-object" else "not a JSON bundle") in errors[0]
+        assert message in errors[0]
 
     def test_subcommands_take_only_the_flags_they_read(self, capsys):
         with pytest.raises(SystemExit):
