@@ -10,13 +10,18 @@ Ranking never compares raw floats: scores and bids are quantized to 1e-6
 ("micro") units and rank-scores compared as exact integers, so ties are
 detected reliably and results are reproducible bit-for-bit. Prices are
 derived from the same integers and returned as floats.
+
+:func:`rank_and_allocate` and :func:`replay_at_bid` work on one auction and
+are the reference; :class:`DeviationSweep` evaluates one bidder over a batch
+of auctions and bids as numpy arrays with the same integer ranking.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
+
+import numpy as np
 
 MICRO = 10**6  # quantization of scores and bids for exact rank comparisons
 
@@ -227,7 +232,7 @@ def replay_at_bid(params: AuctionParams, bidder_id: str, bid: float) -> tuple[fl
     """Click probability and expected payment with ``bidder_id``'s bid replaced.
 
     Reference implementation: rebuilds the auction and re-runs the allocator.
-    Prefer :class:`DeviationSweep` when evaluating many bids on one auction.
+    Prefer :class:`DeviationSweep` when evaluating many bids or auctions.
     """
     entries = tuple(replace(e, bid=bid) if e.id == bidder_id else e for e in params.entries)
     params.entry(bidder_id)  # raise early if the bidder is unknown
@@ -239,115 +244,225 @@ def replay_at_bid(params: AuctionParams, bidder_id: str, bid: float) -> tuple[fl
     )
 
 
-class DeviationSweep:
-    """Evaluate one bidder's (click probability, expected payment) across bids.
+# Cells per DeviationSweep call when a whole history is replayed: bounds the
+# working set of :func:`replay_periods` (a listing at once would hold every
+# auction x bid cell in memory).
+BLOCK_CELLS = 4096
 
-    Precomputes the opponents' ranking structure once so that each bid
-    evaluates in O(log n). Produces exactly the same numbers as
-    :func:`replay_at_bid` (same integer ranking, same tie-breaks).
+_EXACT_FLOAT = 2**53  # integers below this convert to float64 exactly
+
+
+class DeviationSweep:
+    """One bidder's (click probability, expected payment) over a batch of auctions.
+
+    ``DeviationSweep(auctions, bidder_id)`` turns a sequence of
+    :class:`AuctionParams` into integer columns once: per auction the
+    opponents' rank-scores split by reserve (as counting keys that carry the
+    tie-break toward the smaller id, and sorted for the next-slot price), the
+    bidder's micro-score and quality, the reserves, the mainline count and the
+    padded position curve. Every bid of every auction is then one cell of a
+    numpy kernel:
+
+    * :meth:`evaluate_many` ``(bids)`` returns ``(P, C)`` of shape ``(A, G)``,
+      one row per auction, one column per bid;
+    * :meth:`evaluate` ``(bid)`` returns ``(P, C)`` of shape ``(A,)`` for one
+      bid, or for one bid per auction when ``bid`` has ``A`` entries.
+
+    Every cell equals ``replay_at_bid(auctions[a], bidder_id, bid)`` bit for
+    bit: the ranking is the same integer comparison with the same ties, and
+    a price at or above 2**53, which int64-to-float64 division would round
+    twice, is divided as Python integers. Bids must lie in
+    ``[0, MAX_MAGNITUDE]``, which keeps every rank-score inside int64.
+
+    The benchmark's tracer times the auction layer by wrapping this class by
+    name (its constructor, ``evaluate`` and ``evaluate_many``), so the
+    kernel stays behind these three entry points.
     """
 
-    __slots__ = (
-        "_pid", "_gamma", "_s_int", "_r_int", "_m_int", "_alpha", "_n_pos",
-        "_n_main", "_qual_desc", "_qual_asc", "_qual_ties",
-        "_non_desc", "_non_asc", "_non_ties",
-    )
+    __slots__ = ("_s", "_den", "_r", "_m", "_n_main", "_last_main", "_last", "_gamma",
+                 "_keys_q", "_keys_n", "_lut", "_off_q", "_off_n", "_alpha", "_off_a", "_exact")
 
-    def __init__(self, params: AuctionParams, bidder_id: str):
-        player = params.entry(bidder_id)
-        self._pid = bidder_id
-        self._gamma = player.quality
-        self._s_int = _micro(player.score)
-        self._r_int = params.rank_reserve_int()
-        self._m_int = params.mainline_reserve_int()
-        self._alpha = params.position_curve
-        self._n_pos = len(params.position_curve)
-        self._n_main = len(params.mainline_positions)
-        qual: list[tuple[int, str]] = []
-        non: list[tuple[int, str]] = []
-        for e in params.entries:
-            if e.id == bidder_id:
-                continue
-            q = e.rank_score_int()
-            if q < self._r_int:
-                continue
-            (qual if q >= self._m_int else non).append((q, e.id))
-        self._qual_desc, self._qual_asc, self._qual_ties = self._prep(qual)
-        self._non_desc, self._non_asc, self._non_ties = self._prep(non)
+    def __init__(self, auctions: Sequence[AuctionParams], bidder_id: str):
+        ints: list[int] = []
+        gammas: list[float] = []
+        curves: list[tuple[float, ...]] = []
+        # per auction: rank-scores (sorted descending) and counting keys of the
+        # opponents passing the mainline reserve, then of those passing only
+        # the rank reserve
+        rows: list[tuple[list[int], list[int], list[int], list[int]]] = []
+        top = 0
+        for params in auctions:
+            r_int = params.rank_reserve_int()
+            m_int = params.mainline_reserve_int()
+            own = None
+            qual_q: list[int] = []
+            qual_k: list[int] = []
+            non_q: list[int] = []
+            non_k: list[int] = []
+            for e in params.entries:
+                if e.id == bidder_id:
+                    own = e
+                    continue
+                q = e.rank_score_int()
+                if q < r_int:
+                    continue
+                # the key exceeds the bidder's rank-score exactly when the
+                # opponent ranks above it: ties go to the smaller id
+                if q >= m_int:
+                    qual_q.append(q)
+                    qual_k.append(q + (e.id < bidder_id))
+                else:
+                    non_q.append(q)
+                    non_k.append(q + (e.id < bidder_id))
+                if q > top:
+                    top = q
+            if own is None:
+                raise AllocationError(f"no entry with id {bidder_id!r}")
+            s_int = _micro(own.score)
+            n_main = len(params.mainline_positions)
+            ints += (s_int, s_int * MICRO, r_int, m_int, n_main, n_main - 1, len(params.position_curve) - 1)
+            if m_int > top:
+                top = m_int
+            if s_int * MICRO > top:
+                top = s_int * MICRO
+            gammas.append(own.quality)
+            curves.append(params.position_curve)
+            qual_q.sort(reverse=True)
+            non_q.sort(reverse=True)
+            rows.append((qual_q, qual_k, non_q, non_k))
+        n_auctions = len(gammas)
+        w_q = max((len(r[0]) for r in rows), default=0)
+        w_n = max((len(r[2]) for r in rows), default=0)
+        # price lookups: the qualified rank-scores just below (up to the
+        # mainline count), then the rest queue's, each padded with 0 (vacant)
+        w_qd = max(w_q, max(ints[4::7], default=0)) + 1
+        w_nd = w_n + 1
+        # a slot past the last position has click factor 0
+        w_a = max(max(map(len, curves), default=0), w_qd + w_n)
+        keys: list[int] = []
+        lut: list[int] = []
+        for qual_q, qual_k, non_q, non_k in rows:
+            keys += qual_k
+            keys += [-1] * (w_q - len(qual_k))
+            keys += non_k
+            keys += [-1] * (w_n - len(non_k))
+            lut += qual_q
+            lut += [0] * (w_qd - len(qual_q))
+            lut += non_q
+            lut += [0] * (w_nd - len(non_q))
+        alpha: list[float] = []
+        for c in curves:
+            alpha += c
+            alpha += [0.0] * (w_a - len(c))
+        cols = np.array(ints, dtype=np.int64).reshape(n_auctions, 7)
+        self._s, self._den, self._r, self._m, self._n_main, self._last_main, self._last = (
+            cols[:, k:k + 1] for k in range(7)
+        )
+        self._gamma = np.array(gammas, dtype=np.float64).reshape(n_auctions, 1)
+        key_cols = np.array(keys, dtype=np.int64).reshape(n_auctions, w_q + w_n)
+        self._keys_q = [key_cols[:, k:k + 1] for k in range(w_q)]
+        self._keys_n = [key_cols[:, k:k + 1] for k in range(w_q, w_q + w_n)]
+        self._lut = np.array(lut, dtype=np.int64)
+        self._alpha = np.array(alpha, dtype=np.float64)
+        row = np.arange(n_auctions, dtype=np.int64).reshape(n_auctions, 1)
+        self._off_q = row * (w_qd + w_nd)
+        self._off_n = self._off_q + w_qd
+        self._off_a = row * w_a
+        # no price or denominator reaches 2**53: numpy's division is exact
+        self._exact = top < _EXACT_FLOAT
 
-    @staticmethod
-    def _prep(items: list[tuple[int, str]]):
-        ordered = sorted(items, key=lambda t: (-t[0], t[1]))
-        desc_q = [q for q, _ in ordered]
-        asc_q = sorted(desc_q)
-        ties: dict[int, list[str]] = {}
-        for q, eid in items:
-            ties.setdefault(q, []).append(eid)
-        for ids in ties.values():
-            ids.sort()
-        return desc_q, asc_q, ties
+    def _cells(self, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if bids.size and not (bids.min() >= 0.0 and bids.max() <= MAX_MAGNITUDE):
+            raise ValidationError(f"bids must lie in [0, {MAX_MAGNITUDE:g}]")
+        q_p = self._s * np.rint(bids * MICRO).astype(np.int64)
+        a_q = _opponents_above(self._keys_q, q_p)
+        a_n = _opponents_above(self._keys_n, q_p)
+        main = (q_p >= self._m) & (a_q < self._n_main)
+        hi = np.maximum(a_q, self._n_main)
+        # 0-based slot: in the mainline after the qualified bidders above; in
+        # the rest after the mainline (or every qualified bidder above, if
+        # more) and every unqualified bidder above
+        pos = np.where(main, a_q, hi + a_n)
+        # next slot's rank-score: the qualified bidder just below, and from the
+        # last mainline slot on also the head of the rest queue; none after the last slot
+        next_q = self._lut.take(np.where(main, a_q, hi) + self._off_q)
+        head = self._lut.take(np.where(main, 0, a_n) + self._off_n)
+        next_q = np.where(pos >= self._last_main, np.maximum(next_q, head), next_q)
+        next_q[pos >= self._last] = 0
+        price = np.maximum(next_q, np.where(main, self._m, self._r))
+        p = np.where(q_p >= self._r, self._alpha.take(pos + self._off_a), 0.0) * self._gamma
+        c = p * (price / self._den)
+        if not self._exact:
+            den = np.broadcast_to(self._den, price.shape)
+            for i in np.flatnonzero((price >= _EXACT_FLOAT) | (den >= _EXACT_FLOAT)).tolist():
+                c.flat[i] = p.flat[i] * (int(price.flat[i]) / int(den.flat[i]))
+        return p, c
 
-    def _count_above(self, asc_q: list[int], ties: dict[int, list[str]], q_p: int) -> int:
-        above = len(asc_q) - bisect_right(asc_q, q_p)
-        tied = ties.get(q_p)
-        if tied:
-            above += bisect_left(tied, self._pid)
-        return above
+    def evaluate_many(self, bids: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
+        """``(P, C)`` of shape ``(A, G)``: every auction at every bid."""
+        return self._cells(np.asarray(bids, dtype=np.float64).reshape(1, -1))
 
-    def evaluate(self, bid: float) -> tuple[float, float]:
-        q_p = self._s_int * _micro(bid)
-        if q_p < self._r_int:
-            return (0.0, 0.0)
-        a_q = self._count_above(self._qual_asc, self._qual_ties, q_p)
-        a_n = self._count_above(self._non_asc, self._non_ties, q_p)
-        mainline = False
-        next_q = 0
-        if q_p >= self._m_int and a_q < self._n_main:
-            pos = a_q + 1
-            mainline = True
-            if pos + 1 <= self._n_main:
-                if a_q < len(self._qual_desc):
-                    next_q = self._qual_desc[a_q]
-            elif self._n_pos > self._n_main:
-                # player sits on the last mainline slot; next is the head of the
-                # rest queue: every non-qualified candidate (even ones ranked
-                # above the player) plus the qualified overflow below the player
-                if self._non_desc:
-                    next_q = self._non_desc[0]
-                if a_q < len(self._qual_desc) and self._qual_desc[a_q] > next_q:
-                    next_q = self._qual_desc[a_q]
-        else:
-            skip = self._n_main - a_q if a_q < self._n_main else 0
-            rest_above = (a_q + a_n) - min(a_q, self._n_main)
-            pos = self._n_main + rest_above + 1
-            if pos > self._n_pos:
-                return (0.0, 0.0)
-            if pos + 1 <= self._n_pos:
-                if a_n < len(self._non_desc):
-                    next_q = self._non_desc[a_n]
-                idx = a_q + skip
-                if idx < len(self._qual_desc) and self._qual_desc[idx] > next_q:
-                    next_q = self._qual_desc[idx]
-        price_int = next_q
-        if self._r_int > price_int:
-            price_int = self._r_int
-        if mainline and self._m_int > price_int:
-            price_int = self._m_int
-        p = self._alpha[pos - 1] * self._gamma
-        return (p, p * (price_int / (self._s_int * MICRO)))
+    def evaluate(self, bid) -> tuple[np.ndarray, np.ndarray]:
+        """``(P, C)`` of shape ``(A,)``: one bid, or one bid per auction."""
+        p, c = self._cells(np.asarray(bid, dtype=np.float64).reshape(-1, 1))
+        return p.reshape(-1), c.reshape(-1)
 
-    def evaluate_many(self, bids: Iterable[float]) -> tuple[list[float], list[float]]:
-        ps: list[float] = []
-        cs: list[float] = []
-        for b in bids:
-            p, c = self.evaluate(b)
-            ps.append(p)
-            cs.append(c)
-        return ps, cs
+
+def _opponents_above(key_cols: list[np.ndarray], q_p: np.ndarray) -> np.ndarray:
+    """Per cell, how many of the ``(A, 1)`` key columns exceed the rank-score."""
+    n = np.zeros(q_p.shape, dtype=np.int64)
+    for keys in key_cols:
+        n += keys > q_p
+    return n
 
 
 def deviation_profile(
     params: AuctionParams, bidder_id: str, bids: Sequence[float]
 ) -> tuple[list[float], list[float]]:
     """(click probability, expected payment) for each own-bid in ``bids``."""
-    return DeviationSweep(params, bidder_id).evaluate_many(bids)
+    p, c = DeviationSweep((params,), bidder_id).evaluate_many(bids)
+    return p[0].tolist(), c[0].tolist()
+
+
+def replay_periods(periods, bidder_id: str, bids: Sequence[float]):
+    """Replay a bidder's periods at every bid and at its own bids.
+
+    ``periods`` are records with an ``auction_sample`` of
+    :class:`AuctionParams` and the ``own_bid`` committed for them. Yields, per
+    period and in order, ``(P, C, P0, C0)``: the ``(n, G)`` cells of its ``n``
+    auctions at ``bids`` and the ``(n,)`` cells at its own bid. Whole periods
+    share one :class:`DeviationSweep` call of about :data:`BLOCK_CELLS` cells.
+    """
+    bids = np.asarray(bids, dtype=np.float64)
+    block: list = []
+    cells = 0
+    for rec in periods:
+        n = len(rec.auction_sample) * len(bids)
+        if block and cells + n > BLOCK_CELLS:
+            yield from _replay_block(block, bidder_id, bids)
+            block, cells = [], 0
+        block.append(rec)
+        cells += n
+    if block:
+        yield from _replay_block(block, bidder_id, bids)
+
+
+def _replay_block(block, bidder_id, bids):
+    auctions = [params for rec in block for params in rec.auction_sample]
+    own = [rec.own_bid for rec in block for _ in rec.auction_sample]
+    sweep = DeviationSweep(auctions, bidder_id)
+    p, c = sweep.evaluate_many(bids)
+    p0, c0 = sweep.evaluate(own)
+    start = 0
+    for rec in block:
+        end = start + len(rec.auction_sample)
+        yield p[start:end], c[start:end], p0[start:end], c0[start:end]
+        start = end
+
+
+def sum_in_order(xs: np.ndarray) -> float:
+    """Left-to-right float sum of a vector, as a Python loop adds (numpy sums pairwise)."""
+    total = 0.0
+    for x in xs.tolist():
+        total += x
+    return total

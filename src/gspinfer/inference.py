@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .auction import DeviationSweep
+import numpy as np
+
+from .auction import replay_periods, sum_in_order
 
 # Feasibility comparisons allow this much constraint slack: all quantities are
 # averages of penny-grid money values, so 1e-9 is far below one data ulp.
@@ -59,6 +61,8 @@ class DeviationCurve:
         object.__setattr__(self, "grid", tuple(float(b) for b in self.grid))
         object.__setattr__(self, "delta_p", tuple(float(x) for x in self.delta_p))
         object.__setattr__(self, "delta_c", tuple(float(x) for x in self.delta_c))
+        object.__setattr__(self, "baseline_p", float(self.baseline_p))
+        object.__setattr__(self, "baseline_c", float(self.baseline_c))
         if not (len(self.grid) == len(self.delta_p) == len(self.delta_c)):
             raise InferenceError("grid, delta_p and delta_c must have equal length")
         if not self.grid:
@@ -132,41 +136,28 @@ def build_deviation_curve(history, grid: Sequence[float]) -> DeviationCurve:
     periods = history.periods
     if not periods:
         raise InferenceError("history has no periods")
-    grid = [float(b) for b in grid]
-    n_grid = len(grid)
-    sum_dp = [0.0] * n_grid
-    sum_dc = [0.0] * n_grid
-    sum_p0 = 0.0
-    sum_c0 = 0.0
     for rec in periods:
         if not rec.auction_sample:
             raise InferenceError(f"period {rec.period_index} has an empty auction sample")
-        n = len(rec.auction_sample)
-        acc_p = [0.0] * n_grid
-        acc_c = [0.0] * n_grid
-        acc_p0 = 0.0
-        acc_c0 = 0.0
-        for params in rec.auction_sample:
-            sweep = DeviationSweep(params, history.listing_id)
-            ps, cs = sweep.evaluate_many(grid)
-            for k in range(n_grid):
-                acc_p[k] += ps[k]
-                acc_c[k] += cs[k]
-            p0, c0 = sweep.evaluate(rec.own_bid)
-            acc_p0 += p0
-            acc_c0 += c0
-        p_base = acc_p0 / n
-        c_base = acc_c0 / n
+    grid = [float(b) for b in grid]
+    sum_dp = np.zeros(len(grid))
+    sum_dc = np.zeros(len(grid))
+    sum_p0 = 0.0
+    sum_c0 = 0.0
+    for ps, cs, p0s, c0s in replay_periods(periods, history.listing_id, grid):
+        # sums in sample order keep the curve bit-identical to a scalar replay
+        n = len(p0s)
+        p_base = sum_in_order(p0s) / n
+        c_base = sum_in_order(c0s) / n
         sum_p0 += p_base
         sum_c0 += c_base
-        for k in range(n_grid):
-            sum_dp[k] += acc_p[k] / n - p_base
-            sum_dc[k] += acc_c[k] / n - c_base
+        sum_dp += np.add.reduce(ps, axis=0) / n - p_base
+        sum_dc += np.add.reduce(cs, axis=0) / n - c_base
     t = len(periods)
     return DeviationCurve(
         grid=tuple(grid),
-        delta_p=tuple(x / t for x in sum_dp),
-        delta_c=tuple(x / t for x in sum_dc),
+        delta_p=(sum_dp / t).tolist(),
+        delta_c=(sum_dc / t).tolist(),
         baseline_p=sum_p0 / t,
         baseline_c=sum_c0 / t,
     )

@@ -25,7 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
-from .auction import AuctionParams, BidderEntry
+from .auction import MAX_MAGNITUDE, AuctionParams, BidderEntry
 from .geometry import RateStudyResult
 from .inference import (
     AssumptionReport,
@@ -73,6 +73,8 @@ class InferenceConfig:
     value_cap: float | None = None
 
     def bid_grid(self) -> tuple[float, ...]:
+        if not 0.0 < self.bid_max <= MAX_MAGNITUDE:
+            raise InferenceError(f"bid_max must lie in (0, {MAX_MAGNITUDE:g}] (got {self.bid_max})")
         step = self.grid_step if self.grid_step is not None else 0.01 * self.bid_max
         if step <= 0 or step > self.bid_max:
             raise InferenceError(f"grid step must lie in (0, bid_max] (got {step})")
@@ -284,9 +286,12 @@ def write_histories(histories: Sequence[ListingHistory], path: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def infer_listing(history: ListingHistory, config: InferenceConfig) -> ListingArtifacts:
-    """Deviation curve, bounded region, and point prediction for one listing."""
-    curve = build_deviation_curve(history, config.bid_grid())
+def infer_listing(history: ListingHistory, config: InferenceConfig, grid: Sequence[float]) -> ListingArtifacts:
+    """Deviation curve on ``grid``, bounded region, and point prediction for one listing.
+
+    ``grid`` is ``config.bid_grid()``, which :func:`infer_account` computes once.
+    """
+    curve = build_deviation_curve(history, grid)
     region = build_region(
         curve,
         eps_cap=config.epsilon_max,
@@ -306,10 +311,10 @@ def infer_listing(history: ListingHistory, config: InferenceConfig) -> ListingAr
     )
 
 
-def _infer_one(args: tuple[ListingHistory, InferenceConfig]):
-    history, config = args
+def _infer_one(args: tuple[ListingHistory, InferenceConfig, tuple[float, ...]]):
+    history, config, grid = args
     try:
-        return history.listing_id, infer_listing(history, config), None
+        return history.listing_id, infer_listing(history, config, grid), None
     except ValueError as exc:
         return history.listing_id, None, str(exc)
 
@@ -322,11 +327,13 @@ def infer_account(
     """Run inference over every listing and roll up the account summary.
 
     A listing whose inference fails is recorded under ``errors`` and the run
-    continues. ``jobs > 1`` fans listings out to a process pool; results are
-    identical to the serial run.
+    continues; a bad grid step raises :class:`InferenceError` before any
+    listing runs. ``jobs > 1`` fans listings out to a process pool; results
+    are identical to the serial run.
     """
+    grid = config.bid_grid()
     ordered = sorted(histories, key=lambda h: h.listing_id)
-    tasks = [(h, config) for h in ordered]
+    tasks = [(h, config, grid) for h in ordered]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_infer_one, tasks))
@@ -442,16 +449,26 @@ def _row(xs, *kinds: type) -> tuple:
     return tuple(map(_value, xs, kinds))
 
 
+def _block(x, *keys: str) -> dict:
+    """``x`` if it is a bundle object with no key outside ``keys``, else ValueError."""
+    if not isinstance(x, dict):
+        raise ValueError(f"expected an object, got {x!r}")
+    unknown = sorted(set(x) - set(keys))
+    if unknown:
+        raise ValueError(f"unexpected key {unknown[0]!r}")
+    return x
+
+
 def artifacts_from_json(
     bundle: dict,
 ) -> tuple[AccountSummary, dict[str, ListingArtifacts], InferenceConfig]:
     """Inverse of :func:`artifacts_to_json`: the summary, artifacts and config it encodes.
 
-    A bundle that lacks a key, has an unknown key in a block written by
-    ``asdict``, or holds a value of the wrong type or shape raises
-    :class:`ParseError`.
+    A bundle that lacks a key, has a key it does not write, or holds a value
+    of the wrong type or shape raises :class:`ParseError`.
     """
     try:
+        _block(bundle, "config", "summary", "listings")
         s = bundle["summary"]
         summary = AccountSummary(**{
             **s,
@@ -466,15 +483,16 @@ def artifacts_from_json(
         })
         artifacts = {}
         for lid, payload in bundle["listings"].items():
+            _block(payload, "curve", "region", "prediction", "mean_bid", "shading_ratio")
             c = payload["curve"]
             curve = DeviationCurve(**{
                 **c,
                 **{k: tuple(_value(x, float) for x in c[k]) for k in ("grid", "delta_p", "delta_c")},
                 **{k: _value(c[k], float) for k in ("baseline_p", "baseline_c")},
             })
-            reg = payload["region"]
+            reg = _block(payload["region"], "epsilon_cap", "value_cap", "epsilon_min", "boundary", "assumptions")
             assumptions = reg["assumptions"]
-            pred = payload["prediction"]
+            pred = _block(payload["prediction"], "delta_star", "v_star", "v_interval", "epsilon_min", "iterations")
             _value(pred["epsilon_min"], float)  # a copy of the region's eps0
             artifacts[lid] = ListingArtifacts(
                 listing_id=lid,

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import AuctionParams, BidderEntry, DeviationSweep
+from .auction import AuctionParams, BidderEntry, DeviationSweep, replay_periods, sum_in_order
 
 ALGORITHMS = ("hedge", "epsilon_greedy", "fixed_best_response")
 
@@ -271,7 +271,6 @@ def simulate_market(
             env.background.draw(env_rng, t) for _ in range(auctions_per_period)
         ]
         period_samples: list[list[AuctionParams]] = [[] for _ in learners]
-        payoff_acc = [np.zeros(len(st.grid)) for st in states]
         for raw in raw_batches:
             for i, st in enumerate(states):
                 competitors: list[BidderEntry] = []
@@ -300,11 +299,10 @@ def simulate_market(
                     mainline_positions=mainline,
                 )
                 period_samples[i].append(params)
-                sweep = DeviationSweep(params, st.spec.listing_id)
-                ps, cs = sweep.evaluate_many(st.grid)
-                payoff_acc[i] += st.spec.value * np.asarray(ps) - np.asarray(cs)
         for i, st in enumerate(states):
-            st.update(payoff_acc[i] / auctions_per_period)
+            # bids are fixed within the period: one sweep covers the learner's batch
+            ps, cs = DeviationSweep(period_samples[i], st.spec.listing_id).evaluate_many(st.grid)
+            st.update(np.add.reduce(st.spec.value * ps - cs, axis=0) / auctions_per_period)
             records[i].append(
                 PeriodRecord(period_index=t, own_bid=bids[i], auction_sample=tuple(period_samples[i]))
             )
@@ -328,15 +326,9 @@ def realized_regret(history: ListingHistory, value: float, bid_grid: Sequence[fl
         raise SimulationError("history has no periods")
     grid = [float(b) for b in bid_grid]
     diffs = np.zeros(len(grid))
-    for rec in periods:
-        n = len(rec.auction_sample)
-        arm_u = np.zeros(len(grid))
-        own_u = 0.0
-        for params in rec.auction_sample:
-            sweep = DeviationSweep(params, history.listing_id)
-            ps, cs = sweep.evaluate_many(grid)
-            arm_u += value * np.asarray(ps) - np.asarray(cs)
-            p0, c0 = sweep.evaluate(rec.own_bid)
-            own_u += value * p0 - c0
+    for ps, cs, p0s, c0s in replay_periods(periods, history.listing_id, grid):
+        n = len(p0s)
+        arm_u = np.add.reduce(value * ps - cs, axis=0)
+        own_u = sum_in_order(value * p0s - c0s)
         diffs += arm_u / n - own_u / n
     return float(np.max(diffs)) / len(periods)

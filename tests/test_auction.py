@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from gspinfer.auction import (
     AuctionParams,
     BidderEntry,
     DeviationSweep,
+    MAX_MAGNITUDE,
     ValidationError,
     click_probability,
     cost_per_click,
@@ -220,18 +222,95 @@ def random_params(rng: random.Random, player_last=False):
     )
 
 
+def large_params(rng: random.Random):
+    """Random instance with scores, bids and reserves up to MAX_MAGNITUDE.
+
+    Rank-scores reach 1e18, past 2**53, where int64-to-float64 division rounds
+    twice; repeated values keep ties in play.
+    """
+    entries = []
+    for k in range(rng.randint(1, 6)):
+        entries.append(
+            BidderEntry(
+                id=f"b{k}",
+                score=rng.choice([0.001, 0.5, 37.5, 999.999, MAX_MAGNITUDE]),
+                quality=rng.choice([0.0, 0.3, 1.0]),
+                bid=rng.choice([0.0, 1.0, 123.456789, 999.999999, MAX_MAGNITUDE, round(rng.uniform(0, 1000), 6)]),
+            )
+        )
+    curve = tuple(sorted({round(rng.uniform(0.05, 1.0), 2) for _ in range(rng.randint(1, 5))}, reverse=True))
+    cap = rng.randint(0, 3)
+    r = rng.choice([0.0, 1.0, 500.0])
+    return AuctionParams(
+        entries=tuple(entries),
+        rank_reserve=r,
+        mainline_reserve=min(MAX_MAGNITUDE, r + rng.choice([0.0, 0.2, 400.0])),
+        mainline_cap=cap,
+        position_curve=curve,
+        mainline_positions=frozenset(range(1, rng.randint(0, min(cap, len(curve))) + 1)),
+    )
+
+
+def assert_sweep_matches_replay(instances, bids):
+    """Every cell of the batched sweep equals ``replay_at_bid``.
+
+    Each ``(params, player)`` instance is swept alone, then the instances of
+    each player id are swept as one mixed batch (the kernel takes one bidder
+    id), at the whole grid and at one own bid per auction.
+    """
+    for params, player in instances:
+        ps, cs = DeviationSweep([params], player).evaluate_many(bids)
+        assert ps.shape == cs.shape == (1, len(bids))
+        for k, b in enumerate(bids):
+            assert (ps[0, k], cs[0, k]) == replay_at_bid(params, player, b), (params, player, b)
+    by_player: dict[str, list[AuctionParams]] = {}
+    for params, player in instances:
+        by_player.setdefault(player, []).append(params)
+    for player, batch in by_player.items():
+        sweep = DeviationSweep(batch, player)
+        ps, cs = sweep.evaluate_many(bids)
+        own = [bids[(7 * a) % len(bids)] for a in range(len(batch))]
+        p0, c0 = sweep.evaluate(own)
+        assert ps.shape == (len(batch), len(bids)) and p0.shape == (len(batch),)
+        for a, params in enumerate(batch):
+            for k, b in enumerate(bids):
+                assert (ps[a, k], cs[a, k]) == replay_at_bid(params, player, b), (params, player, b)
+            assert (p0[a], c0[a]) == replay_at_bid(params, player, own[a]), (params, player, own[a])
+        one_p, one_c = sweep.evaluate(bids[-1])
+        assert one_p.tolist() == ps[:, -1].tolist() and one_c.tolist() == cs[:, -1].tolist()
+
+
 class TestSweepMatchesReplay:
     def test_differential_random_instances(self):
         rng = random.Random(20240811)
         bids = [k / 10.0 for k in range(0, 25)]
+        instances = []
         for _ in range(400):
             params = random_params(rng)
-            player = rng.choice(params.entries).id
-            sweep = DeviationSweep(params, player)
-            for b in bids:
-                assert sweep.evaluate(b) == replay_at_bid(params, player, b), (
-                    params, player, b,
-                )
+            instances.append((params, rng.choice(params.entries).id))
+        assert_sweep_matches_replay(instances, bids)
+
+    def test_differential_large_magnitudes(self):
+        rng = random.Random(20261018)
+        bids = [0.0, 0.5, 1.0, 10.0, 123.456789, 500.0, 999.999, 999.999999, MAX_MAGNITUDE]
+        instances = []
+        for _ in range(400):
+            params = large_params(rng)
+            instances.append((params, rng.choice(params.entries).id))
+        assert sum(e.rank_score_int() >= 2**53 for params, _ in instances for e in params.entries) > 100
+        assert_sweep_matches_replay(instances, bids)
+
+    def test_bids_outside_the_magnitude_bound_raise(self):
+        sweep = DeviationSweep([two_entry_params()], "b")
+        for bad in (-0.01, MAX_MAGNITUDE * 1.001, math.nan):
+            with pytest.raises(ValidationError):
+                sweep.evaluate_many([0.5, bad])
+            with pytest.raises(ValidationError):
+                replay_at_bid(two_entry_params(), "b", bad)
+
+    def test_unknown_bidder_raises(self):
+        with pytest.raises(AllocationError):
+            DeviationSweep([two_entry_params(), two_entry_params()], "z")
 
     def test_profile_wrapper(self):
         params = two_entry_params()

@@ -387,13 +387,8 @@ class TestSingleSlotMarket:
         bids = np.linspace(0.0, 1.0, 11)
         ps, cs = market.sample_pc(bids, rivals)
         for k, b in enumerate(bids):
-            p_ref = 0.0
-            c_ref = 0.0
-            for x in rivals:
-                params = market.auction_params(float(x), float(b))
-                p, c = DeviationSweep(params, "p").evaluate(float(b))
-                p_ref += p
-                c_ref += c
+            sweep = DeviationSweep([market.auction_params(float(x), float(b)) for x in rivals], "p")
+            p_ref, c_ref = (float(v.sum()) for v in sweep.evaluate(float(b)))
             assert ps[k] == pytest.approx(p_ref / len(rivals), abs=1e-12)
             assert cs[k] == pytest.approx(c_ref / len(rivals), abs=1e-12)
 

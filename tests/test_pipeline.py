@@ -4,11 +4,14 @@ import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gspinfer import pipeline
 from gspinfer.cli import CONFIG_KEYS, ConfigError, build_learners, load_config, main
+from gspinfer.inference import DeviationCurve
 from gspinfer.pipeline import (
     AccountSummary,
     InferenceConfig,
@@ -345,6 +348,33 @@ class TestDeterminism:
 
 
 class TestBundleCodec:
+    def test_numpy_scalar_curve_exports_the_same_bytes(self, tmp_path, monkeypatch):
+        # v* is derived from the baselines and written with repr: a numpy
+        # scalar there would print as np.float64(...) in scatter_v_delta.csv
+        histories = tiny_market_histories(seed=55)
+        config = InferenceConfig(grid_step=0.1, epsilon_max=1.0)
+        summary, artifacts = infer_account(histories, config)
+        assert summary.scatter
+        build = pipeline.build_deviation_curve
+
+        def numpy_curve(history, grid):
+            c = build(history, grid)
+            curve = DeviationCurve(
+                grid=np.asarray(c.grid), delta_p=np.asarray(c.delta_p), delta_c=np.asarray(c.delta_c),
+                baseline_p=np.float64(c.baseline_p), baseline_c=np.float64(c.baseline_c),
+            )
+            assert type(curve.baseline_p) is float and type(curve.baseline_c) is float
+            assert curve == c
+            return curve
+
+        monkeypatch.setattr(pipeline, "build_deviation_curve", numpy_curve)
+        summary_np, artifacts_np = infer_account(histories, config)
+        files = export(summary, artifacts, str(tmp_path / "a"))
+        files_np = export(summary_np, artifacts_np, str(tmp_path / "b"))
+        assert [os.path.basename(f) for f in files] == [os.path.basename(f) for f in files_np]
+        for f, f_np in zip(files, files_np):
+            assert open(f, "rb").read() == open(f_np, "rb").read(), f
+
     def test_round_trip_restores_objects(self, tmp_path):
         # a listing whose every deviation loses clicks fails and is kept under errors
         solo = dict(micro_fixture_records()[0], listing_id="Z9", own_bid=1.0, competitors=[],
@@ -488,6 +518,47 @@ class TestCli:
             "artifacts.json": "185454eb378f7b68a6d5acacbf0a2083348c48bca45219eb43f81eaa31cdd209",
         }
 
+    def test_simulate_outputs_match_pinned_digests(self, tmp_path, capsys):
+        # Two learners that meet each other as competitors, ten auctions a
+        # period on the 101-point grid: any drift in the payoffs the learners
+        # see, or in the replay of their log, moves a digest.
+        cfg = tmp_path / "cfg"
+        cfg.write_text("listings = 2\nperiods = 30\nauctions_per_period = 10\n")
+        log = tmp_path / "log.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(log)]) == 0
+        out = tmp_path / "out"
+        assert main(["infer", "--config", str(cfg), str(log), "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for name, path in (("log.jsonl", log), ("predictions.json", out / "predictions.json"))}
+        assert digests == {
+            "log.jsonl": "18c19396ce4afcc090f6d0f0bda7632ad41890d70d14941b3ea0d95f89b8c62b",
+            "predictions.json": "eb2934a3cdae34a791f34c3bfb5fbbc1cb6f532b819133cbb84d6baa4d14032d",
+        }
+
+    @pytest.mark.parametrize("command", ["infer", "predict"])
+    @pytest.mark.parametrize("step", ["0", "-0.01", "1.5"])
+    def test_bad_grid_step_exits_with_error_list(self, tmp_path, capsys, command, step):
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        assert main([command, str(log), "--grid-step", step, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        errors = json.loads(captured.err)["errors"]
+        assert len(errors) == 1 and errors[0].startswith("grid step must lie in (0, bid_max]")
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "infer", "predict"])
+    def test_bid_max_beyond_magnitude_bound_exits_with_error_list(self, tmp_path, capsys, command):
+        # learners and the deviation grid bid up to bid_max, and no bid may
+        # exceed the magnitude bound that keeps rank-scores inside int64
+        cfg = tmp_path / "cfg"
+        cfg.write_text("bid_max = 2000\nlistings = 1\nperiods = 3\n")
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        args = ["--out", str(tmp_path / "o")] if command == "simulate" else [str(log), "--out", str(tmp_path / "o")]
+        assert main([command, "--config", str(cfg), *args]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert len(errors) == 1 and errors[0].startswith("bid_max must lie in (0, 1000]")
+
     def test_predict_out_matches_infer_predictions(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         write_histories(tiny_market_histories(seed=17), str(log))
@@ -555,6 +626,11 @@ class TestCli:
         "bool-count": (lambda b, lst: b["summary"].update(nonpositive_count=True), "expected int, got True"),
         "float-config-count": (
             lambda b, lst: b["config"].update(boundary_samples=201.0), "expected int, got 201.0"),
+        "surprise-in-prediction": (
+            lambda b, lst: lst["prediction"].update(surprise=1), "unexpected key 'surprise'"),
+        "surprise-in-region": (lambda b, lst: lst["region"].update(surprise=1), "unexpected key 'surprise'"),
+        "surprise-in-listing": (lambda b, lst: lst.update(surprise=1), "unexpected key 'surprise'"),
+        "surprise-at-top": (lambda b, lst: b.update(surprise=1), "unexpected key 'surprise'"),
     }
 
     @pytest.mark.parametrize("damage", list(BUNDLE_DAMAGE))
