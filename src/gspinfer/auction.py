@@ -11,9 +11,11 @@ Ranking never compares raw floats: scores and bids are quantized to 1e-6
 detected reliably and results are reproducible bit-for-bit. Prices are
 derived from the same integers and returned as floats.
 
-:func:`rank_and_allocate` and :func:`replay_at_bid` work on one auction and
-are the reference; :class:`DeviationSweep` evaluates one bidder over a batch
-of auctions and bids as numpy arrays with the same integer ranking.
+A listing's auctions live in one columnar table, :class:`ListingHistory`.
+:class:`DeviationSweep` evaluates the listing over a row range of it as numpy
+arrays. :class:`AuctionParams`, :func:`rank_and_allocate` and
+:func:`replay_at_bid` work on one auction and are the scalar reference;
+:func:`auctions_to_table` and :func:`row_to_auction` convert between the two.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ MICRO = 10**6  # quantization of scores and bids for exact rank comparisons
 # 1e3 both micro(score) * micro(bid) and reserve * MICRO * MICRO stay at or
 # below 1e18, inside int64 for an array form of the ranking.
 MAX_MAGNITUDE = 1e3
+
+# Smallest accepted score: one micro-unit. A smaller score would round to 0,
+# ranking its bidder at rank-score 0 and pricing its clicks at x / 0.
+MIN_SCORE = 1e-6
 
 
 class AuctionError(ValueError):
@@ -57,8 +63,10 @@ class BidderEntry:
     bid: float
 
     def __post_init__(self):
-        if not 0.0 < self.score <= MAX_MAGNITUDE:
-            raise ValidationError(f"score must lie in (0, {MAX_MAGNITUDE:g}] (entry {self.id!r}: score={self.score})")
+        if not MIN_SCORE <= self.score <= MAX_MAGNITUDE:
+            raise ValidationError(
+                f"score must lie in [{MIN_SCORE:g}, {MAX_MAGNITUDE:g}] (entry {self.id!r}: score={self.score})"
+            )
         if not 0.0 <= self.quality <= 1.0:
             raise ValidationError(f"quality must lie in [0, 1] (entry {self.id!r}: quality={self.quality})")
         if not 0.0 <= self.bid <= MAX_MAGNITUDE:
@@ -232,7 +240,7 @@ def replay_at_bid(params: AuctionParams, bidder_id: str, bid: float) -> tuple[fl
     """Click probability and expected payment with ``bidder_id``'s bid replaced.
 
     Reference implementation: rebuilds the auction and re-runs the allocator.
-    Prefer :class:`DeviationSweep` when evaluating many bids or auctions.
+    :class:`DeviationSweep` evaluates many bids and auctions at once.
     """
     entries = tuple(replace(e, bid=bid) if e.id == bidder_id else e for e in params.entries)
     params.entry(bidder_id)  # raise early if the bidder is unknown
@@ -244,34 +252,182 @@ def replay_at_bid(params: AuctionParams, bidder_id: str, bid: float) -> tuple[fl
     )
 
 
-# Cells per DeviationSweep call when a whole history is replayed: bounds the
-# working set of :func:`replay_periods` (a listing at once would hold every
-# auction x bid cell in memory).
+# per-auction columns of a ListingHistory, then per-competitor columns
+_ROW_COLUMNS = ("period", "own_bid", "own_score", "own_quality", "rank_reserve", "mainline_reserve",
+                "mainline_cap", "mainline_count", "curve")
+_COMPETITOR_COLUMNS = ("score", "quality", "bid", "ahead")
+
+
+@dataclass(frozen=True, eq=False)
+class ListingHistory:
+    """One listing's auctions as a columnar table: the in-memory form of its log.
+
+    Row ``a`` is one auction, rows ordered by period: ``period``, the own bid
+    (one per period), score and quality, both reserves, ``mainline_cap``,
+    ``mainline_count`` and ``curve``, an index into the interned position
+    ``curves``. The competitors of row ``a`` are entries
+    ``offsets[a]:offsets[a + 1]`` of the flat competitor columns; ``ahead``
+    marks those that rank above the listing on a rank-score tie. ``truth`` is
+    a synthetic listing's true value-per-click. Tables compare equal when
+    every row holds the same values.
+    """
+
+    listing_id: str
+    period: np.ndarray
+    own_bid: np.ndarray
+    own_score: np.ndarray
+    own_quality: np.ndarray
+    rank_reserve: np.ndarray
+    mainline_reserve: np.ndarray
+    mainline_cap: np.ndarray
+    mainline_count: np.ndarray
+    curve: np.ndarray
+    curves: tuple[tuple[float, ...], ...]
+    offsets: np.ndarray
+    score: np.ndarray
+    quality: np.ndarray
+    bid: np.ndarray
+    ahead: np.ndarray
+    truth: float | None = None
+
+    def __post_init__(self):
+        if not len(self.period):
+            raise ValidationError(f"listing {self.listing_id} has no auctions")
+
+    def __len__(self) -> int:
+        return len(self.period)
+
+    def __eq__(self, other):
+        if not isinstance(other, ListingHistory):
+            return NotImplemented
+        columns = (*_ROW_COLUMNS[:-1], "offsets", *_COMPETITOR_COLUMNS)
+        return (self.listing_id, self.truth) == (other.listing_id, other.truth) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in columns
+        ) and all(self.curves[i] == other.curves[j] for i, j in set(zip(self.curve.tolist(), other.curve.tolist())))
+
+    def rows(self, start: int, stop: int) -> ListingHistory:
+        """The table of rows ``start:stop``; its columns are views of this one's."""
+        lo, hi = self.offsets[start], self.offsets[stop]
+        return replace(
+            self, offsets=self.offsets[start:stop + 1] - lo,
+            **{f: getattr(self, f)[start:stop] for f in _ROW_COLUMNS},
+            **{f: getattr(self, f)[lo:hi] for f in _COMPETITOR_COLUMNS},
+        )
+
+    def period_bounds(self) -> np.ndarray:
+        """The first row of each period, then the row count."""
+        return np.r_[0, np.flatnonzero(self.period[1:] != self.period[:-1]) + 1, len(self)]
+
+    def mean_bid(self) -> float:
+        """The own bid averaged over periods."""
+        bids = self.own_bid[self.period_bounds()[:-1]].tolist()
+        return sum(bids) / len(bids)
+
+    def invalid_rows(self) -> np.ndarray:
+        """Per row, whether :meth:`row_error` finds a fault; every column is checked at once."""
+        bad = ~_entries_ok(self.own_score, self.own_quality, self.own_bid)
+        counts = self.offsets[1:] - self.offsets[:-1]
+        bad[np.arange(len(self)).repeat(counts)[~_entries_ok(self.score, self.quality, self.bid)]] = True
+        if self.listing_id[:1] == "c":  # it may share a log's id with a competitor
+            bad |= [self.listing_id in map(_log_name, range(k)) for k in counts.tolist()]
+        # slots per position curve, -1 if the curve is malformed
+        slots = np.array([len(c) if c and all(0.0 < a <= 1.0 for a in c) and all(b < a for a, b in zip(c, c[1:]))
+                          else -1 for c in self.curves])
+        r, m, n_main = self.rank_reserve, self.mainline_reserve, self.mainline_count
+        bad |= (self.mainline_cap < 0) | (n_main > self.mainline_cap) | (n_main > slots[self.curve])
+        return bad | ~((r >= 0.0) & (r <= MAX_MAGNITUDE) & (r <= m) & (m <= MAX_MAGNITUDE))
+
+    def row_error(self, a: int) -> str | None:
+        """What the reference :class:`AuctionParams` rejects in row ``a`` (see :func:`row_to_auction`), or None."""
+        try:
+            row_to_auction(self, a)
+        except ValidationError as exc:
+            return str(exc)
+        return None
+
+
+def _entries_ok(score: np.ndarray, quality: np.ndarray, bid: np.ndarray) -> np.ndarray:
+    """Column form of the :class:`BidderEntry` bounds: True where the entry is in range."""
+    return ((score >= MIN_SCORE) & (score <= MAX_MAGNITUDE) & (quality >= 0.0) & (quality <= 1.0)
+            & (bid >= 0.0) & (bid <= MAX_MAGNITUDE))
+
+
+def _log_name(k: int) -> str:
+    """A log's id for competitor ``k`` of an auction."""
+    return f"c{k:03d}"
+
+
+def log_ahead(listing_id: str, offsets: np.ndarray) -> np.ndarray:
+    """The ``ahead`` column of competitors with a log's ids: ties break toward the smaller id."""
+    counts = offsets[1:] - offsets[:-1]
+    names = np.array([_log_name(k) < listing_id for k in range(int(counts.max(initial=0)))], dtype=bool)
+    return names[np.arange(offsets[-1]) - offsets[:-1].repeat(counts)]
+
+
+def auctions_to_table(
+    auctions: Sequence[AuctionParams], bidder_id: str, periods: Sequence[int] | None = None
+) -> ListingHistory:
+    """``bidder_id``'s view of reference auctions as a table, all in period 1 unless ``periods`` are given.
+
+    Competitors keep their order and ``ahead`` compares their ids with ``bidder_id``.
+    """
+    own = [params.entry(bidder_id) for params in auctions]
+    others = [[e for e in params.entries if e.id != bidder_id] for params in auctions]
+    flat = [e for es in others for e in es]
+    curves: dict[tuple[float, ...], int] = {}
+
+    def column(xs, dtype=np.float64):
+        return np.array(list(xs), dtype=dtype)
+
+    return ListingHistory(
+        bidder_id, column([1] * len(auctions) if periods is None else periods, np.int64),
+        column(e.bid for e in own), column(e.score for e in own), column(e.quality for e in own),
+        column(p.rank_reserve for p in auctions), column(p.mainline_reserve for p in auctions),
+        column((p.mainline_cap for p in auctions), np.int64),
+        column((len(p.mainline_positions) for p in auctions), np.int64),
+        column((curves.setdefault(p.position_curve, len(curves)) for p in auctions), np.int64), tuple(curves),
+        np.cumsum([0] + [len(es) for es in others]), column(e.score for e in flat),
+        column(e.quality for e in flat), column(e.bid for e in flat), column((e.id < bidder_id for e in flat), bool),
+    )
+
+
+def row_to_auction(table: ListingHistory, a: int) -> AuctionParams:
+    """Row ``a`` of a table as the reference :class:`AuctionParams`, entries named as in a log."""
+    lo, hi = table.offsets[a], table.offsets[a + 1]
+    competitors = zip(table.score[lo:hi].tolist(), table.quality[lo:hi].tolist(), table.bid[lo:hi].tolist())
+    own = BidderEntry(table.listing_id, float(table.own_score[a]), float(table.own_quality[a]), float(table.own_bid[a]))
+    return AuctionParams(
+        entries=(own, *(BidderEntry(_log_name(k), *c) for k, c in enumerate(competitors))),
+        rank_reserve=float(table.rank_reserve[a]),
+        mainline_reserve=float(table.mainline_reserve[a]),
+        mainline_cap=int(table.mainline_cap[a]),
+        position_curve=table.curves[table.curve[a]],
+        mainline_positions=frozenset(range(1, int(table.mainline_count[a]) + 1)),
+    )
+
+
+# Cells per DeviationSweep when a whole history is replayed: bounds the
+# working set (a listing at once would hold every auction x bid cell in memory).
 BLOCK_CELLS = 4096
 
 _EXACT_FLOAT = 2**53  # integers below this convert to float64 exactly
 
 
 class DeviationSweep:
-    """One bidder's (click probability, expected payment) over a batch of auctions.
+    """One bidder's (click probability, expected payment) over a row range of its table.
 
-    ``DeviationSweep(auctions, bidder_id)`` turns a sequence of
-    :class:`AuctionParams` into integer columns once: per auction the
-    opponents' rank-scores split by reserve (as counting keys that carry the
-    tie-break toward the smaller id, and sorted for the next-slot price), the
-    bidder's micro-score and quality, the reserves, the mainline count and the
-    padded position curve. Every bid of every auction is then one cell of a
-    numpy kernel:
+    ``DeviationSweep(table, bidder_id)`` takes listing ``bidder_id``'s
+    :class:`ListingHistory`, or rows of it, and sorts each auction's opponents
+    by the reserve they pass into counting keys (which carry the tie-break)
+    and next-slot price lookups. :meth:`evaluate_many` ``(bids)`` returns
+    ``(P, C)`` of shape ``(A, G)``, one row per auction and one column per
+    bid; :meth:`evaluate` ``(bid)`` returns shape ``(A,)`` for one bid, or
+    for one bid per auction.
 
-    * :meth:`evaluate_many` ``(bids)`` returns ``(P, C)`` of shape ``(A, G)``,
-      one row per auction, one column per bid;
-    * :meth:`evaluate` ``(bid)`` returns ``(P, C)`` of shape ``(A,)`` for one
-      bid, or for one bid per auction when ``bid`` has ``A`` entries.
-
-    Every cell equals ``replay_at_bid(auctions[a], bidder_id, bid)`` bit for
-    bit: the ranking is the same integer comparison with the same ties, and
-    a price at or above 2**53, which int64-to-float64 division would round
-    twice, is divided as Python integers. Bids must lie in
+    Every cell equals ``replay_at_bid(row_to_auction(table, a), bidder_id, bid)``
+    bit for bit: the ranking is the same integer comparison with the same
+    ties, and a price at or above 2**53, which int64-to-float64 division would
+    round twice, is divided as Python integers. Bids must lie in
     ``[0, MAX_MAGNITUDE]``, which keeps every rank-score inside int64.
 
     The benchmark's tracer times the auction layer by wrapping this class by
@@ -282,94 +438,56 @@ class DeviationSweep:
     __slots__ = ("_s", "_den", "_r", "_m", "_n_main", "_last_main", "_last", "_gamma",
                  "_keys_q", "_keys_n", "_lut", "_off_q", "_off_n", "_alpha", "_off_a", "_exact")
 
-    def __init__(self, auctions: Sequence[AuctionParams], bidder_id: str):
-        ints: list[int] = []
-        gammas: list[float] = []
-        curves: list[tuple[float, ...]] = []
-        # per auction: rank-scores (sorted descending) and counting keys of the
-        # opponents passing the mainline reserve, then of those passing only
-        # the rank reserve
-        rows: list[tuple[list[int], list[int], list[int], list[int]]] = []
-        top = 0
-        for params in auctions:
-            r_int = params.rank_reserve_int()
-            m_int = params.mainline_reserve_int()
-            own = None
-            qual_q: list[int] = []
-            qual_k: list[int] = []
-            non_q: list[int] = []
-            non_k: list[int] = []
-            for e in params.entries:
-                if e.id == bidder_id:
-                    own = e
-                    continue
-                q = e.rank_score_int()
-                if q < r_int:
-                    continue
-                # the key exceeds the bidder's rank-score exactly when the
-                # opponent ranks above it: ties go to the smaller id
-                if q >= m_int:
-                    qual_q.append(q)
-                    qual_k.append(q + (e.id < bidder_id))
-                else:
-                    non_q.append(q)
-                    non_k.append(q + (e.id < bidder_id))
-                if q > top:
-                    top = q
-            if own is None:
-                raise AllocationError(f"no entry with id {bidder_id!r}")
-            s_int = _micro(own.score)
-            n_main = len(params.mainline_positions)
-            ints += (s_int, s_int * MICRO, r_int, m_int, n_main, n_main - 1, len(params.position_curve) - 1)
-            if m_int > top:
-                top = m_int
-            if s_int * MICRO > top:
-                top = s_int * MICRO
-            gammas.append(own.quality)
-            curves.append(params.position_curve)
-            qual_q.sort(reverse=True)
-            non_q.sort(reverse=True)
-            rows.append((qual_q, qual_k, non_q, non_k))
-        n_auctions = len(gammas)
-        w_q = max((len(r[0]) for r in rows), default=0)
-        w_n = max((len(r[2]) for r in rows), default=0)
+    def __init__(self, table: ListingHistory, bidder_id: str):
+        if bidder_id != table.listing_id:
+            raise AllocationError(f"no entry with id {bidder_id!r}")
+        n = len(table)
+        counts = table.offsets[1:] - table.offsets[:-1]
+        w = int(counts.max())
+        s_int = np.rint(table.own_score * MICRO).astype(np.int64).reshape(n, 1)
+        r_int = np.rint(table.rank_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
+        m_int = np.rint(table.mainline_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
+        n_main = table.mainline_count.reshape(n, 1)
+        # opponents' rank-scores and keys, one row per auction, padded with -1;
+        # a key exceeds the bidder's rank-score exactly when the opponent ranks above it
+        q = np.rint(table.score * MICRO).astype(np.int64) * np.rint(table.bid * MICRO).astype(np.int64)
+        cell = (np.arange(n) * w - table.offsets[:-1]).repeat(counts) + np.arange(len(q))
+        grid = np.full(n * w, -1, dtype=np.int64)
+        grid[cell] = q
+        keys = grid.copy()
+        keys[cell] += table.ahead
+        grid, keys = grid.reshape(n, w), keys.reshape(n, w)
+        # opponents passing the mainline reserve, then those passing only the
+        # rank reserve: keys padded with -1, rank-scores padded with 0, each sorted
+        qual = grid >= m_int
+        rest = (grid >= r_int) & ~qual
+        keys_q, q_q, keys_n, q_n = (np.where(mask, x, pad) for mask in (qual, rest) for x, pad in ((keys, -1), (grid, 0)))
+        for x in (keys_q, q_q, keys_n, q_n):
+            x.sort(axis=1)
+        w_q, w_n = int(qual.sum(axis=1).max()), int(rest.sum(axis=1).max())
         # price lookups: the qualified rank-scores just below (up to the
-        # mainline count), then the rest queue's, each padded with 0 (vacant)
-        w_qd = max(w_q, max(ints[4::7], default=0)) + 1
-        w_nd = w_n + 1
+        # mainline count), then the rest queue's, each descending, 0 if vacant
+        w_qd = max(w_q, int(n_main.max())) + 1
+        lut = np.zeros((n, w_qd + w_n + 1), dtype=np.int64)
+        lut[:, :w_q] = q_q[:, w - w_q:][:, ::-1]
+        lut[:, w_qd:w_qd + w_n] = q_n[:, w - w_n:][:, ::-1]
         # a slot past the last position has click factor 0
-        w_a = max(max(map(len, curves), default=0), w_qd + w_n)
-        keys: list[int] = []
-        lut: list[int] = []
-        for qual_q, qual_k, non_q, non_k in rows:
-            keys += qual_k
-            keys += [-1] * (w_q - len(qual_k))
-            keys += non_k
-            keys += [-1] * (w_n - len(non_k))
-            lut += qual_q
-            lut += [0] * (w_qd - len(qual_q))
-            lut += non_q
-            lut += [0] * (w_nd - len(non_q))
-        alpha: list[float] = []
-        for c in curves:
-            alpha += c
-            alpha += [0.0] * (w_a - len(c))
-        cols = np.array(ints, dtype=np.int64).reshape(n_auctions, 7)
-        self._s, self._den, self._r, self._m, self._n_main, self._last_main, self._last = (
-            cols[:, k:k + 1] for k in range(7)
-        )
-        self._gamma = np.array(gammas, dtype=np.float64).reshape(n_auctions, 1)
-        key_cols = np.array(keys, dtype=np.int64).reshape(n_auctions, w_q + w_n)
-        self._keys_q = [key_cols[:, k:k + 1] for k in range(w_q)]
-        self._keys_n = [key_cols[:, k:k + 1] for k in range(w_q, w_q + w_n)]
-        self._lut = np.array(lut, dtype=np.int64)
-        self._alpha = np.array(alpha, dtype=np.float64)
-        row = np.arange(n_auctions, dtype=np.int64).reshape(n_auctions, 1)
-        self._off_q = row * (w_qd + w_nd)
+        w_a = max(max(map(len, table.curves)), w_qd + w_n)
+        alpha = np.zeros((len(table.curves), w_a))
+        for i, c in enumerate(table.curves):
+            alpha[i, :len(c)] = c
+        self._s, self._den, self._r, self._m = s_int, s_int * MICRO, r_int, m_int
+        self._n_main, self._last_main = n_main, n_main - 1
+        self._last = np.array([len(c) - 1 for c in table.curves])[table.curve].reshape(n, 1)
+        self._gamma = table.own_quality.reshape(n, 1)
+        self._keys_q = [keys_q[:, k:k + 1] for k in range(w - w_q, w)]
+        self._keys_n = [keys_n[:, k:k + 1] for k in range(w - w_n, w)]
+        self._lut, self._alpha = lut.reshape(-1), alpha.reshape(-1)
+        self._off_q = np.arange(0, lut.size, lut.shape[1]).reshape(n, 1)
         self._off_n = self._off_q + w_qd
-        self._off_a = row * w_a
+        self._off_a = table.curve.reshape(n, 1) * w_a
         # no price or denominator reaches 2**53: numpy's division is exact
-        self._exact = top < _EXACT_FLOAT
+        self._exact = max(int(lut.max()), int(m_int.max()), int(s_int.max()) * MICRO) < _EXACT_FLOAT
 
     def _cells(self, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if bids.size and not (bids.min() >= 0.0 and bids.max() <= MAX_MAGNITUDE):
@@ -414,55 +532,3 @@ def _opponents_above(key_cols: list[np.ndarray], q_p: np.ndarray) -> np.ndarray:
     for keys in key_cols:
         n += keys > q_p
     return n
-
-
-def deviation_profile(
-    params: AuctionParams, bidder_id: str, bids: Sequence[float]
-) -> tuple[list[float], list[float]]:
-    """(click probability, expected payment) for each own-bid in ``bids``."""
-    p, c = DeviationSweep((params,), bidder_id).evaluate_many(bids)
-    return p[0].tolist(), c[0].tolist()
-
-
-def replay_periods(periods, bidder_id: str, bids: Sequence[float]):
-    """Replay a bidder's periods at every bid and at its own bids.
-
-    ``periods`` are records with an ``auction_sample`` of
-    :class:`AuctionParams` and the ``own_bid`` committed for them. Yields, per
-    period and in order, ``(P, C, P0, C0)``: the ``(n, G)`` cells of its ``n``
-    auctions at ``bids`` and the ``(n,)`` cells at its own bid. Whole periods
-    share one :class:`DeviationSweep` call of about :data:`BLOCK_CELLS` cells.
-    """
-    bids = np.asarray(bids, dtype=np.float64)
-    block: list = []
-    cells = 0
-    for rec in periods:
-        n = len(rec.auction_sample) * len(bids)
-        if block and cells + n > BLOCK_CELLS:
-            yield from _replay_block(block, bidder_id, bids)
-            block, cells = [], 0
-        block.append(rec)
-        cells += n
-    if block:
-        yield from _replay_block(block, bidder_id, bids)
-
-
-def _replay_block(block, bidder_id, bids):
-    auctions = [params for rec in block for params in rec.auction_sample]
-    own = [rec.own_bid for rec in block for _ in rec.auction_sample]
-    sweep = DeviationSweep(auctions, bidder_id)
-    p, c = sweep.evaluate_many(bids)
-    p0, c0 = sweep.evaluate(own)
-    start = 0
-    for rec in block:
-        end = start + len(rec.auction_sample)
-        yield p[start:end], c[start:end], p0[start:end], c0[start:end]
-        start = end
-
-
-def sum_in_order(xs: np.ndarray) -> float:
-    """Left-to-right float sum of a vector, as a Python loop adds (numpy sums pairwise)."""
-    total = 0.0
-    for x in xs.tolist():
-        total += x
-    return total

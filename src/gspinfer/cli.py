@@ -189,7 +189,7 @@ def cmd_simulate(args, cfg) -> int:
         _market_spec(cfg), learners, cfg["periods"], cfg["auctions_per_period"], cfg["seed"]
     )
     write_histories(histories, args.out)
-    print(f"wrote {sum(len(h.periods) for h in histories)} periods for {len(histories)} listings to {args.out}")
+    print(f"wrote {sum(len(h.period_bounds()) - 1 for h in histories)} periods for {len(histories)} listings to {args.out}")
     return 0
 
 

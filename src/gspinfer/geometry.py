@@ -18,7 +18,6 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .auction import AuctionParams, BidderEntry
 from .inference import DeviationCurve, binding_rows, lower_hull
 
 
@@ -280,19 +279,6 @@ class SingleSlotMarket:
             p_out[k] = gamma * (self.alpha_bottom + (self.alpha_top - self.alpha_bottom) * win.mean())
             c_out[k] = gamma * self.alpha_top * float(np.mean(win * (rival_q / 1e6)))
         return p_out, c_out
-
-    def auction_params(self, rival: float, own_bid: float) -> AuctionParams:
-        """The same auction as one draw, for cross-checks against the engine."""
-        return AuctionParams(
-            entries=(
-                BidderEntry("p", 1.0, self.quality, own_bid),
-                BidderEntry("r", 1.0, 0.5, rival),
-            ),
-            rank_reserve=0.0,
-            mainline_reserve=0.0,
-            mainline_cap=0,
-            position_curve=(self.alpha_top, self.alpha_bottom),
-        )
 
     def population_curve(self, bids: Sequence[float]) -> DeviationCurve:
         p0, c0 = self.population_pc(self.own_bid)

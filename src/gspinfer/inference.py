@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import replay_periods, sum_in_order
+from .auction import BLOCK_CELLS, DeviationSweep, ListingHistory
 
 # Feasibility comparisons allow this much constraint slack: all quantities are
 # averages of penny-grid money values, so 1e-9 is far below one data ulp.
@@ -124,43 +124,42 @@ class RationalizableRegion:
     assumption_report: AssumptionReport
 
 
-def build_deviation_curve(history, grid: Sequence[float]) -> DeviationCurve:
+def build_deviation_curve(history: ListingHistory, grid: Sequence[float]) -> DeviationCurve:
     """Replay a listing's history at every grid bid and average the changes.
 
     For each period the player's bid is swapped for the grid bid in every
-    sampled auction (opponents fixed) and the per-period means of click
+    auction of the period (opponents fixed) and the per-period means of click
     probability and payment are taken; ``delta_*`` are the period averages of
-    (counterfactual - realized). Accepts a :class:`~gspinfer.simulate.ListingHistory`
-    or any object with ``listing_id`` and ``periods`` of the same shape.
+    (counterfactual - realized). Whole periods share one
+    :class:`~gspinfer.auction.DeviationSweep` of at most about :data:`BLOCK_CELLS` cells.
     """
-    periods = history.periods
-    if not periods:
-        raise InferenceError("history has no periods")
-    for rec in periods:
-        if not rec.auction_sample:
-            raise InferenceError(f"period {rec.period_index} has an empty auction sample")
     grid = [float(b) for b in grid]
-    sum_dp = np.zeros(len(grid))
-    sum_dc = np.zeros(len(grid))
-    sum_p0 = 0.0
-    sum_c0 = 0.0
-    for ps, cs, p0s, c0s in replay_periods(periods, history.listing_id, grid):
-        # sums in sample order keep the curve bit-identical to a scalar replay
-        n = len(p0s)
-        p_base = sum_in_order(p0s) / n
-        c_base = sum_in_order(c0s) / n
-        sum_p0 += p_base
-        sum_c0 += c_base
-        sum_dp += np.add.reduce(ps, axis=0) / n - p_base
-        sum_dc += np.add.reduce(cs, axis=0) / n - c_base
-    t = len(periods)
-    return DeviationCurve(
-        grid=tuple(grid),
-        delta_p=(sum_dp / t).tolist(),
-        delta_c=(sum_dc / t).tolist(),
-        baseline_p=sum_p0 / t,
-        baseline_c=sum_c0 / t,
-    )
+    bounds = history.period_bounds().tolist()
+    step = max(1, BLOCK_CELLS // (len(grid) * max(b - a for a, b in zip(bounds, bounds[1:]))))
+    sums = np.zeros((2, len(grid)))  # click probability, payment
+    base = [0.0, 0.0]
+    for first in range(0, len(bounds) - 1, step):
+        last = min(first + step, len(bounds) - 1)
+        block = history.rows(bounds[first], bounds[last])
+        sweep = DeviationSweep(block, history.listing_id)
+        cells, own = sweep.evaluate_many(grid), sweep.evaluate(block.own_bid)
+        for start, end in zip(bounds[first:last], bounds[first + 1:last + 1]):
+            rows = slice(start - bounds[first], end - bounds[first])
+            for k in (0, 1):
+                # sums in sample order keep the curve bit-identical to a scalar replay
+                b = _sum_in_order(own[k][rows]) / (end - start)
+                base[k] += b
+                sums[k] += np.add.reduce(cells[k][rows], axis=0) / (end - start) - b
+    t = len(bounds) - 1
+    return DeviationCurve(grid, (sums[0] / t).tolist(), (sums[1] / t).tolist(), base[0] / t, base[1] / t)
+
+
+def _sum_in_order(xs: np.ndarray) -> float:
+    """Left-to-right float sum of a vector, as a Python loop adds (numpy sums pairwise)."""
+    total = 0.0
+    for x in xs.tolist():
+        total += x
+    return total
 
 
 def feasible(point: RationalizablePoint, curve: DeviationCurve, tol: float = FEASIBILITY_TOL) -> bool:

@@ -9,10 +9,12 @@ The log format is JSONL with one record per (listing, period, auction draw):
 
 Optional per-record fields: ``own_score``/``own_quality`` (default 1.0),
 ``truth_value`` (ground truth on synthetic logs), ``mainline_count``
-(default ``min(mainline_cap, len(position_curve))``). Non-finite numbers
-(``NaN``, ``Infinity``) and scores, bids or reserves above
+(default ``min(mainline_cap, len(position_curve))``). Strings, booleans and
+non-finite numbers where a number belongs, scores below
+:data:`~gspinfer.auction.MIN_SCORE` and scores, bids or reserves above
 :data:`~gspinfer.auction.MAX_MAGNITUDE` are rejected with the line number.
-Synthetic and real data flow through the same reader.
+Synthetic and real data flow through the same reader into one
+:class:`~gspinfer.auction.ListingHistory` table per listing.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .auction import MAX_MAGNITUDE, AuctionParams, BidderEntry
+import numpy as np
+
+from .auction import MAX_MAGNITUDE, ListingHistory, log_ahead
 from .geometry import RateStudyResult
 from .inference import (
     AssumptionReport,
@@ -37,7 +41,7 @@ from .inference import (
     build_region,
     min_mult_regret,
 )
-from .simulate import ListingHistory, PeriodRecord, default_bid_grid
+from .simulate import default_bid_grid
 
 REQUIRED_FIELDS = {
     "listing_id", "period", "own_bid", "competitors",
@@ -78,6 +82,8 @@ class InferenceConfig:
         step = self.grid_step if self.grid_step is not None else 0.01 * self.bid_max
         if step <= 0 or step > self.bid_max:
             raise InferenceError(f"grid step must lie in (0, bid_max] (got {step})")
+        if not 0.0 < self.histogram_bucket_width <= 1.0:
+            raise InferenceError(f"histogram_bucket_width must lie in (0, 1] (got {self.histogram_bucket_width})")
         return default_bid_grid(self.bid_max, step / self.bid_max)
 
 
@@ -122,57 +128,68 @@ class AccountSummary:
 # ---------------------------------------------------------------------------
 
 
-def _parse_record(obj: dict, line: int) -> tuple[str, int, float, float | None, AuctionParams]:
+_INT64 = 2**63
+
+
+def _checked(x, kind: type, line: int, field: str):
+    """``x`` if it is a log value of ``kind`` (the bundle codec's :func:`_value`), else a ParseError naming ``field``."""
+    try:
+        _value(x, kind)
+    except (ValueError, OverflowError) as exc:
+        raise ParseError(line, f"{field}: {exc}") from exc
+    if kind is int and not -_INT64 <= x < _INT64:
+        raise ParseError(line, f"{field}: {x} does not fit in 64 bits")
+    return x
+
+
+def _floats(xs: list, line: int, fields) -> list[float]:
+    """``xs`` as floats if each is a log number, else a ParseError naming its field (``fields()``, in order)."""
+    try:
+        return [float(_value(x, float)) for x in xs]
+    except (ValueError, OverflowError):
+        for x, field in zip(xs, fields()):
+            _checked(x, float, line, field)
+        raise
+
+
+def _parse_record(obj, line: int):
+    """One record's listing id, period, truth, position curve, competitors and other columns."""
     if not isinstance(obj, dict):
         raise ParseError(line, "record must be a JSON object")
-    unknown = set(obj) - REQUIRED_FIELDS - OPTIONAL_FIELDS
+    unknown = obj.keys() - REQUIRED_FIELDS - OPTIONAL_FIELDS
     if unknown:
         raise ParseError(line, f"unknown fields {sorted(unknown)}")
-    missing = REQUIRED_FIELDS - set(obj)
+    missing = REQUIRED_FIELDS - obj.keys()
     if missing:
         raise ParseError(line, f"missing fields {sorted(missing)}")
     listing_id = obj["listing_id"]
     if not isinstance(listing_id, str) or not listing_id:
         raise ParseError(line, "listing_id must be a non-empty string")
-    period = obj["period"]
-    if not isinstance(period, int):
-        raise ParseError(line, "period must be an integer")
+    period = _checked(obj["period"], int, line, "period")
+    own_fields = ("own_bid", "own_score", "own_quality", "rank_reserve", "mainline_reserve")
+    own = _floats([obj.get(f, 1.0) for f in own_fields], line, lambda: own_fields)
     competitors = obj["competitors"]
     if not isinstance(competitors, list):
         raise ParseError(line, "competitors must be a list")
-    entries = [
-        BidderEntry(
-            listing_id,
-            float(obj.get("own_score", 1.0)),
-            float(obj.get("own_quality", 1.0)),
-            float(obj["own_bid"]),
-        )
-    ]
     for k, comp in enumerate(competitors):
-        if not isinstance(comp, dict) or set(comp) != COMPETITOR_FIELDS:
+        if not isinstance(comp, dict) or comp.keys() != COMPETITOR_FIELDS:
             raise ParseError(line, f"competitor {k} must have exactly fields {sorted(COMPETITOR_FIELDS)}")
-        entries.append(BidderEntry(f"c{k:03d}", float(comp["score"]), float(comp["quality"]), float(comp["bid"])))
+    flat = _floats([c[f] for c in competitors for f in ("score", "quality", "bid")], line, lambda: (
+        f"competitor {k} {f}" for k in range(len(competitors)) for f in ("score", "quality", "bid")))
     curve = obj["position_curve"]
     if not isinstance(curve, list) or not curve:
         raise ParseError(line, "position_curve must be a non-empty list")
-    cap = obj["mainline_cap"]
-    if not isinstance(cap, int):
-        raise ParseError(line, "mainline_cap must be an integer")
+    curve = tuple(_floats(curve, line, lambda: ["position_curve"] * len(curve)))
+    cap = _checked(obj["mainline_cap"], int, line, "mainline_cap")
     n_main = obj.get("mainline_count")
     if n_main is None:
         n_main = min(cap, len(curve))
-    elif not isinstance(n_main, int) or not 0 <= n_main <= len(curve):
+    elif not 0 <= _checked(n_main, int, line, "mainline_count") <= len(curve):
         raise ParseError(line, "mainline_count must be an integer in [0, len(position_curve)]")
-    params = AuctionParams(
-        entries=tuple(entries),
-        rank_reserve=float(obj["rank_reserve"]),
-        mainline_reserve=float(obj["mainline_reserve"]),
-        mainline_cap=cap,
-        position_curve=tuple(float(a) for a in curve),
-        mainline_positions=frozenset(range(1, n_main + 1)),
-    )
     truth = obj.get("truth_value")
-    return listing_id, period, float(obj["own_bid"]), (None if truth is None else float(truth)), params
+    if truth is not None:
+        truth = float(_checked(truth, float, line, "truth_value"))
+    return listing_id, period, truth, curve, (period, cap, n_main), own, flat
 
 
 def _non_finite(token: str):
@@ -183,102 +200,99 @@ _DECODER = json.JSONDecoder(parse_constant=_non_finite)
 
 
 def ingest(path: str) -> list[ListingHistory]:
-    """Read an auction log into histories grouped by listing, ordered by period.
+    """Read an auction log into one table per listing, ordered by listing id.
 
     Raises :class:`ParseError` with the offending line number for undecodable
-    lines, schema violations, inconsistent per-period data, or non-contiguous
-    periods.
+    lines, schema violations, out-of-range numbers (checked per column once
+    the records are read), inconsistent per-period data, or non-contiguous periods.
     """
-    groups: dict[str, dict[int, list[AuctionParams]]] = {}
+    records: dict[str, list[tuple]] = {}  # per listing, in file order: ints, floats, competitors
+    curves: dict[str, dict[tuple[float, ...], int]] = {}  # per listing, its distinct position curves
     bids: dict[tuple[str, int], float] = {}
     truths: dict[str, float | None] = {}
-    first_line: dict[str, int] = {}
+    error = None
     with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 gets its line number
         for line_no, raw in enumerate(fh, start=1):
-            try:  # bad UTF-8 or JSON, a non-finite constant, an over-long integer, deep nesting
-                text = raw.decode("utf-8").strip()
-                if not text:
-                    continue
-                obj = _DECODER.decode(text)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
             try:
-                lid, period, own_bid, truth, params = _parse_record(obj, line_no)
-            except (ValueError, TypeError, OverflowError) as exc:
-                if isinstance(exc, ParseError):
-                    raise
-                raise ParseError(line_no, str(exc)) from exc
-            key = (lid, period)
-            if key in bids and bids[key] != own_bid:
-                raise ParseError(line_no, f"inconsistent own_bid within listing {lid!r} period {period}")
-            if lid in truths and truth is not None and truths[lid] is not None and truths[lid] != truth:
-                raise ParseError(line_no, f"inconsistent truth_value for listing {lid!r}")
-            bids[key] = own_bid
-            if truth is not None:
-                truths[lid] = truth
-            truths.setdefault(lid, None)
-            first_line.setdefault(lid, line_no)
-            groups.setdefault(lid, {}).setdefault(period, []).append(params)
-    histories = []
-    for lid in sorted(groups):
-        period_map = groups[lid]
-        ordered = sorted(period_map)
-        for a, b in zip(ordered, ordered[1:]):
-            if b != a + 1:
-                raise ParseError(
-                    first_line[lid], f"listing {lid!r} has non-contiguous periods ({a} then {b})"
-                )
-        try:
-            periods = tuple(
-                PeriodRecord(
-                    period_index=t,
-                    own_bid=bids[(lid, t)],
-                    auction_sample=tuple(period_map[t]),
-                )
-                for t in ordered
-            )
-            histories.append(ListingHistory(listing_id=lid, periods=periods, truth=truths[lid]))
-        except ValueError as exc:
-            raise ParseError(first_line[lid], f"listing {lid!r}: {exc}") from exc
-    return histories
+                try:  # bad UTF-8 or JSON, a non-finite constant, an over-long integer, deep nesting
+                    text = raw.decode("utf-8").strip()
+                    if not text:
+                        continue
+                    obj = _DECODER.decode(text)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+                lid, period, truth, curve, ints, floats, flat = _parse_record(obj, line_no)
+                interned = curves.setdefault(lid, {})
+                records.setdefault(lid, []).append(((line_no, *ints, interned.setdefault(curve, len(interned))), floats, flat))
+                if bids.setdefault((lid, period), floats[0]) != floats[0]:
+                    raise ParseError(line_no, f"inconsistent own_bid within listing {lid!r} period {period}")
+                if truth is not None and truths.get(lid) not in (None, truth):
+                    raise ParseError(line_no, f"inconsistent truth_value for listing {lid!r}")
+                if truth is not None or lid not in truths:
+                    truths[lid] = truth
+            except ParseError as exc:
+                error = exc
+                break
+    tables = [_listing_table(lid, records[lid], tuple(curves[lid]), truths[lid]) for lid in sorted(records)]
+    faults = []
+    for table, lines in tables:
+        rows = np.flatnonzero(table.invalid_rows())
+        if len(rows):
+            row = rows[np.argmin(lines[rows])]
+            faults.append((int(lines[row]), table.row_error(row)))
+    if faults:  # an out-of-range number on a line before the error, if any
+        raise ParseError(*min(faults))
+    if error:
+        raise error
+    for table, lines in tables:
+        lid, first_line = table.listing_id, int(lines.min())
+        steps = np.diff(table.period)  # rows are ordered by period
+        gaps = np.flatnonzero((steps != 0) & (steps != 1))
+        if len(gaps):
+            a, b = table.period[gaps[0]:gaps[0] + 2].tolist()
+            raise ParseError(first_line, f"listing {lid!r} has non-contiguous periods ({a} then {b})")
+        if (table.truth or 0.0) < 0:
+            raise ParseError(first_line, f"listing {lid!r}: truth value must be non-negative")
+    return [table for table, _ in tables]
 
 
-def history_records(history: ListingHistory) -> Iterable[dict]:
-    """The JSONL records (as dicts) encoding one history."""
-    for rec in history.periods:
-        for params in rec.auction_sample:
-            own = params.entry(history.listing_id)
-            competitors = [
-                {"score": e.score, "bid": e.bid, "quality": e.quality}
-                for e in params.entries
-                if e.id != history.listing_id
-            ]
-            out = {
-                "listing_id": history.listing_id,
-                "period": rec.period_index,
-                "own_bid": rec.own_bid,
-                "competitors": competitors,
-                "rank_reserve": params.rank_reserve,
-                "mainline_reserve": params.mainline_reserve,
-                "mainline_cap": params.mainline_cap,
-                "position_curve": list(params.position_curve),
-                "mainline_count": len(params.mainline_positions),
-            }
-            if own.score != 1.0:
-                out["own_score"] = own.score
-            if own.quality != 1.0:
-                out["own_quality"] = own.quality
-            if history.truth is not None:
-                out["truth_value"] = history.truth
-            yield out
+def _listing_table(lid: str, records: list[tuple], curves: tuple, truth) -> tuple[ListingHistory, np.ndarray]:
+    """One listing's records as a table ordered by period, and the line of each row."""
+    records = sorted(records, key=lambda r: r[0][1])  # stable: a period's auctions keep their order
+    line, period, cap, n_main, curve = np.array([r[0] for r in records], dtype=np.int64).T.copy()
+    own = np.array([r[1] for r in records], dtype=np.float64).T.copy()
+    score, quality, bid = np.array([x for r in records for x in r[2]], dtype=np.float64).reshape(-1, 3).T.copy()
+    offsets = np.cumsum([0] + [len(r[2]) // 3 for r in records])
+    table = ListingHistory(  # the columns in field order
+        lid, period, *own, cap, n_main, curve, curves, offsets, score, quality, bid, log_ahead(lid, offsets), truth,
+    )
+    return table, line
 
 
 def write_histories(histories: Sequence[ListingHistory], path: str) -> None:
     """Serialize histories to the JSONL auction-log format (round-trip exact)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for history in histories:
-            for obj in history_records(history):
-                fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        for h in histories:
+            offsets = h.offsets.tolist()
+            competitors = [{"score": s, "bid": b, "quality": q}
+                           for s, q, b in zip(h.score.tolist(), h.quality.tolist(), h.bid.tolist())]
+            rows = zip(h.period.tolist(), h.own_bid.tolist(), h.rank_reserve.tolist(), h.mainline_reserve.tolist(),
+                       h.mainline_cap.tolist(), h.curve.tolist(), h.mainline_count.tolist(),
+                       h.own_score.tolist(), h.own_quality.tolist())
+            for a, (period, own_bid, r, m, cap, curve, n_main, own_score, own_quality) in enumerate(rows):
+                out = {
+                    "listing_id": h.listing_id, "period": period, "own_bid": own_bid,
+                    "competitors": competitors[offsets[a]:offsets[a + 1]],
+                    "rank_reserve": r, "mainline_reserve": m, "mainline_cap": cap,
+                    "position_curve": list(h.curves[curve]), "mainline_count": n_main,
+                }
+                if own_score != 1.0:
+                    out["own_score"] = own_score
+                if own_quality != 1.0:
+                    out["own_quality"] = own_quality
+                if h.truth is not None:
+                    out["truth_value"] = h.truth
+                fh.write(json.dumps(out, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +349,7 @@ def infer_account(
     ordered = sorted(histories, key=lambda h: h.listing_id)
     tasks = [(h, config, grid) for h in ordered]
     if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_infer_one, tasks))
     else:
         results = [_infer_one(t) for t in tasks]
@@ -385,9 +399,10 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _json_dump(obj, path: str) -> None:
+def _json_dump(obj, path: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_json_text(obj))
+    return path
 
 
 def artifacts_to_json(
@@ -546,6 +561,14 @@ def predictions_payload(artifacts: dict[str, ListingArtifacts]) -> list[dict]:
     ]
 
 
+def _write_csv(path: str, header: list[str], rows) -> str:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def export(
     summary: AccountSummary,
     artifacts: dict[str, ListingArtifacts],
@@ -559,23 +582,14 @@ def export(
     same inputs reproduces the files byte for byte.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written: list[str] = []
-    for lid in sorted(artifacts):
-        art = artifacts[lid]
-        path = os.path.join(out_dir, f"nr_boundary_{lid}.csv")
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["v", "epsilon"])
-            for v, e in art.region.boundary:
-                writer.writerow([repr(v), repr(e)])
-        written.append(path)
-
-    path = os.path.join(out_dir, "predictions.json")
-    _json_dump(predictions_payload(artifacts), path)
-    written.append(path)
-
-    path = os.path.join(out_dir, "account_summary.json")
-    _json_dump(
+    written = [
+        _write_csv(os.path.join(out_dir, f"nr_boundary_{lid}.csv"), ["v", "epsilon"],
+                   ([repr(v), repr(e)] for v, e in artifacts[lid].region.boundary))
+        for lid in sorted(artifacts)
+    ]
+    written.append(_json_dump(predictions_payload(artifacts), os.path.join(out_dir, "predictions.json")))
+    shading = summary.shading_ratios
+    written.append(_json_dump(
         {
             "listing_count": summary.listing_count,
             "nonpositive_count": summary.nonpositive_count,
@@ -583,54 +597,34 @@ def export(
             "histogram_counts": list(summary.histogram_counts),
             "learning_threshold": summary.learning_threshold,
             "scatter_count": len(summary.scatter),
-            "mean_shading_ratio": (
-                sum(summary.shading_ratios.values()) / len(summary.shading_ratios)
-                if summary.shading_ratios
-                else None
-            ),
+            "mean_shading_ratio": sum(shading.values()) / len(shading) if shading else None,
             "errors": [list(e) for e in summary.errors],
         },
-        path,
-    )
-    written.append(path)
-
-    path = os.path.join(out_dir, "histogram_delta.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bucket_low", "bucket_high", "count"])
-        writer.writerow(["-inf", "0.0", summary.nonpositive_count])
-        edges = summary.bucket_edges()
-        for k, count in enumerate(summary.histogram_counts):
-            writer.writerow([repr(edges[k]), repr(edges[k + 1]), count])
-    written.append(path)
-
-    path = os.path.join(out_dir, "scatter_v_delta.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["listing_id", "v_star", "delta_star"])
-        for lid, v_star, d_star in summary.scatter:
-            writer.writerow([lid, repr(v_star), repr(d_star)])
-    written.append(path)
+        os.path.join(out_dir, "account_summary.json"),
+    ))
+    edges = summary.bucket_edges()
+    written.append(_write_csv(
+        os.path.join(out_dir, "histogram_delta.csv"), ["bucket_low", "bucket_high", "count"],
+        [["-inf", "0.0", summary.nonpositive_count]]
+        + [[repr(edges[k]), repr(edges[k + 1]), count] for k, count in enumerate(summary.histogram_counts)],
+    ))
+    written.append(_write_csv(os.path.join(out_dir, "scatter_v_delta.csv"), ["listing_id", "v_star", "delta_star"],
+                              ([lid, repr(v), repr(d)] for lid, v, d in summary.scatter)))
     return written
 
 
 def write_rate_study(result: RateStudyResult, out_dir: str) -> list[str]:
     """CSV table of per-budget errors plus a JSON summary of the fitted slope."""
     os.makedirs(out_dir, exist_ok=True)
-    table = os.path.join(out_dir, "rate_study.csv")
-    with open(table, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "mean_dh", "std_dh"])
-        for n, mean, std in result.rows():
-            writer.writerow([n, repr(mean), repr(std)])
-    summary = os.path.join(out_dir, "rate_study_summary.json")
-    _json_dump(
+    table = _write_csv(os.path.join(out_dir, "rate_study.csv"), ["N", "mean_dh", "std_dh"],
+                       ([n, repr(mean), repr(std)] for n, mean, std in result.rows()))
+    summary = _json_dump(
         {
             "slope": result.slope,
             "slope_stderr": result.slope_stderr,
             "gamma_target": result.gamma_target,
             "grid_sizes": list(result.grid_sizes),
         },
-        summary,
+        os.path.join(out_dir, "rate_study_summary.json"),
     )
     return [table, summary]

@@ -7,10 +7,11 @@ utility every grid bid would have earned against that period's batch. The
 emitted histories carry the true value-per-click so inference can be
 validated end to end.
 
-Each listing's view of an auction stores its own entry (id = listing id)
-alongside anonymized competitor entries ("c000", "c001", ...) in a fixed
-order, so a history serialized to the auction-log format and read back is
-identical to the in-memory one.
+Each listing's history is its :class:`~gspinfer.auction.ListingHistory`
+table. Its competitors are, in a fixed order, the other learners and then
+the background draws (a log names them "c000", "c001", ...), so a history
+serialized to the auction-log format and read back is identical to the
+in-memory one.
 """
 
 from __future__ import annotations
@@ -21,49 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import AuctionParams, BidderEntry, DeviationSweep, replay_periods, sum_in_order
+from .auction import BLOCK_CELLS, DeviationSweep, ListingHistory, log_ahead
+from .inference import boundary, build_deviation_curve
 
 ALGORITHMS = ("hedge", "epsilon_greedy", "fixed_best_response")
 
 
 class SimulationError(ValueError):
     """Bad simulation inputs."""
-
-
-@dataclass(frozen=True)
-class PeriodRecord:
-    """One batch stage: the committed bid plus the sampled auctions."""
-
-    period_index: int
-    own_bid: float
-    auction_sample: tuple[AuctionParams, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "auction_sample", tuple(self.auction_sample))
-        if not self.auction_sample:
-            raise SimulationError(f"period {self.period_index} has an empty auction sample")
-
-
-@dataclass(frozen=True)
-class ListingHistory:
-    """A listing's full sequence of play, optionally with its true value."""
-
-    listing_id: str
-    periods: tuple[PeriodRecord, ...]
-    truth: float | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "periods", tuple(self.periods))
-        if not self.periods:
-            raise SimulationError(f"listing {self.listing_id} has no periods")
-        for a, b in zip(self.periods, self.periods[1:]):
-            if not b.period_index > a.period_index:
-                raise SimulationError("periods must be ordered by period_index")
-        if self.truth is not None and self.truth < 0:
-            raise SimulationError("truth value must be non-negative")
-
-    def mean_bid(self) -> float:
-        return sum(rec.own_bid for rec in self.periods) / len(self.periods)
 
 
 @dataclass(frozen=True)
@@ -172,12 +138,6 @@ class MarketSpec:
     mainline_count: int | None = None
     background: BackgroundSpec = field(default_factory=BackgroundSpec)
 
-    def mainline_positions(self) -> frozenset[int]:
-        n = self.mainline_count
-        if n is None:
-            n = min(self.mainline_cap, len(self.position_curve))
-        return frozenset(range(1, n + 1))
-
 
 @dataclass(frozen=True)
 class LearnerSpec:
@@ -254,81 +214,72 @@ def simulate_market(
     if len(set(ids)) != len(ids):
         raise SimulationError("listing ids must be unique")
 
+    if any(ls.value < 0 for ls in learners):
+        raise SimulationError("truth value must be non-negative")
+
     root = np.random.SeedSequence(seed)
     env_ss, *learner_ss = root.spawn(1 + len(learners))
     env_rng = np.random.Generator(np.random.PCG64(env_ss))
+    # The background has its own random stream, so every period's draws are
+    # made up front. Per auction the entrants are the learners, then the
+    # draws; each learner's competitors are the other entrants, in order.
+    n, n_learners, m = auctions_per_period, len(learners), env.background.count
+    draws = [env.background.draw(env_rng, t) for t in range(1, periods + 1) for _ in range(n)]
+    entrants = np.empty((periods * n, n_learners + m, 3))  # score, quality, bid
+    entrants[:, :n_learners] = [(ls.own_score, ls.own_quality, 0.0) for ls in learners]
+    entrants[:, n_learners:] = np.array(draws, dtype=np.float64).reshape(periods * n, m, 3)[:, :, [0, 2, 1]]
+    rows = periods * n
+    offsets = np.arange(rows + 1) * (n_learners - 1 + m)
+    n_main = min(env.mainline_cap, len(env.position_curve)) if env.mainline_count is None else env.mainline_count
+    tables = []
+    for i, ls in enumerate(learners):
+        score, quality, bid = entrants[:, [j for j in range(n_learners + m) if j != i]].reshape(-1, 3).T.copy()
+        # the columns in field order; own bids start at the learner's largest,
+        # so the check below covers every bid it can make
+        table = ListingHistory(
+            ls.listing_id, np.arange(1, periods + 1).repeat(n), np.full(rows, float(ls.config.bid_grid[-1])),
+            np.full(rows, float(ls.own_score)),
+            np.full(rows, float(ls.own_quality)), np.full(rows, float(env.rank_reserve)),
+            np.full(rows, float(env.mainline_reserve)), np.full(rows, env.mainline_cap),
+            np.full(rows, max(0, n_main)), np.zeros(rows, dtype=np.int64), (tuple(env.position_curve),),
+            offsets, score, quality, bid, log_ahead(ls.listing_id, offsets), ls.value,
+        )
+        bad = np.flatnonzero(table.invalid_rows())
+        if len(bad):
+            raise SimulationError(table.row_error(int(bad[0])))
+        tables.append(table)
+
     alpha_top = env.position_curve[0]
     states = [
         _LearnerState(ls, periods, np.random.Generator(np.random.PCG64(ss)), alpha_top)
         for ls, ss in zip(learners, learner_ss)
     ]
-    mainline = env.mainline_positions()
-    records: list[list[PeriodRecord]] = [[] for _ in learners]
-
-    for t in range(1, periods + 1):
+    # Payoffs are swept for every period whose competitors are known: a lone
+    # learner's are all drawn up front (swept in blocks of whole periods),
+    # other learners' bids are known one period at a time.
+    queued: list[list[np.ndarray]] = [[] for _ in learners]
+    for t in range(periods):
         bids = [st.commit() for st in states]
-        raw_batches: list[list[tuple[float, float, float]]] = [
-            env.background.draw(env_rng, t) for _ in range(auctions_per_period)
-        ]
-        period_samples: list[list[AuctionParams]] = [[] for _ in learners]
-        for raw in raw_batches:
-            for i, st in enumerate(states):
-                competitors: list[BidderEntry] = []
-                k = 0
-                for jdx, other in enumerate(states):
-                    if jdx == i:
-                        continue
-                    competitors.append(
-                        BidderEntry(
-                            f"c{k:03d}", other.spec.own_score, other.spec.own_quality, bids[jdx]
-                        )
-                    )
-                    k += 1
-                for score, bid, quality in raw:
-                    competitors.append(BidderEntry(f"c{k:03d}", score, quality, bid))
-                    k += 1
-                params = AuctionParams(
-                    entries=(
-                        BidderEntry(st.spec.listing_id, st.spec.own_score, st.spec.own_quality, bids[i]),
-                        *competitors,
-                    ),
-                    rank_reserve=env.rank_reserve,
-                    mainline_reserve=env.mainline_reserve,
-                    mainline_cap=env.mainline_cap,
-                    position_curve=env.position_curve,
-                    mainline_positions=mainline,
-                )
-                period_samples[i].append(params)
-        for i, st in enumerate(states):
-            # bids are fixed within the period: one sweep covers the learner's batch
-            ps, cs = DeviationSweep(period_samples[i], st.spec.listing_id).evaluate_many(st.grid)
-            st.update(np.add.reduce(st.spec.value * ps - cs, axis=0) / auctions_per_period)
-            records[i].append(
-                PeriodRecord(period_index=t, own_bid=bids[i], auction_sample=tuple(period_samples[i]))
-            )
-
-    return [
-        ListingHistory(listing_id=ls.listing_id, periods=tuple(recs), truth=ls.value)
-        for ls, recs in zip(learners, records)
-    ]
+        for i, table in enumerate(tables):
+            table.own_bid[t * n:(t + 1) * n] = bids[i]
+            table.bid.reshape(rows, -1)[t * n:(t + 1) * n, :n_learners - 1] = bids[:i] + bids[i + 1:]
+        for st, table, queue in zip(states, tables, queued):
+            if not queue:
+                stop = min(t + max(1, BLOCK_CELLS // (n * len(st.grid))), periods) if n_learners == 1 else t + 1
+                ps, cs = DeviationSweep(table.rows(t * n, stop * n), table.listing_id).evaluate_many(st.grid)
+                utility = st.spec.value * ps - cs
+                queue += [np.add.reduce(utility[a:a + n], axis=0) / n for a in range(0, len(utility), n)]
+            st.update(queue.pop(0))
+    return tables
 
 
 def realized_regret(history: ListingHistory, value: float, bid_grid: Sequence[float]) -> float:
     """Average regret of the history against the best fixed grid bid.
 
     ``max_{b'} (1/T) sum_t [U(b', ...) - U(b_t, ...)]`` with per-period
-    utilities averaged over that period's auction sample. May be negative.
+    utilities averaged over that period's auctions: the lower boundary of the
+    rationalizable set at ``value``. May be negative.
     """
     if value < 0:
         raise SimulationError(f"value must be non-negative (got {value})")
-    periods = history.periods
-    if not periods:
-        raise SimulationError("history has no periods")
-    grid = [float(b) for b in bid_grid]
-    diffs = np.zeros(len(grid))
-    for ps, cs, p0s, c0s in replay_periods(periods, history.listing_id, grid):
-        n = len(p0s)
-        arm_u = np.add.reduce(value * ps - cs, axis=0)
-        own_u = sum_in_order(value * p0s - c0s)
-        diffs += arm_u / n - own_u / n
-    return float(np.max(diffs)) / len(periods)
+    return boundary(build_deviation_curve(history, bid_grid), value)

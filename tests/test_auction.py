@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gspinfer.auction import (
@@ -9,13 +10,15 @@ from gspinfer.auction import (
     BidderEntry,
     DeviationSweep,
     MAX_MAGNITUDE,
+    MIN_SCORE,
     ValidationError,
+    auctions_to_table,
     click_probability,
     cost_per_click,
-    deviation_profile,
     expected_payment,
     rank_and_allocate,
     replay_at_bid,
+    row_to_auction,
     utility,
 )
 
@@ -251,6 +254,12 @@ def large_params(rng: random.Random):
     )
 
 
+def deviation_profile(params, bidder_id, bids):
+    """(click probability, expected payment) of one auction at each own bid in ``bids``."""
+    p, c = DeviationSweep(auctions_to_table([params], bidder_id), bidder_id).evaluate_many(bids)
+    return p[0].tolist(), c[0].tolist()
+
+
 def assert_sweep_matches_replay(instances, bids):
     """Every cell of the batched sweep equals ``replay_at_bid``.
 
@@ -259,7 +268,7 @@ def assert_sweep_matches_replay(instances, bids):
     id), at the whole grid and at one own bid per auction.
     """
     for params, player in instances:
-        ps, cs = DeviationSweep([params], player).evaluate_many(bids)
+        ps, cs = DeviationSweep(auctions_to_table([params], player), player).evaluate_many(bids)
         assert ps.shape == cs.shape == (1, len(bids))
         for k, b in enumerate(bids):
             assert (ps[0, k], cs[0, k]) == replay_at_bid(params, player, b), (params, player, b)
@@ -267,7 +276,7 @@ def assert_sweep_matches_replay(instances, bids):
     for params, player in instances:
         by_player.setdefault(player, []).append(params)
     for player, batch in by_player.items():
-        sweep = DeviationSweep(batch, player)
+        sweep = DeviationSweep(auctions_to_table(batch, player), player)
         ps, cs = sweep.evaluate_many(bids)
         own = [bids[(7 * a) % len(bids)] for a in range(len(batch))]
         p0, c0 = sweep.evaluate(own)
@@ -301,7 +310,7 @@ class TestSweepMatchesReplay:
         assert_sweep_matches_replay(instances, bids)
 
     def test_bids_outside_the_magnitude_bound_raise(self):
-        sweep = DeviationSweep([two_entry_params()], "b")
+        sweep = DeviationSweep(auctions_to_table([two_entry_params()], "b"), "b")
         for bad in (-0.01, MAX_MAGNITUDE * 1.001, math.nan):
             with pytest.raises(ValidationError):
                 sweep.evaluate_many([0.5, bad])
@@ -310,7 +319,20 @@ class TestSweepMatchesReplay:
 
     def test_unknown_bidder_raises(self):
         with pytest.raises(AllocationError):
-            DeviationSweep([two_entry_params(), two_entry_params()], "z")
+            auctions_to_table([two_entry_params(), two_entry_params()], "z")
+        with pytest.raises(AllocationError):
+            DeviationSweep(auctions_to_table([two_entry_params(), two_entry_params()], "b"), "z")
+
+    def test_row_range_matches_whole_table(self):
+        rng = random.Random(5)
+        batch = [random_params(rng) for _ in range(60)]
+        batch = [p for p in batch if any(e.id == "b0" for e in p.entries)]
+        table = auctions_to_table(batch, "b0", periods=range(len(batch)))
+        bids = [k / 10.0 for k in range(25)]
+        ps, cs = DeviationSweep(table, "b0").evaluate_many(bids)
+        for start, stop in ((0, 1), (3, 17), (len(batch) - 5, len(batch))):
+            sub_p, sub_c = DeviationSweep(table.rows(start, stop), "b0").evaluate_many(bids)
+            assert sub_p.tolist() == ps[start:stop].tolist() and sub_c.tolist() == cs[start:stop].tolist()
 
     def test_profile_wrapper(self):
         params = two_entry_params()
@@ -318,6 +340,51 @@ class TestSweepMatchesReplay:
         assert ps == [pytest.approx(x) for x in (0.25, 0.25, 0.5)]
         # at 3.0, b outranks a (q=3 vs 2) and pays a's rank-score / s_b = 2
         assert cs[2] == pytest.approx(0.5 * 2.0)
+
+
+class TestTableColumnCheck:
+    def test_column_check_matches_row_check(self):
+        # every column rule flags exactly the rows whose scalar check names a fault
+        rng = random.Random(23)
+        auctions = [random_params(rng) for _ in range(200)]
+        auctions = [p for p in auctions if any(e.id == "b0" for e in p.entries)]
+        table = auctions_to_table(auctions, "b0")
+        fields = {}
+        for name in ("own_score", "own_quality", "own_bid", "rank_reserve", "mainline_reserve", "score", "quality", "bid"):
+            col = getattr(table, name).copy()
+            spots = rng.sample(range(len(col)), min(4, len(col)))
+            for i, x in zip(spots, (-0.5, 0.5 * MIN_SCORE, 1.5, 2 * MAX_MAGNITUDE)):
+                col[i] = x
+            fields[name] = col
+        for name in ("mainline_cap", "mainline_count"):
+            col = getattr(table, name).copy()
+            col[rng.randrange(len(col))] = -1 if name == "mainline_cap" else 9
+            fields[name] = col
+        bad = type(table)(**{**table.__dict__, **fields, "curves": table.curves + ((0.5, 0.6),)})
+        bad = type(bad)(**{**bad.__dict__, "curve": np.where(np.arange(len(bad)) % 17 == 0, len(bad.curves) - 1, bad.curve)})
+        flagged = bad.invalid_rows()
+        assert 0 < flagged.sum() < len(bad)
+        for a in range(len(bad)):
+            assert flagged[a] == (bad.row_error(a) is not None), (a, bad.row_error(a))
+
+    def test_row_error_is_the_reference_message(self):
+        table = auctions_to_table([two_entry_params()], "b")
+        assert table.row_error(0) is None and not table.invalid_rows().any()
+        tiny = type(table)(**{**table.__dict__, "score": np.array([1e-7])})
+        with pytest.raises(ValidationError) as exc:
+            BidderEntry("c000", 1e-7, 0.4, 2.0)
+        assert tiny.row_error(0) == str(exc.value)
+
+    def test_row_to_auction_inverts_the_table(self):
+        params = AuctionParams(
+            entries=(BidderEntry("L1", 1.0, 0.5, 0.7), BidderEntry("c000", 1.5, 0.4, 0.3),
+                     BidderEntry("c001", 0.9, 0.2, 1.2)),
+            rank_reserve=0.1, mainline_reserve=0.2, mainline_cap=1, position_curve=(0.9, 0.5),
+            mainline_positions=frozenset({1}),
+        )
+        table = auctions_to_table([params, params], "L1", periods=[4, 5])
+        assert row_to_auction(table, 1) == params
+        assert table.period.tolist() == [4, 5] and table.period_bounds().tolist() == [0, 1, 2]
 
 
 class TestMechanismProperties:

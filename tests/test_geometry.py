@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from gspinfer.auction import DeviationSweep
+from gspinfer.auction import AuctionParams, BidderEntry, DeviationSweep, auctions_to_table
 from gspinfer.geometry import (
     GeometryError,
     LinkFunction,
@@ -387,7 +387,15 @@ class TestSingleSlotMarket:
         bids = np.linspace(0.0, 1.0, 11)
         ps, cs = market.sample_pc(bids, rivals)
         for k, b in enumerate(bids):
-            sweep = DeviationSweep([market.auction_params(float(x), float(b)) for x in rivals], "p")
+            # the same auctions, one per rival draw, for the exact engine
+            auctions = [
+                AuctionParams(
+                    entries=(BidderEntry("p", 1.0, market.quality, float(b)), BidderEntry("r", 1.0, 0.5, float(x))),
+                    position_curve=(market.alpha_top, market.alpha_bottom),
+                )
+                for x in rivals
+            ]
+            sweep = DeviationSweep(auctions_to_table(auctions, "p"), "p")
             p_ref, c_ref = (float(v.sum()) for v in sweep.evaluate(float(b)))
             assert ps[k] == pytest.approx(p_ref / len(rivals), abs=1e-12)
             assert cs[k] == pytest.approx(c_ref / len(rivals), abs=1e-12)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gspinfer.auction import AuctionParams, BidderEntry
+from gspinfer.auction import AuctionParams, BidderEntry, auctions_to_table, row_to_auction
 from gspinfer.cli import main
 from gspinfer.inference import (
     DeviationCurve,
@@ -26,7 +26,6 @@ from gspinfer.inference import (
     value_interval,
 )
 from gspinfer.pipeline import InferenceConfig, ingest
-from gspinfer.simulate import ListingHistory, PeriodRecord
 
 
 def micro_curve(with_identity=False):
@@ -414,11 +413,8 @@ class TestBuildDeviationCurve:
         )
 
     def history(self, bids, n_auct=1):
-        periods = tuple(
-            PeriodRecord(period_index=t + 1, own_bid=b, auction_sample=tuple(self.params_with_player(b) for _ in range(n_auct)))
-            for t, b in enumerate(bids)
-        )
-        return ListingHistory(listing_id="L0", periods=periods)
+        auctions = [self.params_with_player(b) for b in bids for _ in range(n_auct)]
+        return auctions_to_table(auctions, "L0", periods=[t + 1 for t in range(len(bids)) for _ in range(n_auct)])
 
     def test_identity_deviation_is_zero(self):
         hist = self.history([0.51, 0.51, 0.51])
@@ -434,10 +430,7 @@ class TestBuildDeviationCurve:
             mainline_reserve=0.3,
             position_curve=(1.0,),
         )
-        hist = ListingHistory(
-            listing_id="L0",
-            periods=(PeriodRecord(period_index=1, own_bid=0.1, auction_sample=(params,)),),
-        )
+        hist = auctions_to_table([params], "L0")
         curve = build_deviation_curve(hist, [0.1, 1.0])
         assert curve.delta_p[1] == pytest.approx(0.5)
         assert curve.delta_c[1] == pytest.approx(0.15)
@@ -452,11 +445,13 @@ class TestBuildDeviationCurve:
         for k, b in enumerate(grid):
             dp_expect = 0.0
             dc_expect = 0.0
-            for rec in hist.periods:
+            bounds = hist.period_bounds().tolist()
+            for start, end in zip(bounds, bounds[1:]):
                 ps, cs, p0s, c0s = [], [], [], []
-                for params in rec.auction_sample:
+                for a in range(start, end):
+                    params = row_to_auction(hist, a)
                     p, c = replay_at_bid(params, "L0", b)
-                    p0, c0 = replay_at_bid(params, "L0", rec.own_bid)
+                    p0, c0 = replay_at_bid(params, "L0", float(hist.own_bid[a]))
                     ps.append(p); cs.append(c); p0s.append(p0); c0s.append(c0)
                 dp_expect += sum(ps) / len(ps) - sum(p0s) / len(p0s)
                 dc_expect += sum(cs) / len(cs) - sum(c0s) / len(c0s)

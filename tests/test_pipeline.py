@@ -94,6 +94,14 @@ BAD_NUMBERS = [
     (_set("mainline_reserve", "NaN"), "mainline_reserve"),
     (_set("own_bid", 10**400), "int too large"),
     (_set("mainline_count", 10**5), "mainline_count"),
+    # a score below one micro-unit would rank at rank-score 0
+    (_set("own_score", 1e-7), "entry 'L0': score=1e-07"),
+    (lambda rec: rec["competitors"][0].__setitem__("score", 1e-7), "entry 'c000': score=1e-07"),
+    # numbers are JSON numbers: no strings, no booleans
+    (_set("own_bid", "0.4"), "own_bid: expected float"),
+    (_set("period", True), "period: expected int"),
+    (_set("mainline_cap", True), "mainline_cap: expected int"),
+    (lambda rec: rec["competitors"][0].__setitem__("bid", True), "competitor 0 bid: expected float"),
 ]
 
 
@@ -264,10 +272,7 @@ class TestAccountSummary:
         ]
         histories = simulate_market(spec, learners, 40, 1, 5)
         # drop the arbitrary first-period bid so play is exactly optimal
-        histories = [
-            type(h)(listing_id=h.listing_id, periods=h.periods[1:], truth=h.truth)
-            for h in histories
-        ]
+        histories = [h.rows(h.period_bounds()[1], len(h)) for h in histories]
         # top bidders gain no clicks from any deviation, so the value cap
         # cannot be derived from the curve and must come from the config
         summary, artifacts = infer_account(
@@ -313,6 +318,29 @@ class TestAccountSummary:
         assert summary.listing_count == 1
         assert len(summary.errors) == 1 and summary.errors[0][0] == "Z9"
         assert "L0" in artifacts
+
+    def test_pool_has_no_more_workers_than_listings(self, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        histories = tiny_market_histories(seed=3, periods=4, listings=2)
+        config = InferenceConfig(grid_step=0.1, epsilon_max=1.0)
+        assert infer_account(histories, config, jobs=8) == infer_account(histories, config, jobs=1)
+        infer_account(histories, config, jobs=2)
+        assert started == [2, 2]
 
     def test_parallel_jobs_match_serial(self):
         histories = tiny_market_histories(seed=3, periods=8, listings=3)
@@ -558,6 +586,19 @@ class TestCli:
         assert main([command, "--config", str(cfg), *args]) == 1
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert len(errors) == 1 and errors[0].startswith("bid_max must lie in (0, 1000]")
+
+    @pytest.mark.parametrize("command", ["infer", "predict"])
+    @pytest.mark.parametrize("width", ["0", "-0.05", "NaN", "1.5"])
+    def test_bad_bucket_width_exits_with_error_list(self, tmp_path, capsys, command, width):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"histogram_bucket_width = {width}\n")
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        assert main([command, "--config", str(cfg), str(log), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        errors = json.loads(captured.err)["errors"]
+        assert len(errors) == 1 and errors[0].startswith("histogram_bucket_width must lie in (0, 1]")
+        assert captured.out == "" and not (tmp_path / "o").exists()
 
     def test_predict_out_matches_infer_predictions(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from gspinfer.auction import auctions_to_table, row_to_auction
 from gspinfer.inference import RationalizablePoint, boundary, build_deviation_curve, feasible
 from gspinfer.simulate import (
     BackgroundSpec,
     LearnerConfig,
     LearnerSpec,
-    ListingHistory,
     MarketSpec,
     SimulationError,
     default_bid_grid,
@@ -88,8 +88,8 @@ class TestSimulateMarket:
     def test_bids_stay_on_grid(self):
         grid = default_bid_grid(1.0, 0.1)
         hist, = simulate_market(simple_market(), [one_learner("epsilon_greedy", grid=grid)], 30, 1, 5)
-        for rec in hist.periods:
-            assert rec.own_bid in grid
+        for bid in hist.own_bid.tolist():
+            assert bid in grid
 
     def test_best_response_settles_after_first_period(self):
         # static opponents: a single fixed background draw each period
@@ -104,11 +104,11 @@ class TestSimulateMarket:
         )
         grid = default_bid_grid(1.0, 0.05)
         hist, = simulate_market(spec, [one_learner("fixed_best_response", value=0.7, grid=grid)], 10, 1, 9)
-        bids = [rec.own_bid for rec in hist.periods]
+        bids = hist.own_bid[hist.period_bounds()[:-1]].tolist()
         # brute-force the per-period argmax against the static environment
-        from gspinfer.auction import deviation_profile
+        from test_auction import deviation_profile
 
-        params = hist.periods[0].auction_sample[0]
+        params = row_to_auction(hist, 0)
         ps, cs = deviation_profile(params, "L000", grid)
         payoff = [0.7 * p - c for p, c in zip(ps, cs)]
         best = grid[max(range(len(grid)), key=lambda k: (payoff[k], -k))]
@@ -117,9 +117,11 @@ class TestSimulateMarket:
     def test_history_carries_truth_and_player_entry(self):
         hist, = simulate_market(simple_market(), [one_learner("hedge", value=0.61)], 5, 2, 3)
         assert hist.truth == 0.61
-        for rec in hist.periods:
-            for params in rec.auction_sample:
-                assert params.entry("L000").bid == rec.own_bid
+        bounds = hist.period_bounds().tolist()
+        assert len(bounds) == 6 and len(hist) == 10
+        for start, end in zip(bounds, bounds[1:]):
+            for a in range(start, end):
+                assert row_to_auction(hist, a).entry("L000").bid == hist.own_bid[start]
 
     def test_drift_schedule_rotates_background_bids(self):
         spec = MarketSpec(
@@ -133,7 +135,7 @@ class TestSimulateMarket:
                                       drift_amplitude=0.4, drift_period=8),
         )
         hist, = simulate_market(spec, [one_learner("hedge")], 8, 1, 2)
-        comp_bids = [rec.auction_sample[0].entry("c000").bid for rec in hist.periods]
+        comp_bids = [row_to_auction(hist, a).entry("c000").bid for a in hist.period_bounds()[:-1]]
         assert max(comp_bids) > 0.5 > min(comp_bids)
         hist2, = simulate_market(spec, [one_learner("hedge")], 8, 1, 2)
         assert hist == hist2
@@ -144,11 +146,40 @@ class TestSimulateMarket:
             LearnerSpec("L001", 0.5, LearnerConfig("hedge", default_bid_grid(1.0, 0.1))),
         ]
         h0, h1 = simulate_market(simple_market(), learners, 8, 2, 77)
-        for r0, r1 in zip(h0.periods, h1.periods):
-            for a0, a1 in zip(r0.auction_sample, r1.auction_sample):
-                # each player's view anonymizes the other as the first competitor
-                assert a0.entry("c000").bid == r1.own_bid
-                assert a1.entry("c000").bid == r0.own_bid
+        assert len(h0) == len(h1) == 16
+        for a in range(len(h0)):
+            a0, a1 = row_to_auction(h0, a), row_to_auction(h1, a)
+            # each player's view anonymizes the other as the first competitor
+            assert a0.entry("c000").bid == h1.own_bid[a]
+            assert a1.entry("c000").bid == h0.own_bid[a]
+
+    def test_without_background_competitors(self):
+        spec = MarketSpec(position_curve=(1.0, 0.5), background=BackgroundSpec(count=0))
+        alone, = simulate_market(spec, [one_learner("hedge")], 6, 2, 1)
+        assert alone.offsets.tolist() == [0] * 13
+        pair = simulate_market(spec, [one_learner("hedge"), LearnerSpec("L001", 0.4, LearnerConfig("hedge", (0.2, 0.6)))], 6, 2, 1)
+        for a in range(len(pair[0])):
+            assert row_to_auction(pair[0], a).entry("c000").bid == pair[1].own_bid[a]
+
+    @pytest.mark.parametrize("spec, match", [
+        (MarketSpec(position_curve=(0.5, 0.6)), "strictly decreasing"),
+        (MarketSpec(rank_reserve=0.3, mainline_reserve=0.1), "mainline_reserve"),
+        (MarketSpec(background=BackgroundSpec(score_low=1e-8, score_high=2e-8)), "score must lie"),
+        (MarketSpec(background=BackgroundSpec(bid_low=2000.0, bid_high=3000.0)), "bid must lie"),
+    ])
+    def test_malformed_market_raises_simulation_error(self, spec, match):
+        with pytest.raises(SimulationError, match=match):
+            simulate_market(spec, [one_learner("hedge")], 3, 2, 0)
+
+    def test_table_round_trips_through_reference_auctions(self):
+        learners = [
+            LearnerSpec("L000", 0.7, LearnerConfig("hedge", default_bid_grid(1.0, 0.1))),
+            LearnerSpec("L001", 0.5, LearnerConfig("hedge", default_bid_grid(1.0, 0.1)), own_score=1.2),
+        ]
+        for hist in simulate_market(simple_market(), learners, 6, 3, 4):
+            auctions = [row_to_auction(hist, a) for a in range(len(hist))]
+            back = auctions_to_table(auctions, hist.listing_id, periods=hist.period.tolist())
+            assert back == type(hist)(**{**hist.__dict__, "truth": None})
 
 
 class TestRealizedRegret:
@@ -168,7 +199,7 @@ class TestRealizedRegret:
         # one arbitrary first-period bid dilutes the average by at most its gap
         assert eps <= 0.0 + 0.5 / 20 + 1e-12
         # with the warm-up period dropped, every bid is the grid argmax
-        trimmed = ListingHistory(hist.listing_id, hist.periods[1:], hist.truth)
+        trimmed = hist.rows(hist.period_bounds()[1], len(hist))
         assert realized_regret(trimmed, 0.7, grid) <= 1e-12
 
     def test_regret_dominates_every_fixed_arm(self):
