@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -41,6 +42,21 @@ from .simulate import (
     SimulationError,
     simulate_market,
 )
+
+
+def _numbers(kind: type):
+    """Parser for a JSON list of numbers, each converted with ``kind``."""
+
+    def parse(value) -> list:
+        if not isinstance(value, list):
+            raise ValueError("expected a JSON list")
+        for x in value:
+            if isinstance(x, bool) or not isinstance(x, (int, float)):
+                raise ValueError(f"expected a list of numbers, got {x!r}")
+        return [kind(x) for x in value]
+
+    return parse
+
 
 # key -> (parser, default); None defaults mean "derived elsewhere"
 CONFIG_KEYS: dict[str, tuple] = {
@@ -78,9 +94,9 @@ CONFIG_KEYS: dict[str, tuple] = {
     "mainline_reserve": (float, 0.1),
     "mainline_cap": (int, 2),
     "mainline_count": (int, None),
-    "position_curve": (list, [1.0, 0.6, 0.35, 0.2]),
+    "position_curve": (_numbers(float), [1.0, 0.6, 0.35, 0.2]),
     # rate study
-    "rate_sample_sizes": (list, [10**3, 10**4, 10**5, 10**6]),
+    "rate_sample_sizes": (_numbers(int), [10**3, 10**4, 10**5, 10**6]),
     "rate_replications": (int, 20),
     "rate_smoothness_order": (int, 0),
     "rate_holder_exponent": (float, 1.0),
@@ -120,14 +136,7 @@ def load_config(path: str | None) -> dict:
                 values[key] = None
                 continue
             try:
-                if caster is list:
-                    if not isinstance(parsed, list):
-                        raise ValueError("expected a JSON list")
-                    values[key] = parsed
-                elif caster is str:
-                    values[key] = str(parsed)
-                else:
-                    values[key] = caster(parsed)
+                values[key] = str(parsed) if caster is str else caster(parsed)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from exc
     return values
@@ -164,6 +173,11 @@ def build_learners(cfg: dict) -> list[LearnerSpec]:
     The learners bid on the grid that ``infer`` replays, ``InferenceConfig.bid_grid``.
     """
     grid = _inference_config(cfg).bid_grid()
+    low, high = cfg["value_low"], cfg["value_high"]
+    if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+        raise SimulationError(f"values must be finite with value_low <= value_high (got {low}, {high})")
+    if cfg["seed"] < 0:
+        raise SimulationError(f"seed must be non-negative (got {cfg['seed']})")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg["seed"], 0xB1D5))))
     out = []
     for k in range(cfg["listings"]):
@@ -218,7 +232,7 @@ def cmd_predict(args, cfg) -> int:
 
 def cmd_rate_study(args, cfg) -> int:
     rate_cfg = RateStudyConfig(
-        sample_sizes=tuple(int(n) for n in cfg["rate_sample_sizes"]),
+        sample_sizes=cfg["rate_sample_sizes"],
         replications=cfg["rate_replications"],
         smoothness_order=cfg["rate_smoothness_order"],
         holder_exponent=cfg["rate_holder_exponent"],
@@ -255,7 +269,7 @@ FLAGS: dict[str, dict] = {
     "--jobs": {"type": int, "help": "worker processes for per-listing inference"},
     "--grid-step": {"type": float, "help": "deviation grid step"},
     "--epsilon-max": {"type": float, "help": "regret cap for the bounded set"},
-    "--precision": {"type": float, "help": "bisection precision for the point prediction"},
+    "--precision": {"type": float, "help": "delta* above 1 - precision is not rationalizable"},
 }
 INFERENCE_FLAGS = ("--config", "--jobs", "--grid-step", "--epsilon-max", "--precision")
 

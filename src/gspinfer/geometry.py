@@ -317,6 +317,8 @@ class RateStudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        if any(n < 2 for n in self.sample_sizes):
+            raise GeometryError(f"sample sizes must be at least 2 (got {self.sample_sizes})")
         for a, b in zip(self.sample_sizes, self.sample_sizes[1:]):
             if not b > a:
                 raise GeometryError("sample_sizes must be increasing")
@@ -324,6 +326,10 @@ class RateStudyConfig:
             raise GeometryError("need at least one replication")
         if self.smoothness_order < 0 or not 0.0 < self.holder_exponent <= 1.0:
             raise GeometryError("smoothness must satisfy k >= 0 and 0 < alpha <= 1")
+        if not (self.grid_coeff > 0 and math.isfinite(self.grid_coeff)):
+            raise GeometryError(f"grid_coeff must be positive and finite (got {self.grid_coeff})")
+        if self.seed < 0:
+            raise GeometryError(f"seed must be non-negative (got {self.seed})")
 
     @property
     def gamma(self) -> float:

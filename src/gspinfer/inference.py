@@ -16,7 +16,7 @@ the value interval at a given ``eps``, the lower boundary ``eps(v)`` (the
 convex conjugate of the lower convex hull of the points ``(dP, dC)``), the
 smallest rationalizable additive regret ``eps0``, read off that hull's edge
 slopes, and the smallest *multiplicative* regret ``delta*`` (regret measured
-relative to the deviation utility), located by bisection.
+relative to the deviation utility), read exactly off the same hull.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .auction import BLOCK_CELLS, DeviationSweep, ListingHistory
 # averages of penny-grid money values, so 1e-9 is far below one data ulp.
 FEASIBILITY_TOL = 1e-9
 
-#: Default bisection precision for the multiplicative-regret search.
+#: Default precision of ``min_mult_regret``: a ``delta*`` above ``1 - precision`` is not rationalizable.
 DEFAULT_PRECISION = 1e-6
 
 
@@ -215,20 +215,6 @@ def boundary(curve: DeviationCurve, v: float) -> float:
     return max(v * dp - dc for dp, dc in zip(curve.delta_p, curve.delta_c))
 
 
-def best_deviation(curve: DeviationCurve, v: float) -> float:
-    """Grid bid maximizing ``v * dP - dC``; ties go to the smaller bid."""
-    if v < 0:
-        raise InferenceError(f"value must be non-negative (got {v})")
-    best_bid = curve.grid[0]
-    best_val = -math.inf
-    for b, dp, dc in curve.rows():
-        val = v * dp - dc
-        if val > best_val:
-            best_val = val
-            best_bid = b
-    return best_bid
-
-
 def binding_rows(delta_p: Sequence[float], delta_c: Sequence[float]) -> list[tuple[float, float]]:
     """Rows ``(dP, dC)`` sorted by ``dP``; of equal ``dP`` only the smallest, binding ``dC``."""
     rows = sorted(zip(delta_p, delta_c))
@@ -251,6 +237,13 @@ def lower_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float
     return hull
 
 
+def _hull_breakpoints(curve: DeviationCurve) -> list[float]:
+    """``0`` and the positive finite edge slopes of the ``(dP, dC)`` lower hull: where ``boundary`` bends."""
+    hull = lower_hull(binding_rows(curve.delta_p, curve.delta_c))
+    slopes = [(c1 - c2) / (z1 - z2) for (z1, c1), (z2, c2) in zip(hull, hull[1:])]
+    return [0.0] + [v for v in slopes if v > 0.0 and math.isfinite(v)]
+
+
 def min_additive_regret(curve: DeviationCurve) -> tuple[float, tuple[float, float]]:
     """Smallest additive regret with a non-empty value interval, and that interval.
 
@@ -262,9 +255,7 @@ def min_additive_regret(curve: DeviationCurve) -> tuple[float, tuple[float, floa
     """
     if max(curve.delta_p) < 0.0:
         raise InferenceError("minimum regret is unbounded below (every deviation loses clicks)")
-    hull = lower_hull(binding_rows(curve.delta_p, curve.delta_c))
-    slopes = [(c1 - c2) / (z1 - z2) for (z1, c1), (z2, c2) in zip(hull, hull[1:])]
-    eps0 = min(boundary(curve, v) for v in [0.0] + [v for v in slopes if v > 0.0 and math.isfinite(v)])
+    eps0 = min(boundary(curve, v) for v in _hull_breakpoints(curve))
     interval = value_interval(curve, eps0)
     if interval is None:  # guard against a one-ulp-short minimum
         interval = value_interval(curve, eps0 + 1e-12)
@@ -380,43 +371,37 @@ def min_mult_regret(
     precision: float = DEFAULT_PRECISION,
     v_max: float = math.inf,
 ) -> PointPrediction:
-    """Smallest multiplicative regret rationalizing the curve, by bisection.
+    """Smallest multiplicative regret rationalizing the curve, read off the ``eps0`` hull.
 
-    Maintains ``(lo, hi)`` with the value set empty at ``lo`` and non-empty at
-    ``hi``; stops when ``hi - lo < precision`` or the value interval at ``hi``
-    is narrower than ``precision``. The value prediction is the midpoint of
-    the interval at the accepted regret level.
+    ``delta`` is feasible when ``boundary(v) <= r * (v*P0 - C0)`` for some ``v``, with ``r = delta/(1-delta)``.
+    The least ratio ``r*`` of the two sides sits at 0, a hull breakpoint below ``v_max``, ``v_max``, or
+    (uncapped) the limit ``max(dP)/P0``, where the values are unbounded; ``delta* = r*/(1+r*)``. ``v*`` is
+    the midpoint of the candidates tying ``r*`` (to 1e-12, relative); ``iterations`` counts candidates; a
+    ``delta*`` above ``1 - precision`` is not rationalizable.
     """
     if precision <= 0:
         raise InferenceError(f"precision must be positive (got {precision})")
     interval = feasible_values_mult(curve, 0.0, v_max)
-    iterations = 0
+    delta_star, ratios = 0.0, []
     if interval is None:
-        hi = 1.0 - precision
-        interval = feasible_values_mult(curve, hi, v_max)
-        if interval is None:
+        p0, c0 = curve.baseline_p, curve.baseline_c
+        vs = [v for v in _hull_breakpoints(curve) if v < v_max] + ([v_max] if math.isfinite(v_max) else [])
+        ratios = [(max(0.0, boundary(curve, v) / (v * p0 - c0)), v) for v in vs if v * p0 - c0 > 0.0]
+        if math.isinf(v_max) and p0 > 0.0:
+            ratios.append((max(0.0, max(curve.delta_p) / p0), math.inf))
+        r = min(ratios)[0] if ratios else math.inf
+        delta_star = r / (1.0 + r) if ratios else 1.0
+        if delta_star > 1.0 - precision:
             raise InferenceError("not rationalizable under value cap")
-        lo = 0.0
-        while hi - lo >= precision and interval[1] - interval[0] >= precision:
-            mid = 0.5 * (lo + hi)
-            trial = feasible_values_mult(curve, mid, v_max)
-            iterations += 1
-            if trial is None:
-                lo = mid
-            else:
-                hi = mid
-                interval = trial
-        delta_star = hi
-    else:
-        delta_star = 0.0
+        tied = [v for ratio, v in ratios if ratio <= r * (1.0 + 1e-12)]
+        interval = (min(tied), max(tied))
     if not math.isfinite(interval[1]):
         raise InferenceError("value interval is unbounded; pass a finite value cap")
-    v_star = 0.5 * (interval[0] + interval[1])
     return PointPrediction(
         delta_star=delta_star,
-        v_star=v_star,
+        v_star=0.5 * (interval[0] + interval[1]),
         v_interval_at_delta_star=interval,
-        iterations=iterations,
+        iterations=len(ratios),
     )
 
 

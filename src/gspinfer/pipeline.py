@@ -51,6 +51,12 @@ OPTIONAL_FIELDS = {"own_score", "own_quality", "truth_value", "mainline_count"}
 COMPETITOR_FIELDS = {"score", "bid", "quality"}
 
 
+#: Most deviation-grid points a config may ask for: a 1e-5 step on [0, bid_max].
+MAX_GRID_POINTS = 100_001
+#: Narrowest histogram bucket a config may ask for: 10 000 buckets on [0, 1).
+MIN_BUCKET_WIDTH = 1e-4
+
+
 class ParseError(ValueError):
     """A malformed log record or bundle; carries the line number when there is one."""
 
@@ -77,14 +83,33 @@ class InferenceConfig:
     value_cap: float | None = None
 
     def bid_grid(self) -> tuple[float, ...]:
+        """The deviation grid; raises :class:`InferenceError` for any config value no listing could run with."""
         if not 0.0 < self.bid_max <= MAX_MAGNITUDE:
             raise InferenceError(f"bid_max must lie in (0, {MAX_MAGNITUDE:g}] (got {self.bid_max})")
         step = self.grid_step if self.grid_step is not None else 0.01 * self.bid_max
-        if step <= 0 or step > self.bid_max:
-            raise InferenceError(f"grid step must lie in (0, bid_max] (got {step})")
-        if not 0.0 < self.histogram_bucket_width <= 1.0:
-            raise InferenceError(f"histogram_bucket_width must lie in (0, 1] (got {self.histogram_bucket_width})")
-        return default_bid_grid(self.bid_max, step / self.bid_max)
+        fraction = step / self.bid_max
+        # default_bid_grid makes floor(1 / fraction + 1e-9) + 1 points
+        if not 0 < step <= self.bid_max or fraction == 0.0 or 1.0 / fraction + 1e-9 >= MAX_GRID_POINTS:
+            raise InferenceError(
+                f"grid step must lie in (0, bid_max] and make at most {MAX_GRID_POINTS} grid points (got {step})"
+            )
+        if not MIN_BUCKET_WIDTH <= self.histogram_bucket_width <= 1.0:
+            raise InferenceError(
+                f"histogram_bucket_width must lie in (0, 1] and be at least {MIN_BUCKET_WIDTH:g} "
+                f"(got {self.histogram_bucket_width})"
+            )
+        if not 0.0 < 1.0 - self.precision < 1.0:
+            raise InferenceError(f"precision must lie in (0, 1), with 1 - precision below 1 (got {self.precision})")
+        if self.boundary_samples < 2:
+            raise InferenceError(f"boundary_samples must be at least 2 (got {self.boundary_samples})")
+        if self.value_cap is not None and not (self.value_cap > 0 and math.isfinite(self.value_cap)):
+            raise InferenceError(f"value cap must be positive and finite (got {self.value_cap})")
+        if not math.isfinite(self.epsilon_max):
+            raise InferenceError(f"epsilon_max must be finite (got {self.epsilon_max})")
+        grid = default_bid_grid(self.bid_max, fraction)
+        if any(b <= a for a, b in zip(grid, grid[1:])):
+            raise InferenceError(f"bid_max {self.bid_max} is too small for a grid rounded to 12 decimals")
+        return grid
 
 
 @dataclass(frozen=True)
@@ -341,9 +366,10 @@ def infer_account(
     """Run inference over every listing and roll up the account summary.
 
     A listing whose inference fails is recorded under ``errors`` and the run
-    continues; a bad grid step raises :class:`InferenceError` before any
-    listing runs. ``jobs > 1`` fans listings out to a process pool; results
-    are identical to the serial run.
+    continues; a bad config value raises :class:`InferenceError` (from
+    :meth:`InferenceConfig.bid_grid`) before any listing runs. ``jobs > 1``
+    fans listings out to a process pool; results are identical to the serial
+    run.
     """
     grid = config.bid_grid()
     ordered = sorted(histories, key=lambda h: h.listing_id)

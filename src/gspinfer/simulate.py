@@ -114,6 +114,19 @@ class BackgroundSpec:
     drift_amplitude: float = 0.0
     drift_period: int = 50
 
+    def __post_init__(self):
+        if self.count < 0:
+            raise SimulationError(f"competitor count must be non-negative (got {self.count})")
+        for name, low, high in (
+            ("bid", self.bid_low, self.bid_high),
+            ("score", self.score_low, self.score_high),
+            ("quality", self.quality_low, self.quality_high),
+        ):
+            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
+                raise SimulationError(f"competitor {name} range must be finite with low <= high (got {low}, {high})")
+        if self.drift_period < 1:
+            raise SimulationError(f"drift_period must be at least 1 (got {self.drift_period})")
+
     def draw(self, rng: np.random.Generator, period: int) -> list[tuple[float, float, float]]:
         scale = 1.0
         if self.drift_amplitude:

@@ -21,7 +21,6 @@ from gspinfer.geometry import (
 from gspinfer.inference import (
     DeviationCurve,
     RationalizablePoint,
-    best_deviation,
     boundary,
     build_deviation_curve,
     check_assumptions,
@@ -43,6 +42,7 @@ from gspinfer.simulate import (
 )
 
 from test_geometry import polygon_hausdorff_oracle, random_convex_polygon
+from test_inference import best_deviation
 
 
 def report(num, name, ok, detail=""):

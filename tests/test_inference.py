@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from gspinfer.auction import AuctionParams, BidderEntry, auctions_to_table, row_to_auction
 from gspinfer.cli import main
 from gspinfer.inference import (
+    DEFAULT_PRECISION,
     DeviationCurve,
     InferenceError,
+    PointPrediction,
     RationalizablePoint,
-    best_deviation,
     boundary,
     build_deviation_curve,
     build_region,
@@ -25,7 +26,7 @@ from gspinfer.inference import (
     min_mult_regret,
     value_interval,
 )
-from gspinfer.pipeline import InferenceConfig, ingest
+from gspinfer.pipeline import InferenceConfig, infer_account, ingest
 
 
 def micro_curve(with_identity=False):
@@ -58,6 +59,65 @@ def random_monotone_curve(rng: random.Random, max_rows=8, force_positive_dp=True
     p0 = rng.randint(10, 100) / 100.0
     c0 = rng.randint(0, 60) / 100.0 * p0
     return DeviationCurve(grid=grid, delta_p=tuple(dps), delta_c=tuple(dcs), baseline_p=p0, baseline_c=c0)
+
+
+def best_deviation(curve: DeviationCurve, v: float) -> float:
+    """Grid bid maximizing ``v * dP - dC``; ties go to the smaller bid."""
+    if v < 0:
+        raise InferenceError(f"value must be non-negative (got {v})")
+    best_bid = curve.grid[0]
+    best_val = -math.inf
+    for b, dp, dc in curve.rows():
+        val = v * dp - dc
+        if val > best_val:
+            best_val = val
+            best_bid = b
+    return best_bid
+
+
+def min_mult_regret_bisect(
+    curve: DeviationCurve,
+    precision: float = DEFAULT_PRECISION,
+    v_max: float = math.inf,
+) -> PointPrediction:
+    """Reference for ``min_mult_regret``: bisection on the feasibility of ``delta``.
+
+    Maintains ``(lo, hi)`` with the value set empty at ``lo`` and non-empty at
+    ``hi``; stops when ``hi - lo < precision`` or the value interval at ``hi``
+    is narrower than ``precision``. The value prediction is the midpoint of
+    the interval at the accepted regret level.
+    """
+    if precision <= 0:
+        raise InferenceError(f"precision must be positive (got {precision})")
+    interval = feasible_values_mult(curve, 0.0, v_max)
+    iterations = 0
+    if interval is None:
+        hi = 1.0 - precision
+        interval = feasible_values_mult(curve, hi, v_max)
+        if interval is None:
+            raise InferenceError("not rationalizable under value cap")
+        lo = 0.0
+        while hi - lo >= precision and interval[1] - interval[0] >= precision:
+            mid = 0.5 * (lo + hi)
+            trial = feasible_values_mult(curve, mid, v_max)
+            iterations += 1
+            if trial is None:
+                lo = mid
+            else:
+                hi = mid
+                interval = trial
+        delta_star = hi
+    else:
+        delta_star = 0.0
+    if not math.isfinite(interval[1]):
+        raise InferenceError("value interval is unbounded; pass a finite value cap")
+    v_star = 0.5 * (interval[0] + interval[1])
+    return PointPrediction(
+        delta_star=delta_star,
+        v_star=v_star,
+        v_interval_at_delta_star=interval,
+        iterations=iterations,
+    )
 
 
 class TestFeasibility:
@@ -334,6 +394,21 @@ class TestMultiplicative:
         assert pred.v_star == pytest.approx(0.7, abs=1e-4)
         assert min_additive_regret(micro_curve())[0] == pytest.approx(0.01, abs=1e-9)
         assert pred.iterations > 0
+        # exact: the least ratio eps(v) / (v*P0 - C0) = 0.01 / 0.08 sits at the breakpoint v = 0.7
+        assert pred.delta_star == pytest.approx(1.0 / 9.0, abs=1e-15)
+        assert pred.v_interval_at_delta_star == pytest.approx((0.7, 0.7), abs=1e-15)
+
+    def test_edge_parallel_to_baseline_ties(self):
+        # the row (0.3, 0.15) is proportional to (P0, C0) = (0.6, 0.3), so the
+        # ratio is least on the whole edge from the breakpoint v = 0.7 up to the cap
+        curve = DeviationCurve(
+            grid=(0.5, 1.0), delta_p=(-0.2, 0.3), delta_c=(-0.2, 0.15), baseline_p=0.6, baseline_c=0.3
+        )
+        pred = min_mult_regret(curve, v_max=4.0)
+        assert pred.delta_star == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert pred.v_interval_at_delta_star == (pytest.approx(0.7, abs=1e-12), 4.0)
+        with pytest.raises(InferenceError, match="unbounded"):
+            min_mult_regret(curve)
 
     def test_zero_regret_curve_gives_delta_zero(self):
         # identity row plus strictly losing deviations: (v, 0) feasible
@@ -381,6 +456,64 @@ class TestMultiplicative:
                 * (pred.v_star * curve.baseline_p - curve.baseline_c)
             )
             assert implied >= eps0 - 1e-6
+
+
+def compare_with_bisection(curve: DeviationCurve, precision: float, v_max: float) -> None:
+    """``min_mult_regret`` against the bisection oracle: the same outcome, ``delta*`` and ``v*`` close.
+
+    The bisection may accept slightly below ``delta*`` through the
+    feasibility slack. It stops at most ``precision`` above ``delta*`` when
+    it stops on the gap rule; its second rule (value interval narrower than
+    ``precision``) can stop it further above, so there only the upper side is
+    checked. One known difference: with the cap exactly at ``C0/P0`` the
+    bisection accepts ``1 - precision`` through the slack alone (the
+    deviation utility is 0 at the cap), and the exact search finds no value.
+    """
+    def outcome(search):
+        try:
+            return search(curve, precision=precision, v_max=v_max)
+        except InferenceError as exc:
+            return str(exc)
+
+    exact, oracle = outcome(min_mult_regret), outcome(min_mult_regret_bisect)
+    if isinstance(exact, str) and not isinstance(oracle, str):
+        assert exact == "not rationalizable under value cap"
+        assert v_max * curve.baseline_p - curve.baseline_c <= 1e-12 and oracle.delta_star == 1.0 - precision
+        return
+    assert type(exact) is type(oracle) and (not isinstance(exact, str) or exact == oracle)
+    if isinstance(exact, str):
+        return
+    lo, hi = sorted(oracle.v_interval_at_delta_star)
+    assert lo - 1e-9 <= exact.v_star <= hi + 1e-9
+    assert exact.delta_star - oracle.delta_star <= 1e-8
+    if hi - lo >= precision or oracle.delta_star == 0.0:
+        assert oracle.delta_star - exact.delta_star <= max(precision, 1e-8)
+
+
+class TestExactMatchesBisection:
+    def test_random_penny_curves(self):
+        rng = random.Random(0xDE17A)
+        for _ in range(3000):
+            curve = random_monotone_curve(rng)
+            for cap in (math.inf, 20.0, rng.randint(1, 100) / 100.0):
+                compare_with_bisection(curve, 1e-9, cap)
+
+    @pytest.mark.parametrize("config, seed, grid_step", [
+        ("listings = 1\nperiods = 20\nauctions_per_period = 3\ngrid_step = 0.004\n", 5, 0.004),
+        ("listings = 2\nperiods = 30\nauctions_per_period = 10\n", 3, None),
+    ])
+    def test_golden_digest_markets(self, tmp_path, capsys, config, seed, grid_step):
+        # the markets of the two pinned-digest tests in test_pipeline.py
+        cfg = tmp_path / "cfg"
+        cfg.write_text(config)
+        log = tmp_path / "log.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(log)]) == 0
+        _, artifacts = infer_account(ingest(str(log)), InferenceConfig(grid_step=grid_step))
+        assert artifacts
+        for art in artifacts.values():
+            for precision in (1e-6, 1e-9):
+                for cap in (art.region.value_cap, math.inf):
+                    compare_with_bisection(art.curve, precision, cap)
 
 
 class TestConvexity:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gspinfer import pipeline
 from gspinfer.cli import CONFIG_KEYS, ConfigError, build_learners, load_config, main
-from gspinfer.inference import DeviationCurve
+from gspinfer.inference import DeviationCurve, InferenceError
 from gspinfer.pipeline import (
     AccountSummary,
     InferenceConfig,
@@ -450,6 +450,25 @@ class TestConfigFile:
         assert grid == InferenceConfig(grid_step=step).bid_grid()
         assert grid[-1] <= cfg["bid_max"]
 
+    def test_bid_grid_bounds_what_a_config_allocates(self):
+        # the grid has floor(bid_max / step) + 1 points and the histogram round(1 / width) buckets
+        assert len(InferenceConfig(grid_step=1e-5).bid_grid()) == pipeline.MAX_GRID_POINTS
+        assert InferenceConfig(histogram_bucket_width=pipeline.MIN_BUCKET_WIDTH).bid_grid()
+        with pytest.raises(InferenceError, match="at most 100001 grid points"):
+            InferenceConfig(grid_step=1e-6).bid_grid()
+        with pytest.raises(InferenceError, match="at least 0.0001"):
+            InferenceConfig(histogram_bucket_width=1e-300).bid_grid()
+
+    def test_list_elements_are_numbers(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("rate_sample_sizes = [1e3, 2000]\nposition_curve = [1, 0.5]\n")
+        cfg = load_config(str(path))
+        assert cfg["rate_sample_sizes"] == [1000, 2000] and cfg["position_curve"] == [1.0, 0.5]
+        for bad in ('[1, "a"]', "[[1]]", "[true]", "[1e400]"):
+            path.write_text(f"rate_sample_sizes = {bad}\n")
+            with pytest.raises(ConfigError, match="bad value for 'rate_sample_sizes'"):
+                load_config(str(path))
+
     def test_parses_values_and_lists(self, tmp_path):
         path = tmp_path / "cfg"
         path.write_text(
@@ -542,8 +561,8 @@ class TestCli:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in ("predictions.json", "artifacts.json")}
         assert digests == {
-            "predictions.json": "fac06b1109f3bbf31a05cb7ec8cb64258ad66f6a98d6ec6d70caa7be342f9429",
-            "artifacts.json": "185454eb378f7b68a6d5acacbf0a2083348c48bca45219eb43f81eaa31cdd209",
+            "predictions.json": "356f294afd10806e3eb220b4b8a40ec3d06889018dece45a0b2a239433b35be6",
+            "artifacts.json": "41969c63db3909f318a05c08c5565fd92daa14bbff9e32dc216ae17ea5b3b0a9",
         }
 
     def test_simulate_outputs_match_pinned_digests(self, tmp_path, capsys):
@@ -560,11 +579,11 @@ class TestCli:
                    for name, path in (("log.jsonl", log), ("predictions.json", out / "predictions.json"))}
         assert digests == {
             "log.jsonl": "18c19396ce4afcc090f6d0f0bda7632ad41890d70d14941b3ea0d95f89b8c62b",
-            "predictions.json": "eb2934a3cdae34a791f34c3bfb5fbbc1cb6f532b819133cbb84d6baa4d14032d",
+            "predictions.json": "d7102c78393ac609df5884a70588f7711b1943556ee4e72b74644ac468cea41c",
         }
 
     @pytest.mark.parametrize("command", ["infer", "predict"])
-    @pytest.mark.parametrize("step", ["0", "-0.01", "1.5"])
+    @pytest.mark.parametrize("step", ["0", "-0.01", "1.5", "nan", "1e-6"])
     def test_bad_grid_step_exits_with_error_list(self, tmp_path, capsys, command, step):
         log = tmp_path / "log.jsonl"
         write_histories(tiny_market_histories(seed=17), str(log))
@@ -588,7 +607,7 @@ class TestCli:
         assert len(errors) == 1 and errors[0].startswith("bid_max must lie in (0, 1000]")
 
     @pytest.mark.parametrize("command", ["infer", "predict"])
-    @pytest.mark.parametrize("width", ["0", "-0.05", "NaN", "1.5"])
+    @pytest.mark.parametrize("width", ["0", "-0.05", "NaN", "1.5", "1e-300", "5e-5"])
     def test_bad_bucket_width_exits_with_error_list(self, tmp_path, capsys, command, width):
         cfg = tmp_path / "cfg"
         cfg.write_text(f"histogram_bucket_width = {width}\n")
@@ -598,6 +617,56 @@ class TestCli:
         captured = capsys.readouterr()
         errors = json.loads(captured.err)["errors"]
         assert len(errors) == 1 and errors[0].startswith("histogram_bucket_width must lie in (0, 1]")
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    # config line -> start of the one error; each used to be recorded once per listing, with exit 0
+    BAD_INFERENCE_CONFIG = {
+        "precision = 0": "precision must lie in (0, 1)",
+        "precision = 1e-300": "precision must lie in (0, 1)",
+        "boundary_samples = 1": "boundary_samples must be at least 2",
+        "value_cap = 0": "value cap must be positive and finite",
+        "bid_max = 1e-300": "bid_max 1e-300 is too small",
+        "epsilon_max = NaN": "epsilon_max must be finite",
+    }
+
+    @pytest.mark.parametrize("command", ["infer", "predict"])
+    @pytest.mark.parametrize("line", list(BAD_INFERENCE_CONFIG))
+    def test_bad_inference_config_exits_with_error_list(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        assert main([command, "--config", str(cfg), str(log), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        errors = json.loads(captured.err)["errors"]
+        assert len(errors) == 1 and errors[0].startswith(self.BAD_INFERENCE_CONFIG[line])
+        assert captured.out == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, lines", [
+        ("simulate", "value_high = 0"),
+        ("simulate", "value_high = 1e400"),
+        ("simulate", "competitor_bid_high = 0.01"),
+        ("simulate", "competitor_score_high = 0.1"),
+        ("simulate", "competitor_quality_high = 0.1"),
+        ("simulate", "competitor_bid_low = NaN"),
+        ("simulate", "competitor_score_high = 1e400"),
+        ("simulate", "competitors = -1"),
+        ("simulate", "drift_amplitude = 0.5\ndrift_period = 0"),
+        ("simulate", "seed = -1"),
+        ("simulate", 'position_curve = [1, "a"]'),
+        ("simulate", "position_curve = [[1]]"),
+        ("rate-study", "seed = -1"),
+        ("rate-study", "rate_sample_sizes = [1, 10, 100]"),
+        ("rate-study", "rate_sample_sizes = [1e3, 1e400, 1e5]"),
+        ("rate-study", 'rate_sample_sizes = [1e3, "a", 1e5]'),
+        ("rate-study", "rate_grid_coeff = NaN"),
+    ])
+    def test_bad_simulation_config_exits_with_error_list(self, tmp_path, capsys, command, lines):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"listings = 1\nperiods = 2\nrate_replications = 1\n{lines}\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert len(json.loads(captured.err)["errors"]) == 1
         assert captured.out == "" and not (tmp_path / "o").exists()
 
     def test_predict_out_matches_infer_predictions(self, tmp_path, capsys):
