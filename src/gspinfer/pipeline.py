@@ -23,7 +23,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -104,8 +103,9 @@ class InferenceConfig:
             raise InferenceError(f"boundary_samples must be at least 2 (got {self.boundary_samples})")
         if self.value_cap is not None and not (self.value_cap > 0 and math.isfinite(self.value_cap)):
             raise InferenceError(f"value cap must be positive and finite (got {self.value_cap})")
-        if not math.isfinite(self.epsilon_max):
-            raise InferenceError(f"epsilon_max must be finite (got {self.epsilon_max})")
+        for name in ("epsilon_max", "learning_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise InferenceError(f"{name} must be finite (got {getattr(self, name)})")
         grid = default_bid_grid(self.bid_max, fraction)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InferenceError(f"bid_max {self.bid_max} is too small for a grid rounded to 12 decimals")
@@ -295,29 +295,28 @@ def _listing_table(lid: str, records: list[tuple], curves: tuple, truth) -> tupl
 
 
 def write_histories(histories: Sequence[ListingHistory], path: str) -> None:
-    """Serialize histories to the JSONL auction-log format (round-trip exact)."""
+    """Serialize histories to the JSONL auction-log format (round-trip exact).
+
+    Lines are formatted from the columns as ``json.dumps(record, separators=(",", ":"))`` writes them.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for h in histories:
-            offsets = h.offsets.tolist()
-            competitors = [{"score": s, "bid": b, "quality": q}
-                           for s, q, b in zip(h.score.tolist(), h.quality.tolist(), h.bid.tolist())]
-            rows = zip(h.period.tolist(), h.own_bid.tolist(), h.rank_reserve.tolist(), h.mainline_reserve.tolist(),
-                       h.mainline_cap.tolist(), h.curve.tolist(), h.mainline_count.tolist(),
-                       h.own_score.tolist(), h.own_quality.tolist())
-            for a, (period, own_bid, r, m, cap, curve, n_main, own_score, own_quality) in enumerate(rows):
-                out = {
-                    "listing_id": h.listing_id, "period": period, "own_bid": own_bid,
-                    "competitors": competitors[offsets[a]:offsets[a + 1]],
-                    "rank_reserve": r, "mainline_reserve": m, "mainline_cap": cap,
-                    "position_curve": list(h.curves[curve]), "mainline_count": n_main,
-                }
-                if own_score != 1.0:
-                    out["own_score"] = own_score
-                if own_quality != 1.0:
-                    out["own_quality"] = own_quality
-                if h.truth is not None:
-                    out["truth_value"] = h.truth
-                fh.write(json.dumps(out, separators=(",", ":")) + "\n")
+            competitors = ['{"score":%r,"bid":%r,"quality":%r}' % e
+                           for e in zip(h.score.tolist(), h.bid.tolist(), h.quality.tolist())]
+            curves = [json.dumps(list(c), separators=(",", ":")) for c in h.curves]
+            lid, offsets = json.dumps(h.listing_id), h.offsets.tolist()
+            truth = "" if h.truth is None else ',"truth_value":' + json.dumps(h.truth)
+            rows = zip(offsets, offsets[1:], h.period.tolist(), h.own_bid.tolist(), h.rank_reserve.tolist(),
+                       h.mainline_reserve.tolist(), h.mainline_cap.tolist(), h.curve.tolist(),
+                       h.mainline_count.tolist(), h.own_score.tolist(), h.own_quality.tolist())
+            fh.write("".join(
+                '{"listing_id":%s,"period":%r,"own_bid":%r,"competitors":[%s],"rank_reserve":%r,'
+                '"mainline_reserve":%r,"mainline_cap":%r,"position_curve":%s,"mainline_count":%r%s%s%s}\n' % (
+                    lid, period, own_bid, ",".join(competitors[lo:hi]), r, m, cap, curves[curve], n_main,
+                    "" if own_score == 1.0 else ',"own_score":%r' % own_score,
+                    "" if own_quality == 1.0 else ',"own_quality":%r' % own_quality, truth)
+                for lo, hi, period, own_bid, r, m, cap, curve, n_main, own_score, own_quality in rows
+            ))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +347,12 @@ def infer_listing(history: ListingHistory, config: InferenceConfig, grid: Sequen
         mean_bid=mean_bid,
         shading_ratio=shading,
     )
+
+
+def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the class
+    """A ``concurrent.futures`` process pool, imported on first use: it loads ``multiprocessing``."""
+    from concurrent.futures import ProcessPoolExecutor as pool
+    return pool(max_workers=max_workers)
 
 
 def _infer_one(args: tuple[ListingHistory, InferenceConfig, tuple[float, ...]]):

@@ -101,7 +101,8 @@ class BackgroundSpec:
     """Generator for anonymous competitor entries drawn fresh each auction.
 
     ``drift_amplitude``/``drift_period`` rotate the bid scale sinusoidally
-    across periods to exercise slowly changing environments.
+    across periods to exercise slowly changing environments. :meth:`draws`
+    makes a whole market's entries, each uniform on its ranges, in one call.
     """
 
     count: int = 3
@@ -127,17 +128,20 @@ class BackgroundSpec:
         if self.drift_period < 1:
             raise SimulationError(f"drift_period must be at least 1 (got {self.drift_period})")
 
-    def draw(self, rng: np.random.Generator, period: int) -> list[tuple[float, float, float]]:
-        scale = 1.0
-        if self.drift_amplitude:
-            scale = 1.0 + self.drift_amplitude * math.sin(2.0 * math.pi * period / self.drift_period)
-        out = []
-        for _ in range(self.count):
-            bid = max(float(rng.uniform(self.bid_low, self.bid_high)) * scale, 0.0)
-            score = float(rng.uniform(self.score_low, self.score_high))
-            quality = float(rng.uniform(self.quality_low, self.quality_high))
-            out.append((score, bid, quality))
-        return out
+    def draws(self, rng: np.random.Generator, periods: int, per_period: int) -> np.ndarray:
+        """Every auction's entries as a ``(periods * per_period, count, 3)`` array of (score, quality, bid).
+
+        One ``rng`` call takes a bid, a score and a quality per entry, auction by auction; period ``t``
+        (from 1) scales its bids by ``1 + drift_amplitude * sin(2 pi t / drift_period)``, clamped at 0.
+        """
+        lows = (self.bid_low, self.score_low, self.quality_low)
+        highs = (self.bid_high, self.score_high, self.quality_high)
+        out = rng.uniform(lows, highs, (periods * per_period, self.count, 3))  # bid, score, quality
+        scale = [1.0 + self.drift_amplitude * math.sin(2.0 * math.pi * t / self.drift_period)
+                 for t in range(1, periods + 1)]
+        out[..., 0] *= np.repeat(scale, per_period)[:, None]
+        out[out[..., 0] < 0.0, 0] = 0.0  # as max(bid, 0.0) does: np.maximum would turn -0.0 into 0.0
+        return out[..., [1, 2, 0]]
 
 
 @dataclass(frozen=True)
@@ -227,21 +231,19 @@ def simulate_market(
     if len(set(ids)) != len(ids):
         raise SimulationError("listing ids must be unique")
 
-    if any(ls.value < 0 for ls in learners):
-        raise SimulationError("truth value must be non-negative")
+    for ls in learners:
+        if not 0.0 <= ls.value < math.inf:
+            raise SimulationError(f"truth value must be non-negative and finite (got {ls.value})")
 
     root = np.random.SeedSequence(seed)
     env_ss, *learner_ss = root.spawn(1 + len(learners))
     env_rng = np.random.Generator(np.random.PCG64(env_ss))
-    # The background has its own random stream, so every period's draws are
-    # made up front. Per auction the entrants are the learners, then the
-    # draws; each learner's competitors are the other entrants, in order.
+    # The background has its own random stream, drawn for every period at once. Per auction the
+    # entrants are the learners, then the draws; each learner's competitors are the others, in order.
     n, n_learners, m = auctions_per_period, len(learners), env.background.count
-    draws = [env.background.draw(env_rng, t) for t in range(1, periods + 1) for _ in range(n)]
-    entrants = np.empty((periods * n, n_learners + m, 3))  # score, quality, bid
-    entrants[:, :n_learners] = [(ls.own_score, ls.own_quality, 0.0) for ls in learners]
-    entrants[:, n_learners:] = np.array(draws, dtype=np.float64).reshape(periods * n, m, 3)[:, :, [0, 2, 1]]
     rows = periods * n
+    own = np.broadcast_to([(ls.own_score, ls.own_quality, 0.0) for ls in learners], (rows, n_learners, 3))
+    entrants = np.concatenate([own, env.background.draws(env_rng, periods, n)], axis=1)  # score, quality, bid
     offsets = np.arange(rows + 1) * (n_learners - 1 + m)
     n_main = min(env.mainline_cap, len(env.position_curve)) if env.mainline_count is None else env.mainline_count
     tables = []

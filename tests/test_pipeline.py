@@ -2,7 +2,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -351,6 +354,89 @@ class TestAccountSummary:
         assert a1 == a2
 
 
+def write_histories_dumps(histories, path):
+    """The log writer as one ``json.dumps`` per record: the oracle for ``write_histories``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for h in histories:
+            offsets = h.offsets.tolist()
+            competitors = [{"score": s, "bid": b, "quality": q}
+                           for s, q, b in zip(h.score.tolist(), h.quality.tolist(), h.bid.tolist())]
+            rows = zip(h.period.tolist(), h.own_bid.tolist(), h.rank_reserve.tolist(), h.mainline_reserve.tolist(),
+                       h.mainline_cap.tolist(), h.curve.tolist(), h.mainline_count.tolist(),
+                       h.own_score.tolist(), h.own_quality.tolist())
+            for a, (period, own_bid, r, m, cap, curve, n_main, own_score, own_quality) in enumerate(rows):
+                out = {
+                    "listing_id": h.listing_id, "period": period, "own_bid": own_bid,
+                    "competitors": competitors[offsets[a]:offsets[a + 1]],
+                    "rank_reserve": r, "mainline_reserve": m, "mainline_cap": cap,
+                    "position_curve": list(h.curves[curve]), "mainline_count": n_main,
+                }
+                if own_score != 1.0:
+                    out["own_score"] = own_score
+                if own_quality != 1.0:
+                    out["own_quality"] = own_quality
+                if h.truth is not None:
+                    out["truth_value"] = h.truth
+                fh.write(json.dumps(out, separators=(",", ":")) + "\n")
+
+
+def writer_tables():
+    """Tables that exercise every optional field and form of the log writer, by name."""
+    grid = default_bid_grid(1.0, 0.1)
+    learners = [
+        LearnerSpec("L\u00e9\u4e2d", 1, LearnerConfig("hedge", grid), own_score=1.3, own_quality=0.7),
+        LearnerSpec("L001", 0.45, LearnerConfig("epsilon_greedy", grid), own_quality=0.25),
+        LearnerSpec("L002", 0.8, LearnerConfig("fixed_best_response", grid)),
+    ]
+    market = MarketSpec(position_curve=(1, 0.6, 0.35), background=BackgroundSpec(count=3, drift_amplitude=0.3))
+    scored, plain_quality, plain = simulate_market(market, learners, 5, 2, 3)
+    no_mainline, = simulate_market(replace(market, mainline_count=0), learners[2:], 4, 3, 5)
+    curves = ((1.0, 0.5), (1, 0.6, 0.2), (0.9,))
+    return {
+        "scored, non-ASCII id, int truth": [scored],
+        "own quality only": [plain_quality],
+        "no truth": [replace(plain, truth=None)],
+        "mainline_count 0": [no_mainline],
+        "several curves": [replace(no_mainline, curves=curves, curve=np.arange(len(no_mainline)) % 3)],
+        "whole market": [scored, plain_quality, plain],
+    }
+
+
+class TestWriteHistories:
+    @pytest.mark.parametrize("name", list(writer_tables()))
+    def test_bytes_match_json_dumps_and_ingest_round_trips(self, tmp_path, name):
+        tables = writer_tables()[name]
+        write_histories(tables, str(tmp_path / "log.jsonl"))
+        write_histories_dumps(tables, str(tmp_path / "oracle.jsonl"))
+        assert (tmp_path / "log.jsonl").read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+        assert ingest(str(tmp_path / "log.jsonl")) == sorted(tables, key=lambda h: h.listing_id)
+
+    @settings(max_examples=60, deadline=None)
+    @given(numbers=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=4, max_size=4),
+           period=st.integers(0, 2**62), truth=st.one_of(st.none(), st.floats(allow_nan=False, allow_infinity=False)))
+    def test_any_finite_number_is_written_as_json_dumps_writes_it(self, numbers, period, truth):
+        # the writer must match json.dumps on any finite number, in range or not
+        table, = writer_tables()["scored, non-ASCII id, int truth"]
+        own_bid, bid = table.own_bid.copy(), table.bid.copy()
+        own_bid[0], bid[1] = numbers[:2]
+        table = replace(table, own_bid=own_bid, bid=bid, own_score=np.full(len(table), numbers[2]),
+                        rank_reserve=np.full(len(table), numbers[3]), period=table.period + period, truth=truth)
+        with tempfile.TemporaryDirectory() as tmp:
+            write_histories([table], os.path.join(tmp, "log.jsonl"))
+            write_histories_dumps([table], os.path.join(tmp, "oracle.jsonl"))
+            with open(os.path.join(tmp, "log.jsonl"), "rb") as a, open(os.path.join(tmp, "oracle.jsonl"), "rb") as b:
+                assert a.read() == b.read()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool loads multiprocessing; only --jobs > 1 uses it
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gspinfer.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestDeterminism:
     def test_serialize_ingest_matches_in_memory_bitwise(self, tmp_path):
         histories = tiny_market_histories(seed=101)
@@ -627,6 +713,9 @@ class TestCli:
         "value_cap = 0": "value cap must be positive and finite",
         "bid_max = 1e-300": "bid_max 1e-300 is too small",
         "epsilon_max = NaN": "epsilon_max must be finite",
+        # a NaN threshold left the scatter silently empty
+        "learning_threshold = NaN": "learning_threshold must be finite",
+        "learning_threshold = inf": "learning_threshold must be finite",
     }
 
     @pytest.mark.parametrize("command", ["infer", "predict"])

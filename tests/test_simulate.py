@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gspinfer.auction import auctions_to_table, row_to_auction
 from gspinfer.inference import RationalizablePoint, boundary, build_deviation_curve, feasible
@@ -75,6 +77,17 @@ class TestSimulateMarket:
     def test_rejects_empty_roster(self):
         with pytest.raises(SimulationError):
             simulate_market(simple_market(), [], periods=5, auctions_per_period=1, seed=0)
+
+    @pytest.mark.parametrize("algorithm", ["hedge", "epsilon_greedy", "fixed_best_response"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_learner_value_is_rejected_before_any_draw(self, monkeypatch, algorithm, value):
+        # NaN and inf used to reach the log (which ingest rejects) or fail late inside hedge
+        def no_draws(*args):
+            raise AssertionError("drew the background")
+
+        monkeypatch.setattr(BackgroundSpec, "draws", no_draws)
+        with pytest.raises(SimulationError, match="truth value must be non-negative and finite"):
+            simulate_market(simple_market(), [one_learner(algorithm, value=value)], 3, 2, 0)
 
     def test_same_seed_identical_histories(self):
         args = (simple_market(), [one_learner("hedge")], 20, 2, 123)
@@ -180,6 +193,59 @@ class TestSimulateMarket:
             auctions = [row_to_auction(hist, a) for a in range(len(hist))]
             back = auctions_to_table(auctions, hist.listing_id, periods=hist.period.tolist())
             assert back == type(hist)(**{**hist.__dict__, "truth": None})
+
+
+def draw_loop(spec, rng, period):
+    """One auction's background entries, one scalar ``rng.uniform`` call per number: the oracle for ``draws``."""
+    scale = 1.0
+    if spec.drift_amplitude:
+        scale = 1.0 + spec.drift_amplitude * math.sin(2.0 * math.pi * period / spec.drift_period)
+    out = []
+    for _ in range(spec.count):
+        bid = max(float(rng.uniform(spec.bid_low, spec.bid_high)) * scale, 0.0)
+        score = float(rng.uniform(spec.score_low, spec.score_high))
+        quality = float(rng.uniform(spec.quality_low, spec.quality_high))
+        out.append((score, bid, quality))
+    return out
+
+
+@st.composite
+def background_specs(draw):
+    def bounds(low, high):
+        a = draw(st.floats(low, high))
+        return a, draw(st.one_of(st.just(a), st.floats(a, high)))  # low == high included
+
+    bid, score, quality = bounds(-0.5, 1.0), bounds(1e-3, 2.0), bounds(0.0, 1.0)
+    return BackgroundSpec(
+        count=draw(st.integers(0, 4)), bid_low=bid[0], bid_high=bid[1], score_low=score[0], score_high=score[1],
+        quality_low=quality[0], quality_high=quality[1],
+        drift_amplitude=draw(st.one_of(st.sampled_from([0.0, 0.3, 1.5]), st.floats(0.0, 3.0))),
+        drift_period=draw(st.integers(1, 9)),
+    )
+
+
+class TestBackgroundDraws:
+    @settings(max_examples=200, deadline=None)
+    @given(spec=background_specs(), periods=st.integers(1, 8), per_period=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_call_matches_the_scalar_loop_bit_for_bit(self, spec, periods, per_period, seed):
+        loop_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [draw_loop(spec, loop_rng, t) for t in range(1, periods + 1) for _ in range(per_period)]
+        got = spec.draws(rng, periods, per_period)
+        assert got.shape == (periods * per_period, spec.count, 3)
+        # (score, quality, bid) against the loop's (score, bid, quality); bit equality keeps the sign of zeros
+        expected = np.array(expected, dtype=np.float64).reshape(got.shape)[:, :, [0, 2, 1]]
+        assert got.tobytes() == expected.tobytes()
+        assert rng.random() == loop_rng.random()  # both consumed the stream alike
+
+    def test_negative_scale_clamps_bids_at_zero_keeping_the_sign(self):
+        spec = BackgroundSpec(count=2, bid_low=0.0, bid_high=0.0, drift_amplitude=2.0, drift_period=4)
+        bids = spec.draws(np.random.default_rng(0), 4, 1)[:, :, 2]
+        # period 3 scales by 1 + 2 sin(3 pi / 2) = -1: max(-0.0, 0.0) is -0.0
+        assert [math.copysign(1.0, b) for b in bids[:, 0].tolist()] == [1.0, 1.0, -1.0, 1.0]
+        clamped = BackgroundSpec(count=3, bid_low=0.2, bid_high=0.9, drift_amplitude=1.5, drift_period=4)
+        bids = clamped.draws(np.random.default_rng(1), 4, 2)[:, :, 2]
+        assert (bids[4:6] == 0.0).all() and (bids[:4] > 0.0).all() and (bids[6:] > 0.0).all()
 
 
 class TestRealizedRegret:
