@@ -1,79 +1,24 @@
-"""Value-per-click inference from repeated GSP auction data under no-regret play."""
+"""Value-per-click inference from repeated GSP auction data under no-regret play.
 
-from .auction import (
-    AllocationError,
-    AllocationResult,
-    AuctionError,
-    AuctionParams,
-    BidderEntry,
-    ListingHistory,
-    ValidationError,
-    auctions_to_table,
-    click_probability,
-    cost_per_click,
-    expected_payment,
-    rank_and_allocate,
-    replay_at_bid,
-    row_to_auction,
-    utility,
-)
-from .inference import (
-    AssumptionReport,
-    DeviationCurve,
-    InferenceError,
-    PointPrediction,
-    RationalizablePoint,
-    RationalizableRegion,
-    boundary,
-    build_deviation_curve,
-    build_region,
-    check_assumptions,
-    default_value_cap,
-    feasible,
-    feasible_values_mult,
-    icc,
-    min_additive_regret,
-    min_mult_regret,
-    value_interval,
-)
-from .geometry import (
-    GeometryError,
-    LinkFunction,
-    PolygonRegion,
-    RateStudyConfig,
-    RateStudyResult,
-    SingleSlotMarket,
-    SupportRegion,
-    hausdorff,
-    link_eval,
-    link_from_curve,
-    natural_value_cap,
-    run_rate_study,
-    support_nr,
-)
-from .pipeline import (
-    AccountSummary,
-    InferenceConfig,
-    ListingArtifacts,
-    ParseError,
-    export,
-    infer_account,
-    infer_listing,
-    ingest,
-    write_histories,
-    write_rate_study,
-)
-from .simulate import (
-    BackgroundSpec,
-    LearnerConfig,
-    LearnerSpec,
-    MarketSpec,
-    SimulationError,
-    default_bid_grid,
-    hedge_step,
-    realized_regret,
-    simulate_market,
-    tuned_hedge_rate,
-)
+Submodules load on first use (PEP 562): ``import gspinfer`` imports none of
+them, and ``from gspinfer import X`` imports the module that defines ``X``.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
+
+#: The modules whose public classes and functions ``gspinfer`` re-exports, searched in this order.
+_MODULES = ("auction", "inference", "pipeline", "simulate", "geometry")
+
+
+def __getattr__(name: str):
+    if name in _MODULES or name == "cli":
+        return importlib.import_module(f"{__name__}.{name}")
+    if not name.startswith("_"):
+        for modname in _MODULES:
+            module = importlib.import_module(f"{__name__}.{modname}")
+            value = getattr(module, name, None)
+            if callable(value) and value.__module__ == module.__name__:
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,11 +15,10 @@ import math
 import os
 import sys
 from dataclasses import fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import GeometryError, RateStudyConfig, SingleSlotMarket, run_rate_study
-from .inference import InferenceError
 from .pipeline import (
     InferenceConfig,
     ParseError,
@@ -34,24 +33,33 @@ from .pipeline import (
     write_histories,
     write_rate_study,
 )
-from .simulate import (
-    BackgroundSpec,
-    LearnerConfig,
-    LearnerSpec,
-    MarketSpec,
-    SimulationError,
-    simulate_market,
-)
+
+if TYPE_CHECKING:
+    from .simulate import LearnerSpec, MarketSpec
 
 
-def _numbers(kind: type):
-    """Parser for a JSON list of numbers, each converted with ``kind``."""
+def _integer(x) -> int:
+    """A config integer: what ``int`` parses, but no boolean and no float with a fraction (``1e3`` is 1000)."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
+def _real(x) -> float:
+    """A config number: anything ``float`` parses but a boolean."""
+    if isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x!r}")
+    return float(x)
+
+
+def _numbers(kind):
+    """Parser for a JSON list of numbers, each parsed with ``kind``."""
 
     def parse(value) -> list:
         if not isinstance(value, list):
             raise ValueError("expected a JSON list")
         for x in value:
-            if isinstance(x, bool) or not isinstance(x, (int, float)):
+            if not isinstance(x, (int, float)):
                 raise ValueError(f"expected a list of numbers, got {x!r}")
         return [kind(x) for x in value]
 
@@ -61,48 +69,48 @@ def _numbers(kind: type):
 # key -> (parser, default); None defaults mean "derived elsewhere"
 CONFIG_KEYS: dict[str, tuple] = {
     # shared
-    "seed": (int, 0),
-    "jobs": (int, 1),
-    "bid_max": (float, 1.0),
-    "grid_step": (float, None),
+    "seed": (_integer, 0),
+    "jobs": (_integer, 1),
+    "bid_max": (_real, 1.0),
+    "grid_step": (_real, None),
     # inference
-    "epsilon_max": (float, 1.0),
-    "precision": (float, 1e-6),
-    "learning_threshold": (float, 1e-4),
-    "boundary_samples": (int, 201),
-    "histogram_bucket_width": (float, 0.05),
-    "value_cap": (float, None),
+    "epsilon_max": (_real, 1.0),
+    "precision": (_real, 1e-6),
+    "learning_threshold": (_real, 1e-4),
+    "boundary_samples": (_integer, 201),
+    "histogram_bucket_width": (_real, 0.05),
+    "value_cap": (_real, None),
     # simulation
-    "listings": (int, 3),
-    "periods": (int, 200),
-    "auctions_per_period": (int, 5),
+    "listings": (_integer, 3),
+    "periods": (_integer, 200),
+    "auctions_per_period": (_integer, 5),
     "algorithm": (str, "hedge"),
-    "learning_rate": (float, None),
-    "exploration": (float, 0.1),
-    "value_low": (float, 0.3),
-    "value_high": (float, 0.9),
-    "competitors": (int, 3),
-    "competitor_bid_low": (float, 0.05),
-    "competitor_bid_high": (float, 1.0),
-    "competitor_score_low": (float, 0.8),
-    "competitor_score_high": (float, 1.2),
-    "competitor_quality_low": (float, 0.3),
-    "competitor_quality_high": (float, 0.9),
-    "drift_amplitude": (float, 0.0),
-    "drift_period": (int, 50),
-    "rank_reserve": (float, 0.05),
-    "mainline_reserve": (float, 0.1),
-    "mainline_cap": (int, 2),
-    "mainline_count": (int, None),
-    "position_curve": (_numbers(float), [1.0, 0.6, 0.35, 0.2]),
+    "learning_rate": (_real, None),
+    "exploration": (_real, 0.1),
+    "value_low": (_real, 0.3),
+    "value_high": (_real, 0.9),
+    "competitors": (_integer, 3),
+    "competitor_bid_low": (_real, 0.05),
+    "competitor_bid_high": (_real, 1.0),
+    "competitor_score_low": (_real, 0.8),
+    "competitor_score_high": (_real, 1.2),
+    "competitor_quality_low": (_real, 0.3),
+    "competitor_quality_high": (_real, 0.9),
+    "drift_amplitude": (_real, 0.0),
+    "drift_period": (_integer, 50),
+    "rank_reserve": (_real, 0.05),
+    "mainline_reserve": (_real, 0.1),
+    "mainline_cap": (_integer, 2),
+    "mainline_count": (_integer, None),
+    "position_curve": (_numbers(_real), [1.0, 0.6, 0.35, 0.2]),
     # rate study
-    "rate_sample_sizes": (_numbers(int), [10**3, 10**4, 10**5, 10**6]),
-    "rate_replications": (int, 20),
-    "rate_smoothness_order": (int, 0),
-    "rate_holder_exponent": (float, 1.0),
-    "rate_grid_coeff": (float, 1.5),
-    "rate_eps_cap": (float, 0.4),
-    "direction_count": (int, 720),
+    "rate_sample_sizes": (_numbers(_integer), [10**3, 10**4, 10**5, 10**6]),
+    "rate_replications": (_integer, 20),
+    "rate_smoothness_order": (_integer, 0),
+    "rate_holder_exponent": (_real, 1.0),
+    "rate_grid_coeff": (_real, 1.5),
+    "rate_eps_cap": (_real, 0.4),
+    "direction_count": (_integer, 720),
 }
 
 
@@ -127,16 +135,18 @@ def load_config(path: str | None) -> dict:
             raw_val = raw_val.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            caster, _default = CONFIG_KEYS[key]
+            caster, default = CONFIG_KEYS[key]
             try:
                 parsed = json.loads(raw_val)
             except json.JSONDecodeError:
                 parsed = raw_val
-            if parsed is None:
+            if parsed is None and default is None:
                 values[key] = None
                 continue
             try:
-                values[key] = str(parsed) if caster is str else caster(parsed)
+                if parsed is None:
+                    raise ValueError("null is allowed only for a key whose default is null")
+                values[key] = caster(parsed)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from exc
     return values
@@ -147,6 +157,8 @@ def _inference_config(cfg: dict) -> InferenceConfig:
 
 
 def _market_spec(cfg: dict) -> MarketSpec:
+    from .simulate import BackgroundSpec, MarketSpec
+
     return MarketSpec(
         position_curve=tuple(float(a) for a in cfg["position_curve"]),
         rank_reserve=cfg["rank_reserve"],
@@ -172,6 +184,8 @@ def build_learners(cfg: dict) -> list[LearnerSpec]:
 
     The learners bid on the grid that ``infer`` replays, ``InferenceConfig.bid_grid``.
     """
+    from .simulate import LearnerConfig, LearnerSpec, SimulationError
+
     grid = _inference_config(cfg).bid_grid()
     low, high = cfg["value_low"], cfg["value_high"]
     if not (math.isfinite(low) and math.isfinite(high) and low <= high):
@@ -198,6 +212,8 @@ def build_learners(cfg: dict) -> list[LearnerSpec]:
 
 
 def cmd_simulate(args, cfg) -> int:
+    from .simulate import simulate_market
+
     learners = build_learners(cfg)
     histories = simulate_market(
         _market_spec(cfg), learners, cfg["periods"], cfg["auctions_per_period"], cfg["seed"]
@@ -231,6 +247,8 @@ def cmd_predict(args, cfg) -> int:
 
 
 def cmd_rate_study(args, cfg) -> int:
+    from .geometry import RateStudyConfig, SingleSlotMarket, run_rate_study
+
     rate_cfg = RateStudyConfig(
         sample_sizes=cfg["rate_sample_sizes"],
         replications=cfg["rate_replications"],
@@ -311,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
             if val is not None:
                 cfg[key] = val
         return args.func(args, cfg)
-    except (ConfigError, ParseError, InferenceError, GeometryError, SimulationError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every gspinfer error class is a ValueError
         sys.stderr.write(json.dumps({"errors": [str(exc)]}) + "\n")
         return 1
 

@@ -24,12 +24,11 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .auction import MAX_MAGNITUDE, ListingHistory, log_ahead
-from .geometry import RateStudyResult
 from .inference import (
     AssumptionReport,
     DeviationCurve,
@@ -40,7 +39,9 @@ from .inference import (
     build_region,
     min_mult_regret,
 )
-from .simulate import default_bid_grid
+
+if TYPE_CHECKING:
+    from .geometry import RateStudyResult
 
 REQUIRED_FIELDS = {
     "listing_id", "period", "own_bid", "competitors",
@@ -62,6 +63,14 @@ class ParseError(ValueError):
     def __init__(self, line: int | None, message: str):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
+
+
+def default_bid_grid(bid_max: float, step_fraction: float = 0.01) -> tuple[float, ...]:
+    """Even grid from 0 with step ``step_fraction * bid_max``, up to the last point not above ``bid_max``."""
+    if bid_max <= 0:
+        raise InferenceError("bid_max must be positive")
+    n = math.floor(1.0 / step_fraction + 1e-9)
+    return tuple(round(k * step_fraction * bid_max, 12) for k in range(n + 1))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import BLOCK_CELLS, DeviationSweep, ListingHistory, log_ahead
+from .auction import BLOCK_CELLS, MAX_MAGNITUDE, DeviationSweep, ListingHistory, log_ahead
 from .inference import boundary, build_deviation_curve
 
 ALGORITHMS = ("hedge", "epsilon_greedy", "fixed_best_response")
@@ -61,14 +61,8 @@ class LearnerConfig:
             raise SimulationError("bids must be non-negative")
         if not 0.0 <= self.exploration <= 1.0:
             raise SimulationError("exploration must lie in [0, 1]")
-
-
-def default_bid_grid(bid_max: float, step_fraction: float = 0.01) -> tuple[float, ...]:
-    """Even grid from 0 with step ``step_fraction * bid_max``, up to the last point not above ``bid_max``."""
-    if bid_max <= 0:
-        raise SimulationError("bid_max must be positive")
-    n = math.floor(1.0 / step_fraction + 1e-9)
-    return tuple(round(k * step_fraction * bid_max, 12) for k in range(n + 1))
+        if self.learning_rate is not None and not 0.0 <= self.learning_rate < math.inf:
+            raise SimulationError(f"learning_rate must be non-negative and finite (got {self.learning_rate})")
 
 
 def hedge_step(weights: np.ndarray, payoffs: np.ndarray, eta: float) -> np.ndarray:
@@ -127,6 +121,14 @@ class BackgroundSpec:
                 raise SimulationError(f"competitor {name} range must be finite with low <= high (got {low}, {high})")
         if self.drift_period < 1:
             raise SimulationError(f"drift_period must be at least 1 (got {self.drift_period})")
+        a = abs(self.drift_amplitude)
+        drifted = max(self.bid_high * (1 + a), self.bid_low * (1 - a))  # largest bid * s, s in [1 - a, 1 + a]
+        # a bid_high above the cap is left to the entry check, which names the bid
+        if not math.isfinite(a) or self.bid_high <= MAX_MAGNITUDE < drifted:
+            raise SimulationError(
+                f"drift_amplitude must be finite and keep every drifted bid at most {MAX_MAGNITUDE:g} "
+                f"(got {self.drift_amplitude})"
+            )
 
     def draws(self, rng: np.random.Generator, periods: int, per_period: int) -> np.ndarray:
         """Every auction's entries as a ``(periods * per_period, count, 3)`` array of (score, quality, bid).

@@ -29,13 +29,12 @@ from gspinfer.inference import (
     min_mult_regret,
     value_interval,
 )
-from gspinfer.pipeline import InferenceConfig, export, infer_account, ingest, write_histories
+from gspinfer.pipeline import InferenceConfig, default_bid_grid, export, infer_account, ingest, write_histories
 from gspinfer.simulate import (
     BackgroundSpec,
     LearnerConfig,
     LearnerSpec,
     MarketSpec,
-    default_bid_grid,
     realized_regret,
     simulate_market,
     tuned_hedge_rate,

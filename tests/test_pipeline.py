@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from gspinfer.pipeline import (
     ParseError,
     artifacts_from_json,
     artifacts_to_json,
+    default_bid_grid,
     export,
     infer_account,
     infer_listing,
@@ -32,7 +34,6 @@ from gspinfer.simulate import (
     LearnerConfig,
     LearnerSpec,
     MarketSpec,
-    default_bid_grid,
     simulate_market,
 )
 
@@ -428,13 +429,41 @@ class TestWriteHistories:
                 assert a.read() == b.read()
 
 
-def test_cli_import_leaves_the_process_pool_unloaded():
-    # the pool loads multiprocessing; only --jobs > 1 uses it
+def loaded_after(statement: str, names: set[str]) -> str:
+    """The sorted list of ``names`` a fresh interpreter has in ``sys.modules`` after ``statement``, as printed."""
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, gspinfer.cli; print(sorted({'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))"
+    code = f"import sys; {statement}; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # the pool loads multiprocessing; only --jobs > 1 uses it. geometry is rate-study's, simulate is simulate's
+    names = {"concurrent.futures.process", "multiprocessing", "gspinfer.geometry", "gspinfer.simulate"}
+    assert loaded_after("import gspinfer.cli", names) == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    names = {f"gspinfer.{m}" for m in ("auction", "inference", "pipeline", "simulate", "geometry", "cli")}
+    assert loaded_after("import gspinfer", names | {"numpy"}) == "[]"
+
+
+def test_package_namespace_resolves_each_public_name_from_its_module():
+    import gspinfer
+
+    for modname in ("auction", "inference", "pipeline", "simulate", "geometry"):
+        module = importlib.import_module(f"gspinfer.{modname}")
+        public = [v for k, v in vars(module).items()
+                  if not k.startswith("_") and callable(v) and v.__module__ == module.__name__]
+        assert public
+        for value in public:
+            assert getattr(gspinfer, value.__name__) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gspinfer.no_such_name  # noqa: B018
+    from gspinfer import pipeline as module
+
+    assert module is pipeline
 
 
 class TestDeterminism:
@@ -581,6 +610,29 @@ class TestConfigFile:
         path.write_text("listings = banana\n")
         with pytest.raises(ConfigError, match="bad value"):
             load_config(str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        # null only where the default is null
+        ("epsilon_max", "null"), ("boundary_samples", "null"), ("periods", "null"), ("listings", "null"),
+        ("value_low", "null"), ("algorithm", "null"),
+        # an integer key takes no fraction and no boolean; a number key no boolean
+        ("periods", "2.9"), ("competitors", "2.5"), ("rate_replications", "1.5"), ("jobs", "true"),
+        ("rate_sample_sizes", "[1000, 2.5]"), ("epsilon_max", "true"),
+    ])
+    def test_value_of_the_wrong_json_type_rejected(self, tmp_path, key, value):
+        path = tmp_path / "cfg"
+        path.write_text(f"# header\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf":2: bad value for '{key}'"):
+            load_config(str(path))
+
+    def test_null_and_integral_numbers_where_allowed(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_text("grid_step = null\nvalue_cap = null\nlearning_rate = null\nmainline_count = null\n"
+                        "periods = 2.0\nrate_replications = 1e1\nseed = -0.0\nepsilon_max = 2\n")
+        cfg = load_config(str(path))
+        assert [cfg[k] for k in ("grid_step", "value_cap", "learning_rate", "mainline_count")] == [None] * 4
+        assert [(cfg[k], type(cfg[k])) for k in ("periods", "rate_replications", "seed", "epsilon_max")] == [
+            (2, int), (10, int), (0, int), (2.0, float)]
 
     def test_number_too_large_for_int_key_rejected(self, tmp_path):
         path = tmp_path / "cfg"
@@ -731,6 +783,23 @@ class TestCli:
         assert len(errors) == 1 and errors[0].startswith(self.BAD_INFERENCE_CONFIG[line])
         assert captured.out == "" and not (tmp_path / "o").exists()
 
+    # config lines -> the key the one error names; each used to end in a traceback, name a competitor's
+    # bid or another spelling, or run with a truncated or null value
+    BAD_SIMULATION_KEY = {
+        "drift_amplitude = NaN": "drift_amplitude",
+        "drift_amplitude = 1e308": "drift_amplitude",
+        "drift_amplitude = -1000": "drift_amplitude",
+        "learning_rate = NaN": "learning_rate",
+        "learning_rate = Infinity": "learning_rate",
+        "learning_rate = -0.5": "learning_rate",
+        "periods = null": "periods",
+        "listings = null": "listings",
+        "value_low = null": "value_low",
+        "periods = 2.9": "periods",
+        "competitors = 2.5": "competitors",
+        "rate_replications = 1.5": "rate_replications",
+    }
+
     @pytest.mark.parametrize("command, lines", [
         ("simulate", "value_high = 0"),
         ("simulate", "value_high = 1e400"),
@@ -749,13 +818,16 @@ class TestCli:
         ("rate-study", "rate_sample_sizes = [1e3, 1e400, 1e5]"),
         ("rate-study", 'rate_sample_sizes = [1e3, "a", 1e5]'),
         ("rate-study", "rate_grid_coeff = NaN"),
+        *(("rate-study" if key.startswith("rate_") else "simulate", line) for line, key in BAD_SIMULATION_KEY.items()),
     ])
     def test_bad_simulation_config_exits_with_error_list(self, tmp_path, capsys, command, lines):
         cfg = tmp_path / "cfg"
         cfg.write_text(f"listings = 1\nperiods = 2\nrate_replications = 1\n{lines}\n")
         assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         captured = capsys.readouterr()
-        assert len(json.loads(captured.err)["errors"]) == 1
+        errors = json.loads(captured.err)["errors"]
+        assert len(errors) == 1
+        assert self.BAD_SIMULATION_KEY.get(lines, "") in errors[0]
         assert captured.out == "" and not (tmp_path / "o").exists()
 
     def test_predict_out_matches_infer_predictions(self, tmp_path, capsys):

@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from gspinfer.auction import auctions_to_table, row_to_auction
 from gspinfer.inference import RationalizablePoint, boundary, build_deviation_curve, feasible
+from gspinfer.pipeline import default_bid_grid
 from gspinfer.simulate import (
     BackgroundSpec,
     LearnerConfig,
     LearnerSpec,
     MarketSpec,
     SimulationError,
-    default_bid_grid,
     hedge_step,
     realized_regret,
     simulate_market,
