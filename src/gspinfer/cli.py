@@ -2,8 +2,10 @@
 
 Configuration is a flat ``key = value`` text file (``#`` comments allowed);
 values are parsed as JSON, so lists like ``position_curve = [1.0, 0.6]``
-work. Unknown keys are errors. Command-line flags override config values;
-each subcommand takes only the flags it reads.
+work. A number is a JSON number, ``NaN``, ``Infinity`` or ``-Infinity``,
+never a string; only ``algorithm`` takes unquoted text. Unknown keys are
+errors. Command-line flags override config values; each subcommand takes
+only the flags it reads.
 Exits 0 on success and 1 with a JSON error list on stderr otherwise.
 """
 
@@ -39,15 +41,15 @@ if TYPE_CHECKING:
 
 
 def _integer(x) -> int:
-    """A config integer: what ``int`` parses, but no boolean and no float with a fraction (``1e3`` is 1000)."""
-    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+    """A config integer: a JSON number with no fraction (``1e3`` is 1000), not a boolean or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or isinstance(x, float) and not x.is_integer():
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
 
 
 def _real(x) -> float:
-    """A config number: anything ``float`` parses but a boolean."""
-    if isinstance(x, bool):
+    """A config number: a JSON number, ``NaN``, ``Infinity`` or ``-Infinity``, not a boolean or a string."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValueError(f"expected a number, got {x!r}")
     return float(x)
 
@@ -58,9 +60,6 @@ def _numbers(kind):
     def parse(value) -> list:
         if not isinstance(value, list):
             raise ValueError("expected a JSON list")
-        for x in value:
-            if not isinstance(x, (int, float)):
-                raise ValueError(f"expected a list of numbers, got {x!r}")
         return [kind(x) for x in value]
 
     return parse

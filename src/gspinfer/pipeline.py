@@ -23,6 +23,7 @@ import csv
 import json
 import math
 import os
+import struct
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -303,15 +304,27 @@ def _listing_table(lid: str, records: list[tuple], curves: tuple, truth) -> tupl
     return table, line
 
 
+class _EntryTexts(dict):
+    """A competitor entry's log text by its (score, bid, quality) float64 bytes, formatted on first lookup."""
+
+    def __missing__(self, key: bytes) -> str:
+        # numpy's "S24" drops trailing zero bytes; the width restores them
+        text = self[key] = '{"score":%r,"bid":%r,"quality":%r}' % struct.unpack("=3d", key.ljust(24, b"\0"))
+        return text
+
+
 def write_histories(histories: Sequence[ListingHistory], path: str) -> None:
     """Serialize histories to the JSONL auction-log format (round-trip exact).
 
-    Lines are formatted from the columns as ``json.dumps(record, separators=(",", ":"))`` writes them.
+    Lines are formatted from the columns as ``json.dumps(record, separators=(",", ":"))`` writes them;
+    each distinct competitor entry is formatted once per call.
     """
+    entries = _EntryTexts()
     with open(path, "w", encoding="utf-8") as fh:
         for h in histories:
-            competitors = ['{"score":%r,"bid":%r,"quality":%r}' % e
-                           for e in zip(h.score.tolist(), h.bid.tolist(), h.quality.tolist())]
+            # an entry's key is its 24 bytes, so -0.0 and 0.0 stay apart
+            keys = np.stack((h.score, h.bid, h.quality), axis=1).view("S24").ravel().tolist()
+            competitors = [entries[k] for k in keys]
             curves = [json.dumps(list(c), separators=(",", ":")) for c in h.curves]
             lid, offsets = json.dumps(h.listing_id), h.offsets.tolist()
             truth = "" if h.truth is None else ',"truth_value":' + json.dumps(h.truth)

@@ -7,6 +7,13 @@ utility every grid bid would have earned against that period's batch. The
 emitted histories carry the true value-per-click so inference can be
 validated end to end.
 
+Payoffs come from one :class:`~gspinfer.auction.DeviationSweep` per period
+for the whole market: the learners' tables are interleaved into one market
+table (rows by period, then learner, then auction), and each period's rows
+are swept at once at every learner's grid bids. A lone learner's
+competitors are all drawn up front, so its payoffs are swept in blocks of
+whole periods.
+
 Each listing's history is its :class:`~gspinfer.auction.ListingHistory`
 table. Its competitors are, in a fixed order, the other learners and then
 the background draws (a log names them "c000", "c001", ...), so a history
@@ -17,7 +24,7 @@ in-memory one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +89,10 @@ def hedge_step(weights: np.ndarray, payoffs: np.ndarray, eta: float) -> np.ndarr
     if eta < 0:
         raise SimulationError("learning rate must be non-negative")
     scaled = weights * np.exp(eta * (payoffs - payoffs.max()))
-    return scaled / scaled.sum()
+    total = scaled.sum()
+    if not total > 0.0:
+        raise SimulationError(f"learning_rate {eta:g} is too large: every hedge weight underflowed to 0")
+    return scaled / total
 
 
 def tuned_hedge_rate(n_arms: int, horizon: int) -> float:
@@ -188,7 +198,10 @@ class _LearnerState:
     def commit(self) -> float:
         alg = self.spec.config.algorithm
         if alg == "hedge":
-            idx = int(self.rng.choice(len(self.grid), p=self.weights))
+            # rng.choice(len(grid), p=weights) without re-checking p: one double against the CDF
+            cdf = self.weights.cumsum()
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(self.rng.random(), side="right"))
         elif alg == "epsilon_greedy":
             if self.rounds == 0 or self.rng.random() < self.spec.config.exploration:
                 idx = int(self.rng.integers(len(self.grid)))
@@ -273,21 +286,49 @@ def simulate_market(
     ]
     # Payoffs are swept for every period whose competitors are known: a lone
     # learner's are all drawn up front (swept in blocks of whole periods),
-    # other learners' bids are known one period at a time.
-    queued: list[list[np.ndarray]] = [[] for _ in learners]
+    # other learners' bids are known one period at a time, when one sweep of
+    # the market table covers every learner's rows at the union of their grids.
+    market = tables[0] if n_learners == 1 else _interleave(tables, periods, n)
+    grids = [st.grid for st in states]
+    grid = grids[0] if len(set(grids)) == 1 else tuple(np.unique(np.concatenate(grids)).tolist())
+    columns = [None if g == grid else np.searchsorted(grid, g) for g in grids]
+    step = max(1, BLOCK_CELLS // (n * len(grid))) if n_learners == 1 else 1
+    width = n_learners * n  # rows per period of the market table
+    own_bid = market.own_bid.reshape(periods, n_learners, n)
+    # each learner's competitors open with the other learners, in order
+    opponent_bid = market.bid.reshape(periods, n_learners, n, n_learners - 1 + m)[..., :n_learners - 1]
+    opponents = np.array([[j for j in range(n_learners) if j != i] for i in range(n_learners)], dtype=np.int64)
+    start = stop = 0
     for t in range(periods):
-        bids = [st.commit() for st in states]
+        bids = np.array([st.commit() for st in states])
+        own_bid[t] = bids[:, None]
+        opponent_bid[t] = bids[opponents][:, None]
+        if t == stop:
+            start, stop = t, min(t + step, periods)
+            ps, cs = DeviationSweep(market.rows(start * width, stop * width), market.listing_id).evaluate_many(grid)
+        for i, st in enumerate(states):
+            a = (t - start) * width + i * n
+            p, c = ps[a:a + n], cs[a:a + n]
+            if columns[i] is not None:
+                p, c = p[:, columns[i]], c[:, columns[i]]
+            st.update(np.add.reduce(st.spec.value * p - c, axis=0) / n)
+    if n_learners > 1:
         for i, table in enumerate(tables):
-            table.own_bid[t * n:(t + 1) * n] = bids[i]
-            table.bid.reshape(rows, -1)[t * n:(t + 1) * n, :n_learners - 1] = bids[:i] + bids[i + 1:]
-        for st, table, queue in zip(states, tables, queued):
-            if not queue:
-                stop = min(t + max(1, BLOCK_CELLS // (n * len(st.grid))), periods) if n_learners == 1 else t + 1
-                ps, cs = DeviationSweep(table.rows(t * n, stop * n), table.listing_id).evaluate_many(st.grid)
-                utility = st.spec.value * ps - cs
-                queue += [np.add.reduce(utility[a:a + n], axis=0) / n for a in range(0, len(utility), n)]
-            st.update(queue.pop(0))
+            table.own_bid[:] = own_bid[:, i].reshape(-1)
+            table.bid.reshape(periods, n, -1)[..., :n_learners - 1] = opponent_bid[:, i]
     return tables
+
+
+def _interleave(tables: Sequence[ListingHistory], periods: int, n: int) -> ListingHistory:
+    """Tables of ``periods * n`` rows with one competitor count as one, rows by period, then table, then auction.
+
+    Every row keeps its own table's columns, ``ahead`` included; the position curves are the first table's.
+    """
+    columns = {f.name: np.stack([getattr(tb, f.name).reshape(periods, n, -1) for tb in tables], axis=1).reshape(-1)
+               for f in fields(ListingHistory) if f.name not in ("listing_id", "curves", "offsets", "truth")}
+    per_row = int(tables[0].offsets[1])
+    return ListingHistory("market", **columns, curves=tables[0].curves,
+                          offsets=np.arange(len(columns["period"]) + 1) * per_row)
 
 
 def realized_regret(history: ListingHistory, value: float, bid_grid: Sequence[float]) -> float:

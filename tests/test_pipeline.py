@@ -393,6 +393,11 @@ def writer_tables():
     scored, plain_quality, plain = simulate_market(market, learners, 5, 2, 3)
     no_mainline, = simulate_market(replace(market, mainline_count=0), learners[2:], 4, 3, 5)
     curves = ((1.0, 0.5), (1, 0.6, 0.2), (0.9,))
+    # entries repeated within and across two listings, whose k-th entries differ only in the sign of a zero
+    entries = np.array([[1.0, 0.0, 0.5], [1.0, -0.0, 0.5], [1.1, 0.3, 0.0], [1.1, 0.3, -0.0]])  # score, bid, quality
+    signed = [replace(plain, listing_id=f"L10{k}", **dict(zip(("score", "bid", "quality"),
+                                                              np.resize(entries[order], (len(plain.bid), 3)).T.copy())))
+              for k, order in enumerate(([0, 1, 2, 3], [1, 0, 3, 2]))]
     return {
         "scored, non-ASCII id, int truth": [scored],
         "own quality only": [plain_quality],
@@ -400,6 +405,7 @@ def writer_tables():
         "mainline_count 0": [no_mainline],
         "several curves": [replace(no_mainline, curves=curves, curve=np.arange(len(no_mainline)) % 3)],
         "whole market": [scored, plain_quality, plain],
+        "signed zeros, repeated entries": signed,
     }
 
 
@@ -618,6 +624,8 @@ class TestConfigFile:
         # an integer key takes no fraction and no boolean; a number key no boolean
         ("periods", "2.9"), ("competitors", "2.5"), ("rate_replications", "1.5"), ("jobs", "true"),
         ("rate_sample_sizes", "[1000, 2.5]"), ("epsilon_max", "true"),
+        # no string, quoted or not, is a number
+        ("periods", '"5"'), ("epsilon_max", '"0.5"'), ("precision", "inf"), ("rate_sample_sizes", '["1000"]'),
     ])
     def test_value_of_the_wrong_json_type_rejected(self, tmp_path, key, value):
         path = tmp_path / "cfg"
@@ -767,7 +775,7 @@ class TestCli:
         "epsilon_max = NaN": "epsilon_max must be finite",
         # a NaN threshold left the scatter silently empty
         "learning_threshold = NaN": "learning_threshold must be finite",
-        "learning_threshold = inf": "learning_threshold must be finite",
+        "learning_threshold = Infinity": "learning_threshold must be finite",
     }
 
     @pytest.mark.parametrize("command", ["infer", "predict"])
@@ -798,6 +806,12 @@ class TestCli:
         "periods = 2.9": "periods",
         "competitors = 2.5": "competitors",
         "rate_replications = 1.5": "rate_replications",
+        # every weight underflowed and hedge divided 0 by 0: numpy's "Probabilities contain NaN"
+        "learning_rate = 1e6\nlistings = 2\nperiods = 50\nauctions_per_period = 2": "learning_rate",
+        # a number is a JSON number, NaN or +-Infinity, never a string
+        'periods = "5"': "periods",
+        'epsilon_max = "0.5"': "epsilon_max",
+        "precision = inf": "precision",
     }
 
     @pytest.mark.parametrize("command, lines", [

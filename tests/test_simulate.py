@@ -1,19 +1,22 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspinfer.auction import auctions_to_table, row_to_auction
+from gspinfer.auction import BLOCK_CELLS, DeviationSweep, auctions_to_table, row_to_auction
 from gspinfer.inference import RationalizablePoint, boundary, build_deviation_curve, feasible
 from gspinfer.pipeline import default_bid_grid
 from gspinfer.simulate import (
+    ALGORITHMS,
     BackgroundSpec,
     LearnerConfig,
     LearnerSpec,
     MarketSpec,
     SimulationError,
+    _LearnerState,
     hedge_step,
     realized_regret,
     simulate_market,
@@ -50,6 +53,38 @@ class TestHedgeStep:
     def test_bad_weights_rejected(self):
         with pytest.raises(SimulationError):
             hedge_step(np.array([0.5, 0.4]), np.array([0.0, 0.0]), eta=0.1)
+
+    def test_underflow_of_every_weight_names_the_rate(self):
+        # the best arm has weight 0 and every other weight underflows: 0 / 0 used to make NaN weights
+        with pytest.raises(SimulationError, match="learning_rate 1e\\+06 is too large"):
+            hedge_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), eta=1e6)
+
+
+def hedge_state(weights, seed):
+    """A hedge learner on the grid 0, 1, ..., so its bid is its arm, with the given weights."""
+    state = _LearnerState(LearnerSpec("L000", 0.5, LearnerConfig("hedge", range(len(weights)))), 10,
+                          np.random.default_rng(seed), 1.0)
+    state.weights = np.asarray(weights, dtype=float)
+    return state
+
+
+class TestHedgeDraw:
+    @pytest.mark.parametrize("kind", ["random", "one-hot", "single arm", "exact zeros"])
+    def test_draw_is_rng_choice_and_consumes_the_same_stream(self, kind):
+        shapes = np.random.default_rng(99)
+        for seed in range(200):
+            k = 1 if kind == "single arm" else int(shapes.integers(2, 60))
+            weights = shapes.random(k) ** 3
+            if kind == "one-hot":
+                weights = np.eye(k)[shapes.integers(k)]
+            elif kind == "exact zeros":
+                weights[shapes.integers(k, size=k // 2)] = 0.0
+                weights[shapes.integers(k)] += 0.5
+            weights = weights / weights.sum()
+            state, rng = hedge_state(weights, seed), np.random.default_rng(seed)
+            for _ in range(5):
+                assert state.commit() == rng.choice(k, p=weights)
+            assert state.rng.random() == rng.random()
 
 
 def simple_market(competitors=2):
@@ -193,6 +228,72 @@ class TestSimulateMarket:
             auctions = [row_to_auction(hist, a) for a in range(len(hist))]
             back = auctions_to_table(auctions, hist.listing_id, periods=hist.period.tolist())
             assert back == type(hist)(**{**hist.__dict__, "truth": None})
+
+
+class ChoiceState(_LearnerState):
+    """A learner whose hedge draw is ``rng.choice``, as the simulator drew it before the CDF form."""
+
+    def commit(self) -> float:
+        if self.spec.config.algorithm == "hedge":
+            return self.grid[int(self.rng.choice(len(self.grid), p=self.weights))]
+        return super().commit()
+
+
+def simulate_market_per_learner(env, learners, periods, auctions_per_period, seed):
+    """One sweep per learner and period (a lone learner's in blocks of periods): the oracle for ``simulate_market``.
+
+    The tables' other columns are ``simulate_market``'s; every own bid and learner-opponent bid is rewritten here.
+    """
+    n, n_learners = auctions_per_period, len(learners)
+    rows = periods * n
+    tables = [replace(h, own_bid=np.full(rows, np.nan), bid=h.bid.copy())
+              for h in simulate_market(env, learners, periods, n, seed)]
+    for table in tables:
+        table.bid.reshape(rows, -1)[:, :n_learners - 1] = np.nan
+    _, *learner_ss = np.random.SeedSequence(seed).spawn(1 + n_learners)
+    states = [ChoiceState(ls, periods, np.random.Generator(np.random.PCG64(ss)), env.position_curve[0])
+              for ls, ss in zip(learners, learner_ss)]
+    queued = [[] for _ in learners]
+    for t in range(periods):
+        bids = [st.commit() for st in states]
+        for i, table in enumerate(tables):
+            table.own_bid[t * n:(t + 1) * n] = bids[i]
+            table.bid.reshape(rows, -1)[t * n:(t + 1) * n, :n_learners - 1] = bids[:i] + bids[i + 1:]
+        for st, table, queue in zip(states, tables, queued):
+            if not queue:
+                stop = min(t + max(1, BLOCK_CELLS // (n * len(st.grid))), periods) if n_learners == 1 else t + 1
+                ps, cs = DeviationSweep(table.rows(t * n, stop * n), table.listing_id).evaluate_many(st.grid)
+                utility = st.spec.value * ps - cs
+                queue += [np.add.reduce(utility[a:a + n], axis=0) / n for a in range(0, len(utility), n)]
+            st.update(queue.pop(0))
+    return tables
+
+
+GRID = default_bid_grid(1.0, 0.1)
+# rosters by name: the learners' algorithms and grids
+ROSTERS = {
+    **{f"lone {alg}": [(alg, GRID)] for alg in ALGORITHMS},
+    "two hedge": [("hedge", GRID), ("hedge", GRID)],
+    "two, one on (0.2, 0.6)": [("epsilon_greedy", GRID), ("hedge", (0.2, 0.6))],
+    "three, every algorithm": [("hedge", GRID), ("fixed_best_response", (0.2, 0.6)), ("epsilon_greedy", GRID)],
+    "three, off-grid bids": [("hedge", (0.05, 0.25, 0.55, 0.95)), ("hedge", GRID), ("fixed_best_response", (0.33,))],
+}
+
+
+class TestMarketSweep:
+    @pytest.mark.parametrize("roster", list(ROSTERS))
+    @pytest.mark.parametrize("auctions", [1, 10])
+    @pytest.mark.parametrize("drift", [0.0, 0.5])
+    def test_matches_one_sweep_per_learner_and_period(self, roster, auctions, drift):
+        learners = [LearnerSpec(f"L{i:03d}", 0.3 + 0.25 * i, LearnerConfig(alg, grid), own_score=1.0 + 0.1 * i)
+                    for i, (alg, grid) in enumerate(ROSTERS[roster])]
+        market = MarketSpec(background=BackgroundSpec(drift_amplitude=drift, drift_period=7))
+        for seed in range(3):
+            got = simulate_market(market, learners, 15, auctions, seed)
+            expected = simulate_market_per_learner(market, learners, 15, auctions, seed)
+            assert got == expected
+            for a, b in zip(got, expected):
+                assert a.own_bid.tobytes() == b.own_bid.tobytes() and a.bid.tobytes() == b.bid.tobytes()
 
 
 def draw_loop(spec, rng, period):
