@@ -1,4 +1,4 @@
-"""Single-auction GSP mechanics: rank-score allocation, pricing, clicks, utility.
+"""Single-auction GSP mechanics: rank-score allocation, pricing, clicks.
 
 An auction is described by :class:`AuctionParams`. Bidders are ranked by
 rank-score ``q = score * bid``; bidders passing the rank reserve fill
@@ -15,13 +15,13 @@ A listing's auctions live in one columnar table, :class:`ListingHistory`.
 :class:`DeviationSweep` evaluates the listing over a row range of it as numpy
 arrays. :class:`AuctionParams`, :func:`rank_and_allocate` and
 :func:`replay_at_bid` work on one auction and are the scalar reference;
-:func:`auctions_to_table` and :func:`row_to_auction` convert between the two.
+:func:`row_to_auction` turns a table row into one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -229,13 +229,6 @@ def expected_payment(bidder_id: str, alloc: AllocationResult, params: AuctionPar
     return click_probability(bidder_id, alloc, params) * cost_per_click(bidder_id, alloc, params)
 
 
-def utility(bidder_id: str, alloc: AllocationResult, params: AuctionParams, value: float) -> float:
-    """Expected utility ``value * click_probability - expected_payment``."""
-    if value < 0:
-        raise ValidationError(f"value must be non-negative (got {value})")
-    return value * click_probability(bidder_id, alloc, params) - expected_payment(bidder_id, alloc, params)
-
-
 def replay_at_bid(params: AuctionParams, bidder_id: str, bid: float) -> tuple[float, float]:
     """Click probability and expected payment with ``bidder_id``'s bid replaced.
 
@@ -364,33 +357,6 @@ def log_ahead(listing_id: str, offsets: np.ndarray) -> np.ndarray:
     return names[np.arange(offsets[-1]) - offsets[:-1].repeat(counts)]
 
 
-def auctions_to_table(
-    auctions: Sequence[AuctionParams], bidder_id: str, periods: Sequence[int] | None = None
-) -> ListingHistory:
-    """``bidder_id``'s view of reference auctions as a table, all in period 1 unless ``periods`` are given.
-
-    Competitors keep their order and ``ahead`` compares their ids with ``bidder_id``.
-    """
-    own = [params.entry(bidder_id) for params in auctions]
-    others = [[e for e in params.entries if e.id != bidder_id] for params in auctions]
-    flat = [e for es in others for e in es]
-    curves: dict[tuple[float, ...], int] = {}
-
-    def column(xs, dtype=np.float64):
-        return np.array(list(xs), dtype=dtype)
-
-    return ListingHistory(
-        bidder_id, column([1] * len(auctions) if periods is None else periods, np.int64),
-        column(e.bid for e in own), column(e.score for e in own), column(e.quality for e in own),
-        column(p.rank_reserve for p in auctions), column(p.mainline_reserve for p in auctions),
-        column((p.mainline_cap for p in auctions), np.int64),
-        column((len(p.mainline_positions) for p in auctions), np.int64),
-        column((curves.setdefault(p.position_curve, len(curves)) for p in auctions), np.int64), tuple(curves),
-        np.cumsum([0] + [len(es) for es in others]), column(e.score for e in flat),
-        column(e.quality for e in flat), column(e.bid for e in flat), column((e.id < bidder_id for e in flat), bool),
-    )
-
-
 def row_to_auction(table: ListingHistory, a: int) -> AuctionParams:
     """Row ``a`` of a table as the reference :class:`AuctionParams`, entries named as in a log."""
     lo, hi = table.offsets[a], table.offsets[a + 1]
@@ -421,8 +387,8 @@ class DeviationSweep:
     by the reserve they pass into counting keys (which carry the tie-break)
     and next-slot price lookups. :meth:`evaluate_many` ``(bids)`` returns
     ``(P, C)`` of shape ``(A, G)``, one row per auction and one column per
-    bid; :meth:`evaluate` ``(bid)`` returns shape ``(A,)`` for one bid, or
-    for one bid per auction.
+    bid: the same ``(G,)`` bids in every auction, or an ``(A, G)`` matrix
+    with one row of bids per auction.
 
     Every cell equals ``replay_at_bid(row_to_auction(table, a), bidder_id, bid)``
     bit for bit: the ranking is the same integer comparison with the same
@@ -431,8 +397,8 @@ class DeviationSweep:
     ``[0, MAX_MAGNITUDE]``, which keeps every rank-score inside int64.
 
     The benchmark's tracer times the auction layer by wrapping this class by
-    name (its constructor, ``evaluate`` and ``evaluate_many``), so the
-    kernel stays behind these three entry points.
+    name (its constructor and ``evaluate_many``), so the kernel stays behind
+    these two entry points.
     """
 
     __slots__ = ("_s", "_den", "_r", "_m", "_n_main", "_last_main", "_last", "_gamma",
@@ -516,14 +482,10 @@ class DeviationSweep:
                 c.flat[i] = p.flat[i] * (int(price.flat[i]) / int(den.flat[i]))
         return p, c
 
-    def evaluate_many(self, bids: Iterable[float]) -> tuple[np.ndarray, np.ndarray]:
-        """``(P, C)`` of shape ``(A, G)``: every auction at every bid."""
-        return self._cells(np.asarray(bids, dtype=np.float64).reshape(1, -1))
-
-    def evaluate(self, bid) -> tuple[np.ndarray, np.ndarray]:
-        """``(P, C)`` of shape ``(A,)``: one bid, or one bid per auction."""
-        p, c = self._cells(np.asarray(bid, dtype=np.float64).reshape(-1, 1))
-        return p.reshape(-1), c.reshape(-1)
+    def evaluate_many(self, bids: np.ndarray | Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """``(P, C)`` of shape ``(A, G)``: ``(G,)`` bids in every auction, or one row of an ``(A, G)`` matrix in each."""
+        bids = np.asarray(bids, dtype=np.float64)
+        return self._cells(bids if bids.ndim == 2 else bids.reshape(1, -1))
 
 
 def _opponents_above(key_cols: list[np.ndarray], q_p: np.ndarray) -> np.ndarray:

@@ -176,23 +176,6 @@ class SupportRegion:
         return abs(u2) * link_eval(self.link, z)
 
 
-class PolygonRegion:
-    """Convex polygon given by its vertices; support is the max vertex dot."""
-
-    def __init__(self, vertices: Sequence[tuple[float, float]]):
-        if len(vertices) < 1:
-            raise GeometryError("polygon needs at least one vertex")
-        self.vertices = [(float(x), float(y)) for x, y in vertices]
-
-    def support(self, u: tuple[float, float]) -> float:
-        u1, u2 = u
-        return max(u1 * x + u2 * y for x, y in self.vertices)
-
-    def translate(self, shift: tuple[float, float]) -> "PolygonRegion":
-        dx, dy = shift
-        return PolygonRegion([(x + dx, y + dy) for x, y in self.vertices])
-
-
 class _Supportable(Protocol):
     def support(self, u: tuple[float, float]) -> float: ...
 

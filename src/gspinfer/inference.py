@@ -74,17 +74,6 @@ class DeviationCurve:
             if not math.isfinite(x):
                 raise InferenceError("curve values must be finite")
 
-    def rows(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.grid, self.delta_p, self.delta_c))
-
-
-@dataclass(frozen=True)
-class RationalizablePoint:
-    """A candidate (value-per-click, additive regret) pair."""
-
-    value: float
-    epsilon: float
-
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -131,46 +120,27 @@ def build_deviation_curve(history: ListingHistory, grid: Sequence[float]) -> Dev
     auction of the period (opponents fixed) and the per-period means of click
     probability and payment are taken; ``delta_*`` are the period averages of
     (counterfactual - realized). Whole periods share one
-    :class:`~gspinfer.auction.DeviationSweep` of at most about :data:`BLOCK_CELLS` cells.
+    :class:`~gspinfer.auction.DeviationSweep` of at most about :data:`BLOCK_CELLS` cells,
+    swept once at each auction's realized bid followed by the grid.
     """
     grid = [float(b) for b in grid]
     bounds = history.period_bounds().tolist()
     step = max(1, BLOCK_CELLS // (len(grid) * max(b - a for a, b in zip(bounds, bounds[1:]))))
-    sums = np.zeros((2, len(grid)))  # click probability, payment
-    base = [0.0, 0.0]
+    sums = np.zeros((2, 1 + len(grid)))  # click probability, payment; column 0 is the realized bid
     for first in range(0, len(bounds) - 1, step):
         last = min(first + step, len(bounds) - 1)
         block = history.rows(bounds[first], bounds[last])
-        sweep = DeviationSweep(block, history.listing_id)
-        cells, own = sweep.evaluate_many(grid), sweep.evaluate(block.own_bid)
+        bids = np.column_stack((block.own_bid, np.broadcast_to(grid, (len(block), len(grid)))))
+        cells = DeviationSweep(block, history.listing_id).evaluate_many(bids)
         for start, end in zip(bounds[first:last], bounds[first + 1:last + 1]):
             rows = slice(start - bounds[first], end - bounds[first])
             for k in (0, 1):
-                # sums in sample order keep the curve bit-identical to a scalar replay
-                b = _sum_in_order(own[k][rows]) / (end - start)
-                base[k] += b
-                sums[k] += np.add.reduce(cells[k][rows], axis=0) / (end - start) - b
-    t = len(bounds) - 1
-    return DeviationCurve(grid, (sums[0] / t).tolist(), (sums[1] / t).tolist(), base[0] / t, base[1] / t)
-
-
-def _sum_in_order(xs: np.ndarray) -> float:
-    """Left-to-right float sum of a vector, as a Python loop adds (numpy sums pairwise)."""
-    total = 0.0
-    for x in xs.tolist():
-        total += x
-    return total
-
-
-def feasible(point: RationalizablePoint, curve: DeviationCurve, tol: float = FEASIBILITY_TOL) -> bool:
-    """True iff ``v * dP(b') <= dC(b') + eps`` holds for every grid bid."""
-    if point.value < 0:
-        raise InferenceError(f"value must be non-negative (got {point.value})")
-    v, eps = point.value, point.epsilon
-    for dp, dc in zip(curve.delta_p, curve.delta_c):
-        if v * dp > dc + eps + tol:
-            return False
-    return True
+                # axis-0 sums add in sample order, keeping the curve bit-identical to a scalar replay
+                mean = np.add.reduce(cells[k][rows], axis=0) / (end - start)
+                sums[k, 0] += mean[0]
+                sums[k, 1:] += mean[1:] - mean[0]
+    sums /= len(bounds) - 1
+    return DeviationCurve(grid, sums[0, 1:].tolist(), sums[1, 1:].tolist(), sums[0, 0], sums[1, 0])
 
 
 def value_interval(

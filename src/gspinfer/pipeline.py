@@ -138,8 +138,9 @@ class ListingArtifacts:
 class AccountSummary:
     """Account-level roll-up of the per-listing point predictions.
 
-    The histogram partitions [0, 1) into even buckets plus a dedicated
-    bucket for listings whose smallest rationalizable error is non-positive.
+    The histogram partitions (0, 1) into buckets of ``bucket_width``, the last
+    ending at 1, plus a dedicated bucket for listings whose smallest
+    rationalizable error is non-positive.
     The scatter holds exactly the listings whose error exceeds
     ``learning_threshold``.
     """
@@ -154,8 +155,8 @@ class AccountSummary:
     errors: tuple[tuple[str, str], ...] = ()
 
     def bucket_edges(self) -> list[float]:
-        n = len(self.histogram_counts)
-        return [k * self.bucket_width for k in range(n)] + [min(1.0, n * self.bucket_width)]
+        """Multiples of the width, then 1.0: the last bucket counts every ``delta*`` up to 1."""
+        return [k * self.bucket_width for k in range(len(self.histogram_counts))] + [1.0]
 
 
 # ---------------------------------------------------------------------------

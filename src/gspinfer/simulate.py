@@ -215,10 +215,13 @@ class _LearnerState:
         return self.grid[idx]
 
     def update(self, payoffs: np.ndarray) -> None:
-        if self.spec.config.algorithm == "hedge":
+        alg = self.spec.config.algorithm
+        if alg == "hedge":
             self.weights = hedge_step(self.weights, payoffs / self.scale, self.eta)
-        self.mean_payoff = (self.mean_payoff * self.rounds + payoffs) / (self.rounds + 1)
-        self.last_payoffs = payoffs
+        elif alg == "epsilon_greedy":
+            self.mean_payoff = (self.mean_payoff * self.rounds + payoffs) / (self.rounds + 1)
+        else:  # fixed_best_response
+            self.last_payoffs = payoffs
         self.rounds += 1
 
 
@@ -261,6 +264,8 @@ def simulate_market(
     entrants = np.concatenate([own, env.background.draws(env_rng, periods, n)], axis=1)  # score, quality, bid
     offsets = np.arange(rows + 1) * (n_learners - 1 + m)
     n_main = min(env.mainline_cap, len(env.position_curve)) if env.mainline_count is None else env.mainline_count
+    if env.mainline_count is not None and n_main < 0:
+        raise SimulationError(f"mainline_count must be non-negative (got {n_main})")
     tables = []
     for i, ls in enumerate(learners):
         score, quality, bid = entrants[:, [j for j in range(n_learners + m) if j != i]].reshape(-1, 3).T.copy()
@@ -271,7 +276,7 @@ def simulate_market(
             np.full(rows, float(ls.own_score)),
             np.full(rows, float(ls.own_quality)), np.full(rows, float(env.rank_reserve)),
             np.full(rows, float(env.mainline_reserve)), np.full(rows, env.mainline_cap),
-            np.full(rows, max(0, n_main)), np.zeros(rows, dtype=np.int64), (tuple(env.position_curve),),
+            np.full(rows, n_main), np.zeros(rows, dtype=np.int64), (tuple(env.position_curve),),
             offsets, score, quality, bid, log_ahead(ls.listing_id, offsets), ls.value,
         )
         bad = np.flatnonzero(table.invalid_rows())

@@ -13,18 +13,15 @@ import pytest
 
 from gspinfer.auction import DeviationSweep
 from gspinfer.geometry import (
-    PolygonRegion,
     RateStudyConfig,
     hausdorff,
     run_rate_study,
 )
 from gspinfer.inference import (
     DeviationCurve,
-    RationalizablePoint,
     boundary,
     build_deviation_curve,
     check_assumptions,
-    feasible,
     min_additive_regret,
     min_mult_regret,
     value_interval,
@@ -40,8 +37,8 @@ from gspinfer.simulate import (
     tuned_hedge_rate,
 )
 
-from test_geometry import polygon_hausdorff_oracle, random_convex_polygon
-from test_inference import best_deviation
+from test_geometry import PolygonRegion, polygon_hausdorff_oracle, random_convex_polygon
+from test_inference import RationalizablePoint, best_deviation, feasible
 
 
 def report(num, name, ok, detail=""):
@@ -128,15 +125,21 @@ def test_criterion_2_brute_force_oracle_equivalence():
             assert abs(v_lat[idx[0]] - max(interval[0], 0.0)) <= dv + 1e-9
             assert abs(v_lat[idx[-1]] - min(interval[1], v_max)) <= dv + 1e-9
 
-        # multiplicative brute force over the (delta, value) lattice
+        # multiplicative brute force over the (delta, value) lattice, in blocks
+        # of delta rows: the first feasible row lies in the first block with one
         util0 = v_lat * curve.baseline_p - curve.baseline_c
-        feas = np.ones((n_lattice, n_lattice), dtype=bool)
-        for dp, dc in zip(dps, dcs):
-            rhs = dc + ratio[:, None] * util0[None, :]
-            feas &= v_lat[None, :] * dp <= rhs + 1e-12
-        rows = feas.any(axis=1)
-        assert rows.any()
-        delta_brute = float(d_lat[int(np.argmax(rows))])
+        delta_brute = None
+        for first in range(0, n_lattice, 100):
+            block = ratio[first:first + 100, None]
+            feas = np.ones((len(block), n_lattice), dtype=bool)
+            for dp, dc in zip(dps, dcs):
+                rhs = dc + block * util0[None, :]
+                feas &= v_lat[None, :] * dp <= rhs + 1e-12
+            rows = feas.any(axis=1)
+            if rows.any():
+                delta_brute = float(d_lat[first + int(np.argmax(rows))])
+                break
+        assert delta_brute is not None
         pred = min_mult_regret(curve, precision=1e-9, v_max=v_max)
         assert pred.delta_star <= delta_brute + 1e-9
         probe = min(pred.delta_star + 0.02, 1.0 - 1e-9)

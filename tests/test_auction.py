@@ -6,21 +6,53 @@ import pytest
 
 from gspinfer.auction import (
     AllocationError,
+    AllocationResult,
     AuctionParams,
     BidderEntry,
     DeviationSweep,
+    ListingHistory,
     MAX_MAGNITUDE,
     MIN_SCORE,
     ValidationError,
-    auctions_to_table,
     click_probability,
     cost_per_click,
     expected_payment,
     rank_and_allocate,
     replay_at_bid,
     row_to_auction,
-    utility,
 )
+
+
+def utility(bidder_id: str, alloc: AllocationResult, params: AuctionParams, value: float) -> float:
+    """Expected utility ``value * click_probability - expected_payment``."""
+    if value < 0:
+        raise ValidationError(f"value must be non-negative (got {value})")
+    return value * click_probability(bidder_id, alloc, params) - expected_payment(bidder_id, alloc, params)
+
+
+def auctions_to_table(auctions, bidder_id: str, periods=None) -> ListingHistory:
+    """``bidder_id``'s view of reference auctions as a table, all in period 1 unless ``periods`` are given.
+
+    Competitors keep their order and ``ahead`` compares their ids with ``bidder_id``.
+    """
+    own = [params.entry(bidder_id) for params in auctions]
+    others = [[e for e in params.entries if e.id != bidder_id] for params in auctions]
+    flat = [e for es in others for e in es]
+    curves: dict[tuple[float, ...], int] = {}
+
+    def column(xs, dtype=np.float64):
+        return np.array(list(xs), dtype=dtype)
+
+    return ListingHistory(
+        bidder_id, column([1] * len(auctions) if periods is None else periods, np.int64),
+        column(e.bid for e in own), column(e.score for e in own), column(e.quality for e in own),
+        column(p.rank_reserve for p in auctions), column(p.mainline_reserve for p in auctions),
+        column((p.mainline_cap for p in auctions), np.int64),
+        column((len(p.mainline_positions) for p in auctions), np.int64),
+        column((curves.setdefault(p.position_curve, len(curves)) for p in auctions), np.int64), tuple(curves),
+        np.cumsum([0] + [len(es) for es in others]), column(e.score for e in flat),
+        column(e.quality for e in flat), column(e.bid for e in flat), column((e.id < bidder_id for e in flat), bool),
+    )
 
 
 def two_entry_params():
@@ -278,15 +310,15 @@ def assert_sweep_matches_replay(instances, bids):
     for player, batch in by_player.items():
         sweep = DeviationSweep(auctions_to_table(batch, player), player)
         ps, cs = sweep.evaluate_many(bids)
-        own = [bids[(7 * a) % len(bids)] for a in range(len(batch))]
-        p0, c0 = sweep.evaluate(own)
-        assert ps.shape == (len(batch), len(bids)) and p0.shape == (len(batch),)
+        own = [[bids[(7 * a) % len(bids)]] for a in range(len(batch))]
+        p0, c0 = sweep.evaluate_many(own)
+        assert ps.shape == (len(batch), len(bids)) and p0.shape == (len(batch), 1)
         for a, params in enumerate(batch):
             for k, b in enumerate(bids):
                 assert (ps[a, k], cs[a, k]) == replay_at_bid(params, player, b), (params, player, b)
-            assert (p0[a], c0[a]) == replay_at_bid(params, player, own[a]), (params, player, own[a])
-        one_p, one_c = sweep.evaluate(bids[-1])
-        assert one_p.tolist() == ps[:, -1].tolist() and one_c.tolist() == cs[:, -1].tolist()
+            assert (p0[a, 0], c0[a, 0]) == replay_at_bid(params, player, own[a][0]), (params, player, own[a])
+        one_p, one_c = sweep.evaluate_many([[bids[-1]]] * len(batch))
+        assert one_p.tolist() == ps[:, -1:].tolist() and one_c.tolist() == cs[:, -1:].tolist()
 
 
 class TestSweepMatchesReplay:

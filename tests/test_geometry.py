@@ -4,11 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from gspinfer.auction import AuctionParams, BidderEntry, DeviationSweep, auctions_to_table
+from gspinfer.auction import AuctionParams, BidderEntry, DeviationSweep
 from gspinfer.geometry import (
     GeometryError,
     LinkFunction,
-    PolygonRegion,
     RateStudyConfig,
     SingleSlotMarket,
     SupportRegion,
@@ -21,6 +20,25 @@ from gspinfer.geometry import (
     true_region,
 )
 from gspinfer.inference import DeviationCurve, binding_rows, boundary, check_assumptions
+
+from test_auction import auctions_to_table
+
+
+class PolygonRegion:
+    """Convex polygon given by its vertices; support is the max vertex dot."""
+
+    def __init__(self, vertices):
+        if len(vertices) < 1:
+            raise GeometryError("polygon needs at least one vertex")
+        self.vertices = [(float(x), float(y)) for x, y in vertices]
+
+    def support(self, u: tuple[float, float]) -> float:
+        u1, u2 = u
+        return max(u1 * x + u2 * y for x, y in self.vertices)
+
+    def translate(self, shift: tuple[float, float]) -> "PolygonRegion":
+        dx, dy = shift
+        return PolygonRegion([(x + dx, y + dy) for x, y in self.vertices])
 
 
 def slopes_convex(zs, cs, tol=1e-12):
@@ -396,7 +414,7 @@ class TestSingleSlotMarket:
                 for x in rivals
             ]
             sweep = DeviationSweep(auctions_to_table(auctions, "p"), "p")
-            p_ref, c_ref = (float(v.sum()) for v in sweep.evaluate(float(b)))
+            p_ref, c_ref = (float(v.sum()) for v in sweep.evaluate_many(np.full((len(auctions), 1), float(b))))
             assert ps[k] == pytest.approx(p_ref / len(rivals), abs=1e-12)
             assert cs[k] == pytest.approx(c_ref / len(rivals), abs=1e-12)
 

@@ -1,24 +1,24 @@
 import math
 import random
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gspinfer.auction import AuctionParams, BidderEntry, auctions_to_table, row_to_auction
+from gspinfer.auction import AuctionParams, BidderEntry, row_to_auction
 from gspinfer.cli import main
 from gspinfer.inference import (
     DEFAULT_PRECISION,
+    FEASIBILITY_TOL,
     DeviationCurve,
     InferenceError,
     PointPrediction,
-    RationalizablePoint,
     boundary,
     build_deviation_curve,
     build_region,
     check_assumptions,
     default_value_cap,
-    feasible,
     feasible_values_mult,
     icc,
     min_additive_regret,
@@ -27,6 +27,27 @@ from gspinfer.inference import (
     value_interval,
 )
 from gspinfer.pipeline import InferenceConfig, infer_account, ingest
+
+from test_auction import auctions_to_table
+
+
+@dataclass(frozen=True)
+class RationalizablePoint:
+    """A candidate (value-per-click, additive regret) pair."""
+
+    value: float
+    epsilon: float
+
+
+def feasible(point: RationalizablePoint, curve: DeviationCurve, tol: float = FEASIBILITY_TOL) -> bool:
+    """True iff ``v * dP(b') <= dC(b') + eps`` holds for every grid bid."""
+    if point.value < 0:
+        raise InferenceError(f"value must be non-negative (got {point.value})")
+    v, eps = point.value, point.epsilon
+    for dp, dc in zip(curve.delta_p, curve.delta_c):
+        if v * dp > dc + eps + tol:
+            return False
+    return True
 
 
 def micro_curve(with_identity=False):
@@ -67,7 +88,7 @@ def best_deviation(curve: DeviationCurve, v: float) -> float:
         raise InferenceError(f"value must be non-negative (got {v})")
     best_bid = curve.grid[0]
     best_val = -math.inf
-    for b, dp, dc in curve.rows():
+    for b, dp, dc in zip(curve.grid, curve.delta_p, curve.delta_c):
         val = v * dp - dc
         if val > best_val:
             best_val = val

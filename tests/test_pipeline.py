@@ -259,6 +259,14 @@ class TestMicroFixturePipeline:
 
 
 class TestAccountSummary:
+    @pytest.mark.parametrize("width", [0.3, 0.4, 0.7, 0.07])
+    def test_bucket_edges_end_at_one_when_the_width_does_not_divide_it(self, width):
+        # the last bucket counts every delta* up to 1, so its upper edge is 1.0
+        summary, _ = infer_account([], InferenceConfig(histogram_bucket_width=width))
+        edges = summary.bucket_edges()
+        assert len(edges) == round(1.0 / width) + 1
+        assert edges[0] == 0.0 and edges[-1] == 1.0 and all(b > a for a, b in zip(edges, edges[1:]))
+
     def test_exact_best_responders_fall_in_nonpositive_bucket(self, tmp_path):
         spec = MarketSpec(
             position_curve=(1.0, 0.5),
@@ -812,6 +820,9 @@ class TestCli:
         'periods = "5"': "periods",
         'epsilon_max = "0.5"': "epsilon_max",
         "precision = inf": "precision",
+        # a log may not hold a negative count, so neither may a simulated one; a negative cap keeps its message
+        "mainline_count = -1": "mainline_count must be non-negative (got -1)",
+        "mainline_cap = -1": "mainline_cap must be non-negative (got -1)",
     }
 
     @pytest.mark.parametrize("command, lines", [

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspinfer.auction import BLOCK_CELLS, DeviationSweep, auctions_to_table, row_to_auction
-from gspinfer.inference import RationalizablePoint, boundary, build_deviation_curve, feasible
+from gspinfer.auction import BLOCK_CELLS, DeviationSweep, row_to_auction
+from gspinfer.inference import boundary, build_deviation_curve
 from gspinfer.pipeline import default_bid_grid
 from gspinfer.simulate import (
     ALGORITHMS,
@@ -22,6 +22,9 @@ from gspinfer.simulate import (
     simulate_market,
     tuned_hedge_rate,
 )
+
+from test_auction import auctions_to_table
+from test_inference import RationalizablePoint, feasible
 
 
 class TestHedgeStep:
