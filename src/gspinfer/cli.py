@@ -246,7 +246,7 @@ def cmd_predict(args, cfg) -> int:
 
 
 def cmd_rate_study(args, cfg) -> int:
-    from .geometry import RateStudyConfig, SingleSlotMarket, run_rate_study
+    from .geometry import RateStudyConfig, run_rate_study
 
     rate_cfg = RateStudyConfig(
         sample_sizes=cfg["rate_sample_sizes"],
@@ -254,7 +254,6 @@ def cmd_rate_study(args, cfg) -> int:
         smoothness_order=cfg["rate_smoothness_order"],
         holder_exponent=cfg["rate_holder_exponent"],
         seed=cfg["seed"],
-        market=SingleSlotMarket(),
         eps_cap=cfg["rate_eps_cap"],
         direction_count=cfg["direction_count"],
         grid_coeff=cfg["rate_grid_coeff"],

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -275,9 +275,13 @@ class SingleSlotMarket:
         )
 
 
+#: The market every rate study samples.
+_MARKET = SingleSlotMarket()
+
+
 @dataclass(frozen=True)
 class RateStudyConfig:
-    """Design of the subsampling convergence experiment.
+    """Design of the subsampling convergence experiment on :data:`_MARKET`.
 
     ``sample_sizes`` are total auction-evaluation budgets ``N``; each budget
     is split evenly across the deviation grid (plus one baseline arm), so
@@ -292,11 +296,9 @@ class RateStudyConfig:
     smoothness_order: int = 0
     holder_exponent: float = 1.0
     seed: int = 0
-    market: SingleSlotMarket = field(default_factory=SingleSlotMarket)
     eps_cap: float = 0.4
     direction_count: int = 720
     grid_coeff: float = 1.5
-    truth_knots: int = 2001
 
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
@@ -342,21 +344,20 @@ class RateStudyResult:
 def _estimate_region(
     cfg: RateStudyConfig, n: int, rng: np.random.Generator
 ) -> SupportRegion:
-    market = cfg.market
     g = cfg.grid_size(n)
-    bids = np.linspace(market.rival_low, market.rival_high, g)
+    bids = np.linspace(_MARKET.rival_low, _MARKET.rival_high, g)
     batch = n // (g + 1)
     if batch < 1:
         raise GeometryError(f"budget {n} too small for a {g}-point grid")
-    draws = rng.uniform(market.rival_low, market.rival_high, size=(g + 1) * batch)
+    draws = rng.uniform(_MARKET.rival_low, _MARKET.rival_high, size=(g + 1) * batch)
     ps = np.empty(g)
     cs = np.empty(g)
     for k in range(g):
         chunk = draws[k * batch:(k + 1) * batch]
-        p, c = market.sample_pc(np.array([bids[k]]), chunk)
+        p, c = _MARKET.sample_pc(np.array([bids[k]]), chunk)
         ps[k], cs[k] = p[0], c[0]
     base = draws[g * batch:(g + 1) * batch]
-    p0, c0 = market.sample_pc(np.array([market.own_bid]), base)
+    p0, c0 = _MARKET.sample_pc(np.array([_MARKET.own_bid]), base)
     curve = DeviationCurve(
         grid=tuple(float(b) for b in bids),
         delta_p=tuple(ps - p0[0]),
@@ -368,10 +369,9 @@ def _estimate_region(
 
 
 def true_region(cfg: RateStudyConfig) -> SupportRegion:
-    """Population region from the closed-form curves on a dense grid."""
-    market = cfg.market
-    bids = np.linspace(market.rival_low, market.rival_high, cfg.truth_knots)
-    curve = market.population_curve([float(b) for b in bids])
+    """Population region from the closed-form curves on a dense grid of 2001 points."""
+    bids = np.linspace(_MARKET.rival_low, _MARKET.rival_high, 2001)
+    curve = _MARKET.population_curve([float(b) for b in bids])
     return SupportRegion.from_curve(curve, cfg.eps_cap)
 
 

@@ -105,7 +105,6 @@ class PointPrediction:
 class RationalizableRegion:
     """The bounded rationalizable set: caps, boundary samples, diagnostics."""
 
-    curve: DeviationCurve
     epsilon_cap: float
     value_cap: float
     epsilon_min: float
@@ -277,14 +276,15 @@ def icc(curve: DeviationCurve, i: int, j: int) -> float | None:
     return (curve.delta_c[i] - curve.delta_c[j]) / dp
 
 
-def check_assumptions(curve: DeviationCurve, tol: float = 1e-12) -> AssumptionReport:
+def check_assumptions(curve: DeviationCurve) -> AssumptionReport:
     """Flag monotonicity of dP/dC and non-decreasing adjacent-segment ICC.
 
     The ICC flag uses weak inequality on adjacent segments (equal slopes keep
     the piecewise-linear cost-vs-clicks curve convex); it is reported False
     outright when dP itself is non-monotone, since segment order is then
-    meaningless.
+    meaningless. Each comparison allows a slack of 1e-12.
     """
+    tol = 1e-12
     sites: list[tuple[int, int]] = []
     dp_mono = True
     dc_mono = True
@@ -417,7 +417,6 @@ def build_region(
         (k * step, boundary(curve, k * step)) for k in range(boundary_samples)
     )
     return RationalizableRegion(
-        curve=curve,
         epsilon_cap=eps_cap,
         value_cap=cap,
         epsilon_min=eps0,

@@ -24,14 +24,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Sequence
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
+from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .auction import MAX_MAGNITUDE, ListingHistory, log_ahead
 from .inference import (
-    AssumptionReport,
     DeviationCurve,
     InferenceError,
     PointPrediction,
@@ -394,11 +394,13 @@ def infer_account(
     """Run inference over every listing and roll up the account summary.
 
     A listing whose inference fails is recorded under ``errors`` and the run
-    continues; a bad config value raises :class:`InferenceError` (from
-    :meth:`InferenceConfig.bid_grid`) before any listing runs. ``jobs > 1``
-    fans listings out to a process pool; results are identical to the serial
-    run.
+    continues; a bad config value (from :meth:`InferenceConfig.bid_grid`) or
+    ``jobs`` below 1 raises :class:`InferenceError` before any listing runs.
+    ``jobs > 1`` fans listings out to a process pool; results are identical
+    to the serial run.
     """
+    if jobs < 1:
+        raise InferenceError(f"jobs must be at least 1 (got {jobs})")
     grid = config.bid_grid()
     ordered = sorted(histories, key=lambda h: h.listing_id)
     tasks = [(h, config, grid) for h in ordered]
@@ -459,47 +461,43 @@ def _json_dump(obj, path: str) -> str:
     return path
 
 
+#: Bundle keys that differ from their field names.
+_KEYS = {"v_interval_at_delta_star": "v_interval", "assumption_report": "assumptions"}
+_hints = cache(get_type_hints)  # a dataclass's field types, resolved once per class
+
+
+def _encode(obj):
+    """A dataclass as a bundle object of its fields, recursively; anything else as it is (a tuple is a JSON list)."""
+    if is_dataclass(obj):
+        return {_KEYS.get(f.name, f.name): _encode(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, dict):
+        return {k: _encode(v) for k, v in obj.items()}
+    return obj
+
+
 def artifacts_to_json(
     summary: AccountSummary, artifacts: dict[str, ListingArtifacts], config: InferenceConfig
 ) -> dict:
-    """A JSON-encodable bundle holding everything needed to re-run exports."""
+    """A JSON-encodable bundle holding everything needed to re-run exports.
+
+    Each dataclass is an object of its fields, keyed as :data:`_KEYS` says. A
+    listing's id is its key in ``listings``, and its ``prediction`` also holds
+    a copy of the region's ``epsilon_min``.
+    """
     listings = {}
     for lid in sorted(artifacts):
-        art = artifacts[lid]
-        listings[lid] = {
-            "curve": asdict(art.curve),
-            "region": {
-                "epsilon_cap": art.region.epsilon_cap,
-                "value_cap": art.region.value_cap,
-                "epsilon_min": art.region.epsilon_min,
-                "boundary": [list(p) for p in art.region.boundary],
-                "assumptions": asdict(art.region.assumption_report),
-            },
-            "prediction": {
-                "delta_star": art.prediction.delta_star,
-                "v_star": art.prediction.v_star,
-                "v_interval": list(art.prediction.v_interval_at_delta_star),
-                "epsilon_min": art.region.epsilon_min,
-                "iterations": art.prediction.iterations,
-            },
-            "mean_bid": art.mean_bid,
-            "shading_ratio": art.shading_ratio,
-        }
-    return {
-        "config": asdict(config),
-        "summary": asdict(summary),
-        "listings": listings,
-    }
+        listing = listings[lid] = _encode(artifacts[lid])
+        del listing["listing_id"]
+        listing["prediction"]["epsilon_min"] = listing["region"]["epsilon_min"]
+    return {"config": _encode(config), "summary": _encode(summary), "listings": listings}
 
 
-def _value(x, kind: type, optional: bool = False):
+def _value(x, kind: type):
     """``x`` if it is a bundle value of ``kind``, else ValueError.
 
     ``float`` means a finite number, ``int`` an integer; neither accepts a
-    bool. ``optional`` also accepts None.
+    bool.
     """
-    if optional and x is None:
-        return x
     if isinstance(x, bool) and kind is not bool:
         ok = False
     elif kind is float:
@@ -511,21 +509,37 @@ def _value(x, kind: type, optional: bool = False):
     return x
 
 
-def _row(xs, *kinds: type) -> tuple:
-    """A JSON list with one value per kind, checked by :func:`_value`."""
-    if not isinstance(xs, list) or len(xs) != len(kinds):
-        raise ValueError(f"expected a list of {len(kinds)}, got {xs!r}")
-    return tuple(map(_value, xs, kinds))
+def _decode(kind, x, **given):
+    """Bundle value ``x`` as a value of type ``kind``, else ValueError or KeyError.
 
-
-def _block(x, *keys: str) -> dict:
-    """``x`` if it is a bundle object with no key outside ``keys``, else ValueError."""
-    if not isinstance(x, dict):
-        raise ValueError(f"expected an object, got {x!r}")
-    unknown = sorted(set(x) - set(keys))
-    if unknown:
-        raise ValueError(f"unexpected key {unknown[0]!r}")
-    return x
+    A dict of kinds is read from an object with no other key, one value per
+    key; a dataclass from an object with its keys, but those in ``given``,
+    which holds their values; ``tuple[...]`` from a list, ``dict[str, X]``
+    from an object, ``X | None`` from null too; anything else is checked by
+    :func:`_value`.
+    """
+    if isinstance(kind, type) and not is_dataclass(kind):
+        return _value(x, kind)
+    if isinstance(kind, dict):
+        unknown = sorted(_value(x, dict).keys() - kind.keys())
+        if unknown:
+            raise ValueError(f"unexpected key {unknown[0]!r}")
+        return {key: _decode(k, x[key]) for key, k in kind.items()}
+    if is_dataclass(kind):
+        hints = _hints(kind)
+        names = {_KEYS.get(f.name, f.name): (f.name, hints[f.name]) for f in fields(kind)}
+        values = _decode({key: t for key, (_, t) in names.items() if key not in given}, x)
+        return kind(**given, **{names[key][0]: v for key, v in values.items()})
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple([_decode(args[0], v) for v in _value(x, list)])
+        if not isinstance(x, list) or len(x) != len(args):
+            raise ValueError(f"expected a list of {len(args)}, got {x!r}")
+        return tuple(map(_decode, args, x))
+    if origin is dict:
+        return {_value(k, str): _decode(args[1], v) for k, v in _value(x, dict).items()}
+    return None if x is None else _decode(args[0], x)  # X | None
 
 
 def artifacts_from_json(
@@ -537,66 +551,13 @@ def artifacts_from_json(
     of the wrong type or shape raises :class:`ParseError`.
     """
     try:
-        _block(bundle, "config", "summary", "listings")
-        s = bundle["summary"]
-        summary = AccountSummary(**{
-            **s,
-            "listing_count": _value(s["listing_count"], int),
-            "bucket_width": _value(s["bucket_width"], float),
-            "nonpositive_count": _value(s["nonpositive_count"], int),
-            "histogram_counts": tuple(_value(n, int) for n in s["histogram_counts"]),
-            "shading_ratios": {lid: _value(r, float) for lid, r in s["shading_ratios"].items()},
-            "scatter": tuple(_row(row, str, float, float) for row in s["scatter"]),
-            "learning_threshold": _value(s["learning_threshold"], float),
-            "errors": tuple(_row(row, str, str) for row in s["errors"]),
-        })
+        top = _decode({"summary": AccountSummary, "listings": dict[str, dict], "config": InferenceConfig}, bundle)
         artifacts = {}
-        for lid, payload in bundle["listings"].items():
-            _block(payload, "curve", "region", "prediction", "mean_bid", "shading_ratio")
-            c = payload["curve"]
-            curve = DeviationCurve(**{
-                **c,
-                **{k: tuple(_value(x, float) for x in c[k]) for k in ("grid", "delta_p", "delta_c")},
-                **{k: _value(c[k], float) for k in ("baseline_p", "baseline_c")},
-            })
-            reg = _block(payload["region"], "epsilon_cap", "value_cap", "epsilon_min", "boundary", "assumptions")
-            assumptions = reg["assumptions"]
-            pred = _block(payload["prediction"], "delta_star", "v_star", "v_interval", "epsilon_min", "iterations")
-            _value(pred["epsilon_min"], float)  # a copy of the region's eps0
-            artifacts[lid] = ListingArtifacts(
-                listing_id=lid,
-                curve=curve,
-                region=RationalizableRegion(
-                    curve=curve,
-                    epsilon_cap=_value(reg["epsilon_cap"], float),
-                    value_cap=_value(reg["value_cap"], float),
-                    epsilon_min=_value(reg["epsilon_min"], float),
-                    boundary=tuple(_row(p, float, float) for p in reg["boundary"]),
-                    assumption_report=AssumptionReport(**{
-                        **assumptions,
-                        **{k: _value(assumptions[k], bool)
-                           for k in ("delta_p_monotone", "delta_c_monotone", "icc_increasing")},
-                        "violation_sites": tuple(_row(p, int, int) for p in assumptions["violation_sites"]),
-                    }),
-                ),
-                prediction=PointPrediction(
-                    delta_star=_value(pred["delta_star"], float),
-                    v_star=_value(pred["v_star"], float),
-                    v_interval_at_delta_star=_row(pred["v_interval"], float, float),
-                    iterations=_value(pred["iterations"], int),
-                ),
-                mean_bid=_value(payload["mean_bid"], float),
-                shading_ratio=_value(payload["shading_ratio"], float, optional=True),
-            )
-        config = bundle["config"]
-        config = InferenceConfig(**{
-            **config,
-            **{k: _value(config[k], float) for k in (
-                "bid_max", "epsilon_max", "precision", "learning_threshold", "histogram_bucket_width")},
-            **{k: _value(config[k], float, optional=True) for k in ("grid_step", "value_cap")},
-            "boundary_samples": _value(config["boundary_samples"], int),
-        })
-        return summary, artifacts, config
+        for lid, listing in top["listings"].items():
+            prediction = dict(_value(listing["prediction"], dict))
+            _value(prediction.pop("epsilon_min"), float)  # the region's, copied for readers of the file
+            artifacts[lid] = _decode(ListingArtifacts, {**listing, "prediction": prediction}, listing_id=lid)
+        return top["summary"], artifacts, top["config"]
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(None, f"bad artifacts bundle: {type(exc).__name__}: {exc}") from exc
 

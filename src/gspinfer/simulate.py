@@ -263,9 +263,12 @@ def simulate_market(
     own = np.broadcast_to([(ls.own_score, ls.own_quality, 0.0) for ls in learners], (rows, n_learners, 3))
     entrants = np.concatenate([own, env.background.draws(env_rng, periods, n)], axis=1)  # score, quality, bid
     offsets = np.arange(rows + 1) * (n_learners - 1 + m)
-    n_main = min(env.mainline_cap, len(env.position_curve)) if env.mainline_count is None else env.mainline_count
+    most = min(env.mainline_cap, len(env.position_curve))
+    n_main = most if env.mainline_count is None else env.mainline_count
     if env.mainline_count is not None and n_main < 0:
         raise SimulationError(f"mainline_count must be non-negative (got {n_main})")
+    if env.mainline_count is not None and n_main > most >= 0:  # a negative cap keeps its own message
+        raise SimulationError(f"mainline_count must be at most min(mainline_cap, positions) = {most} (got {n_main})")
     tables = []
     for i, ls in enumerate(learners):
         score, quality, bid = entrants[:, [j for j in range(n_learners + m) if j != i]].reshape(-1, 3).T.copy()

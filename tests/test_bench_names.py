@@ -1,14 +1,17 @@
 """The benchmark under ``perfbench/`` still finds every name it imports or wraps.
 
-The bench's checks import oracles from ``gspinfer`` and its tracer wraps entry
-points by name, so a rename in ``src/`` fails here rather than in a bench run.
-The files under ``perfbench/`` are only read.
+The bench's checks import oracles from ``gspinfer`` and read keys of
+``artifacts.json``, and its tracer wraps entry points by name, so a rename in
+``src/`` fails here rather than in a bench run. The files under ``perfbench/``
+are only read.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import gspinfer.auction
+from gspinfer.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +38,18 @@ def test_tracer_wraps_every_entry_point_and_puts_them_back():
         tracer.uninstall()
     assert missing == []
     assert gspinfer.auction.DeviationSweep is sweep
+
+
+def test_bench_checks_pass_on_an_infer_bundle_and_fail_on_a_corrupted_one(tmp_path):
+    checks = load("checks")
+    cfg, log, out = tmp_path / "cfg", tmp_path / "log.jsonl", tmp_path / "out"
+    cfg.write_text("listings = 2\nperiods = 12\nauctions_per_period = 3\ngrid_step = 0.1\n")
+    assert main(["simulate", "--config", str(cfg), "--out", str(log)]) == 0
+    assert main(["infer", str(log), "--config", str(cfg), "--out", str(out)]) == 0
+    bundle = json.loads((out / "artifacts.json").read_text())
+    auctions, cells = checks.read_log(str(log)), checks.sample_cells(bundle, 1, 8)
+    clean, bad = checks.Tally(), checks.Tally()
+    checks.check_bundle(clean, bundle, auctions, cells)
+    checks.check_bundle(bad, checks.corrupt(bundle, cells), auctions, cells)
+    assert clean.attempted > 0 and clean.failures == []
+    assert bad.failed >= 1

@@ -633,7 +633,7 @@ class TestRegion:
         v, e = region.boundary[70]
         assert v == pytest.approx(0.7) and e == pytest.approx(0.01)
         assert region.epsilon_min == pytest.approx(0.01)
-        assert boundary(region.curve, 0.0) == pytest.approx(0.15)
+        assert boundary(micro_curve(), 0.0) == pytest.approx(0.15)
 
     def test_region_needs_positive_dp(self):
         curve = DeviationCurve(

@@ -162,6 +162,43 @@ class TestIngest:
         with pytest.raises(ParseError, match="inconsistent own_bid"):
             ingest(str(path))
 
+    def test_inconsistent_truth_rejected(self, tmp_path):
+        records = micro_fixture_records() + micro_fixture_records()
+        records[0]["truth_value"], records[1]["truth_value"] = 0.5, 0.6
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(records, path)
+        with pytest.raises(ParseError, match="line 2: inconsistent truth_value for listing 'L0'"):
+            ingest(str(path))
+
+    def test_negative_truth_rejected(self, tmp_path):
+        records = micro_fixture_records()
+        records[0]["truth_value"] = -0.5
+        path = tmp_path / "bad.jsonl"
+        write_jsonl(records, path)
+        with pytest.raises(ParseError, match="line 1: listing 'L0': truth value must be non-negative"):
+            ingest(str(path))
+
+    def test_blank_lines_skipped(self, tmp_path):
+        histories = tiny_market_histories()
+        path = tmp_path / "log.jsonl"
+        write_histories(histories, str(path))
+        lines = path.read_text().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_text("\n" + "".join(line + " \t \n" * (k % 2) + "\n" * (k % 3 == 0)
+                                         for k, line in enumerate(lines)))
+        assert ingest(str(spaced)) == ingest(str(path))
+
+    def test_listing_id_of_a_competitor_rejected(self, tmp_path):
+        # competitors take the ids c000, c001, ... in their order on the line
+        records = [dict(micro_fixture_records()[0], listing_id="c001")]
+        path = tmp_path / "log.jsonl"
+        write_jsonl(records, path)
+        with pytest.raises(ParseError, match="line 1: entry ids must be unique"):
+            ingest(str(path))
+        records[0]["competitors"] = records[0]["competitors"][:1]
+        write_jsonl(records, path)
+        assert [h.listing_id for h in ingest(str(path))] == ["c001"]
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"listing_id": "a"\n')
@@ -532,18 +569,59 @@ class TestBundleCodec:
         for f, f_np in zip(files, files_np):
             assert open(f, "rb").read() == open(f_np, "rb").read(), f
 
-    def test_round_trip_restores_objects(self, tmp_path):
+    @staticmethod
+    def account(tmp_path, **config):
+        """A summary with scatter, shading ratios and errors, its artifacts and config."""
         # a listing whose every deviation loses clicks fails and is kept under errors
         solo = dict(micro_fixture_records()[0], listing_id="Z9", own_bid=1.0, competitors=[],
                     position_curve=[1.0], rank_reserve=0.0, mainline_reserve=0.0)
         path = tmp_path / "solo.jsonl"
         write_jsonl([solo], path)
         histories = tiny_market_histories(seed=7, listings=3) + ingest(str(path))
-        config = InferenceConfig(grid_step=0.1, epsilon_max=1.0)
+        config = InferenceConfig(grid_step=0.1, epsilon_max=1.0, **config)
         summary, artifacts = infer_account(histories, config)
         assert summary.scatter and summary.shading_ratios and summary.errors
+        return summary, artifacts, config
+
+    def test_round_trip_restores_objects(self, tmp_path):
+        summary, artifacts, config = self.account(tmp_path)
         bundle = json.loads(json.dumps(artifacts_to_json(summary, artifacts, config)))
         assert artifacts_from_json(bundle) == (summary, artifacts, config)
+
+    def test_every_one_place_damage_rejected(self, tmp_path):
+        # each value in turn replaced by one of another JSON type, then each
+        # object in turn given a key the bundle does not write
+        account = self.account(tmp_path, boundary_samples=5)
+        bundle = json.loads(json.dumps(artifacts_to_json(*account)))
+
+        def places(node):
+            for key, value in list(node.items() if isinstance(node, dict) else enumerate(node)):
+                yield node, key
+                if isinstance(value, (dict, list)):
+                    yield from places(value)
+
+        def accepted(damaged: str) -> list[str]:
+            try:
+                artifacts_from_json(bundle)
+            except ParseError:
+                return []
+            return [damaged]
+
+        kinds, missed = set(), []
+        for node, key in places(bundle):
+            value = node[key]
+            kinds.add(type(value))
+            node[key] = 0 if isinstance(value, str) else "x"
+            missed += accepted(f"{key!r} = {node[key]!r}")
+            node[key] = value
+        objects = [bundle] + [node[key] for node, key in places(bundle) if isinstance(node[key], dict)]
+        for obj in objects:
+            obj["surprise"] = None
+            missed += accepted(f"surprise in {sorted(obj)[:3]}")
+            del obj["surprise"]
+        assert missed == []
+        assert kinds == {dict, list, str, int, float, bool, type(None)} and len(objects) > 10
+        assert artifacts_from_json(bundle) == account
 
 
 class TestEmptyAccountExport:
@@ -784,6 +862,9 @@ class TestCli:
         # a NaN threshold left the scatter silently empty
         "learning_threshold = NaN": "learning_threshold must be finite",
         "learning_threshold = Infinity": "learning_threshold must be finite",
+        # each ran serially and exited 0
+        "jobs = 0": "jobs must be at least 1 (got 0)",
+        "jobs = -4": "jobs must be at least 1 (got -4)",
     }
 
     @pytest.mark.parametrize("command", ["infer", "predict"])
@@ -823,6 +904,9 @@ class TestCli:
         # a log may not hold a negative count, so neither may a simulated one; a negative cap keeps its message
         "mainline_count = -1": "mainline_count must be non-negative (got -1)",
         "mainline_cap = -1": "mainline_cap must be non-negative (got -1)",
+        # too large a count used to get the reference's message, which names neither the key nor the value
+        "mainline_count = 3": "mainline_count must be at most min(mainline_cap, positions) = 2 (got 3)",
+        "mainline_cap = 9\nmainline_count = 9": "mainline_count must be at most min(mainline_cap, positions) = 4 (got 9)",
     }
 
     @pytest.mark.parametrize("command, lines", [
