@@ -463,7 +463,13 @@ def _json_dump(obj, path: str) -> str:
 
 #: Bundle keys that differ from their field names.
 _KEYS = {"v_interval_at_delta_star": "v_interval", "assumption_report": "assumptions"}
-_hints = cache(get_type_hints)  # a dataclass's field types, resolved once per class
+
+
+@cache  # once per class
+def _schema(kind: type) -> dict:
+    """A dataclass's fields as ``{bundle key: (field name, field type)}``."""
+    hints = get_type_hints(kind)
+    return {_KEYS.get(f.name, f.name): (f.name, hints[f.name]) for f in fields(kind)}
 
 
 def _encode(obj):
@@ -495,41 +501,30 @@ def artifacts_to_json(
 def _value(x, kind: type):
     """``x`` if it is a bundle value of ``kind``, else ValueError.
 
-    ``float`` means a finite number, ``int`` an integer; neither accepts a
-    bool.
+    ``float`` means a finite number, ``int`` an integer; neither accepts a bool.
     """
-    if isinstance(x, bool) and kind is not bool:
-        ok = False
-    elif kind is float:
-        ok = isinstance(x, (int, float)) and math.isfinite(x)
-    else:
-        ok = isinstance(x, kind)
-    if not ok:
+    ok = (isinstance(x, (int, float)) and math.isfinite(x)) if kind is float else isinstance(x, kind)
+    if not ok or (isinstance(x, bool) and kind is not bool):
         raise ValueError(f"expected {kind.__name__}, got {x!r}")
     return x
 
 
-def _decode(kind, x, **given):
+def _decode(kind, x):
     """Bundle value ``x`` as a value of type ``kind``, else ValueError or KeyError.
 
-    A dict of kinds is read from an object with no other key, one value per
-    key; a dataclass from an object with its keys, but those in ``given``,
-    which holds their values; ``tuple[...]`` from a list, ``dict[str, X]``
-    from an object, ``X | None`` from null too; anything else is checked by
-    :func:`_value`.
+    A dataclass or a dict of kinds is read from an object with exactly its
+    keys, ``tuple[...]`` from a list, ``dict[str, X]`` from an object and
+    ``X | None`` from null too; anything else is checked by :func:`_value`.
     """
-    if isinstance(kind, type) and not is_dataclass(kind):
+    if type(kind) is type and not is_dataclass(kind):  # not isinstance: 3.10 calls tuple[...] a type
         return _value(x, kind)
-    if isinstance(kind, dict):
-        unknown = sorted(_value(x, dict).keys() - kind.keys())
+    if isinstance(kind, dict) or is_dataclass(kind):
+        names = _schema(kind) if is_dataclass(kind) else {key: (key, t) for key, t in kind.items()}
+        unknown = sorted(_value(x, dict).keys() - names.keys())
         if unknown:
             raise ValueError(f"unexpected key {unknown[0]!r}")
-        return {key: _decode(k, x[key]) for key, k in kind.items()}
-    if is_dataclass(kind):
-        hints = _hints(kind)
-        names = {_KEYS.get(f.name, f.name): (f.name, hints[f.name]) for f in fields(kind)}
-        values = _decode({key: t for key, (_, t) in names.items() if key not in given}, x)
-        return kind(**given, **{names[key][0]: v for key, v in values.items()})
+        values = {name: _decode(t, x[key]) for key, (name, t) in names.items()}
+        return kind(**values) if is_dataclass(kind) else values
     origin, args = get_origin(kind), get_args(kind)
     if origin is tuple:
         if args[-1] is Ellipsis:
@@ -556,7 +551,9 @@ def artifacts_from_json(
         for lid, listing in top["listings"].items():
             prediction = dict(_value(listing["prediction"], dict))
             _value(prediction.pop("epsilon_min"), float)  # the region's, copied for readers of the file
-            artifacts[lid] = _decode(ListingArtifacts, {**listing, "prediction": prediction}, listing_id=lid)
+            if "listing_id" in listing:  # the id is the listing's key
+                raise ValueError("unexpected key 'listing_id'")
+            artifacts[lid] = _decode(ListingArtifacts, {**listing, "listing_id": lid, "prediction": prediction})
         return top["summary"], artifacts, top["config"]
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(None, f"bad artifacts bundle: {type(exc).__name__}: {exc}") from exc

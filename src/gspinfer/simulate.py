@@ -267,7 +267,7 @@ def simulate_market(
     n_main = most if env.mainline_count is None else env.mainline_count
     if env.mainline_count is not None and n_main < 0:
         raise SimulationError(f"mainline_count must be non-negative (got {n_main})")
-    if env.mainline_count is not None and n_main > most >= 0:  # a negative cap keeps its own message
+    if n_main > most >= 0:  # a negative cap keeps its own message
         raise SimulationError(f"mainline_count must be at most min(mainline_cap, positions) = {most} (got {n_main})")
     tables = []
     for i, ls in enumerate(learners):

@@ -1010,6 +1010,7 @@ class TestCli:
             lambda b, lst: lst["prediction"].update(surprise=1), "unexpected key 'surprise'"),
         "surprise-in-region": (lambda b, lst: lst["region"].update(surprise=1), "unexpected key 'surprise'"),
         "surprise-in-listing": (lambda b, lst: lst.update(surprise=1), "unexpected key 'surprise'"),
+        "id-in-listing": (lambda b, lst: lst.update(listing_id="L000"), "unexpected key 'listing_id'"),
         "surprise-at-top": (lambda b, lst: b.update(surprise=1), "unexpected key 'surprise'"),
     }
 
