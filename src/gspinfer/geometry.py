@@ -18,59 +18,19 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .inference import DeviationCurve, binding_rows, lower_hull
+from .inference import DeviationCurve, LinkFunction, link_from_curve
 
 
 class GeometryError(ValueError):
-    """Bad geometry inputs (unbounded regions, empty links, bad configs)."""
-
-
-@dataclass(frozen=True)
-class LinkFunction:
-    """Piecewise-linear payment-change versus click-change curve.
-
-    Knots are sorted by ``z``. :func:`link_from_curve` builds them as the
-    lower convex hull of the binding ``(dP, dC)`` rows, the envelope whose
-    convex conjugate is the rationalizable set's lower boundary.
-    """
-
-    z_knots: tuple[float, ...]
-    c_values: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.z_knots or len(self.z_knots) != len(self.c_values):
-            raise GeometryError("link function needs matching, non-empty knots")
-        for a, b in zip(self.z_knots, self.z_knots[1:]):
-            if not b > a:
-                raise GeometryError("z knots must be strictly increasing")
-
-    @property
-    def z_min(self) -> float:
-        return self.z_knots[0]
-
-    @property
-    def z_max(self) -> float:
-        return self.z_knots[-1]
-
-
-def link_from_curve(curve: DeviationCurve) -> LinkFunction:
-    """The link function of a deviation curve: the lower hull of its binding rows.
-
-    Of equal click changes only the smallest payment change is kept (the
-    binding constraint). Where the rows violate increasing incremental cost
-    per click the hull drops the knots above it;
-    ``inference.check_assumptions`` reports that violation.
-    """
-    zs, cs = zip(*lower_hull(binding_rows(curve.delta_p, curve.delta_c)))
-    return LinkFunction(zs, cs)
+    """Bad geometry inputs (unbounded regions, bad caps, bad configs)."""
 
 
 def link_eval(link: LinkFunction, z: float) -> float:
     """Interpolate the payment change at click change ``z``; NaN out of range."""
-    if z < link.z_min or z > link.z_max:
-        return math.nan
     zs = link.z_knots
     cs = link.c_values
+    if z < zs[0] or z > zs[-1]:
+        return math.nan
     if z == zs[0]:
         return cs[0]
     k = bisect_right(zs, z)
@@ -92,7 +52,7 @@ def support_nr(link: LinkFunction, u) -> float:
     if u2 >= 0.0:
         return math.inf
     z = u1 / abs(u2)
-    if z < link.z_min or z > link.z_max:
+    if z < link.z_knots[0] or z > link.z_knots[-1]:
         return math.inf
     return abs(u2) * link_eval(link, z)
 
@@ -148,13 +108,10 @@ class SupportRegion:
         self._z_lo, self._z_hi = _tangency_knots(link, value_cap)
 
     @classmethod
-    def from_curve(
-        cls, curve: DeviationCurve, eps_cap: float, value_cap: float | None = None
-    ) -> "SupportRegion":
+    def from_curve(cls, curve: DeviationCurve, eps_cap: float) -> "SupportRegion":
+        """The region of a curve's link function, capped at its natural right corner."""
         link = link_from_curve(curve)
-        if value_cap is None:
-            value_cap = natural_value_cap(link, eps_cap)
-        return cls(link, eps_cap, value_cap)
+        return cls(link, eps_cap, natural_value_cap(link, eps_cap))
 
     def support(self, u: tuple[float, float]) -> float:
         """Support function in direction ``u``.
@@ -210,7 +167,6 @@ def hausdorff(region_a: _Supportable, region_b: _Supportable, direction_count: i
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SingleSlotMarket:
     """Two-position market against one uniform-score rival, in closed form.
 
@@ -218,23 +174,15 @@ class SingleSlotMarket:
     is uniform on ``[rival_low, rival_high]``; no reserves, no mainline. The
     winner pays the rival's score, the loser sits on the second position for
     free, so the population click and payment curves are smooth and Lipschitz
-    on the bid range.
+    on the bid range. The market is fixed: every rate study samples it.
     """
 
-    alpha_top: float = 1.0
-    alpha_bottom: float = 0.1
-    quality: float = 1.0
-    own_bid: float = 0.3
-    rival_low: float = 0.0
-    rival_high: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha_bottom < self.alpha_top <= 1.0:
-            raise GeometryError("need 0 < alpha_bottom < alpha_top <= 1")
-        if not self.rival_low < self.rival_high:
-            raise GeometryError("rival score support must be non-degenerate")
-        if not self.rival_low <= self.own_bid <= self.rival_high:
-            raise GeometryError("own_bid must lie inside the rival score support")
+    alpha_top = 1.0
+    alpha_bottom = 0.1
+    quality = 1.0
+    own_bid = 0.3
+    rival_low = 0.0
+    rival_high = 1.0
 
     def population_pc(self, bid: float) -> tuple[float, float]:
         """Exact expected click probability and payment at ``bid``."""

@@ -184,32 +184,54 @@ def boundary(curve: DeviationCurve, v: float) -> float:
     return max(v * dp - dc for dp, dc in zip(curve.delta_p, curve.delta_c))
 
 
-def binding_rows(delta_p: Sequence[float], delta_c: Sequence[float]) -> list[tuple[float, float]]:
-    """Rows ``(dP, dC)`` sorted by ``dP``; of equal ``dP`` only the smallest, binding ``dC``."""
-    rows = sorted(zip(delta_p, delta_c))
-    return [r for k, r in enumerate(rows) if k == 0 or r[0] != rows[k - 1][0]]
+@dataclass(frozen=True)
+class LinkFunction:
+    """Piecewise-linear payment change against click change, knots sorted by ``z``.
+
+    :func:`link_from_curve` builds it as the lower convex hull of the
+    ``(dP, dC)`` rows, the envelope whose convex conjugate is the
+    rationalizable set's lower boundary.
+    """
+
+    z_knots: tuple[float, ...]
+    c_values: tuple[float, ...]
+
+    def __post_init__(self):
+        if not self.z_knots or len(self.z_knots) != len(self.c_values):
+            raise InferenceError("link function needs matching, non-empty knots")
+        for a, b in zip(self.z_knots, self.z_knots[1:]):
+            if not b > a:
+                raise InferenceError("z knots must be strictly increasing")
 
 
-def lower_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Monotone-chain lower convex hull of points with strictly increasing first coordinate.
+def link_from_curve(curve: DeviationCurve) -> LinkFunction:
+    """The link function of a deviation curve: one monotone-chain pass over its rows sorted by ``dP``.
 
-    Points on or above a chord are dropped, so the edge slopes strictly increase.
+    Of equal click changes only the first, smallest payment change is kept
+    (the binding constraint). Points on or above a chord are dropped, so the
+    edge slopes strictly increase: where the rows violate increasing
+    incremental cost per click the hull drops knots, and
+    :func:`check_assumptions` reports that violation.
     """
     hull: list[tuple[float, float]] = []
-    for z, c in points:
+    for z, c in sorted(zip(curve.delta_p, curve.delta_c)):
+        if hull and z == hull[-1][0]:
+            continue
         while len(hull) >= 2:
             (z1, c1), (z2, c2) = hull[-2:]
             if (c2 - c1) * (z - z2) < (c - c2) * (z2 - z1):
                 break
             hull.pop()
         hull.append((z, c))
-    return hull
+    zs, cs = zip(*hull)
+    return LinkFunction(zs, cs)
 
 
 def _hull_breakpoints(curve: DeviationCurve) -> list[float]:
-    """``0`` and the positive finite edge slopes of the ``(dP, dC)`` lower hull: where ``boundary`` bends."""
-    hull = lower_hull(binding_rows(curve.delta_p, curve.delta_c))
-    slopes = [(c1 - c2) / (z1 - z2) for (z1, c1), (z2, c2) in zip(hull, hull[1:])]
+    """``0`` and the positive finite edge slopes of the link function: where ``boundary`` bends."""
+    link = link_from_curve(curve)
+    zs, cs = link.z_knots, link.c_values
+    slopes = [(c1 - c2) / (z1 - z2) for z1, c1, z2, c2 in zip(zs, cs, zs[1:], cs[1:])]
     return [0.0] + [v for v in slopes if v > 0.0 and math.isfinite(v)]
 
 
@@ -323,16 +345,23 @@ def feasible_values_mult(
 
         v * [(1-delta)*dP(b') - delta*P0] <= (1-delta)*dC(b') - delta*C0
 
-    one half-line per grid bid, intersected with ``[0, v_max]``.
+    one half-line per grid bid, intersected with ``[0, v_max]``. A row
+    proportional to ``(P0, C0)`` cancels at its own ``delta``: a coefficient
+    within 1e-12 of the larger of its two terms counts as 0, so the row only
+    tests its right-hand side instead of bounding ``v`` by rounding noise.
     """
     if not 0.0 <= delta < 1.0:
         raise InferenceError(f"delta must lie in [0, 1) (got {delta})")
     one_minus = 1.0 - delta
-    p0 = curve.baseline_p
-    c0 = curve.baseline_c
+    p_term = delta * curve.baseline_p
+    c_term = delta * curve.baseline_c
+
+    def coefficient(dp: float) -> float:
+        a = one_minus * dp
+        return 0.0 if abs(a - p_term) <= 1e-12 * max(abs(a), abs(p_term)) else a - p_term
+
     return _half_line_interval(
-        ((one_minus * dp - delta * p0, one_minus * dc - delta * c0) for dp, dc in zip(curve.delta_p, curve.delta_c)),
-        v_max,
+        ((coefficient(dp), one_minus * dc - c_term) for dp, dc in zip(curve.delta_p, curve.delta_c)), v_max
     )
 
 

@@ -600,20 +600,13 @@ def export(
         for lid in sorted(artifacts)
     ]
     written.append(_json_dump(predictions_payload(artifacts), os.path.join(out_dir, "predictions.json")))
-    shading = summary.shading_ratios
-    written.append(_json_dump(
-        {
-            "listing_count": summary.listing_count,
-            "nonpositive_count": summary.nonpositive_count,
-            "bucket_width": summary.bucket_width,
-            "histogram_counts": list(summary.histogram_counts),
-            "learning_threshold": summary.learning_threshold,
-            "scatter_count": len(summary.scatter),
-            "mean_shading_ratio": sum(shading.values()) / len(shading) if shading else None,
-            "errors": [list(e) for e in summary.errors],
-        },
-        os.path.join(out_dir, "account_summary.json"),
-    ))
+    # the summary's own fields, with the per-listing ratios and the scatter rolled up
+    account = _encode(summary)
+    shading = account.pop("shading_ratios")
+    del account["scatter"]
+    account["scatter_count"] = len(summary.scatter)
+    account["mean_shading_ratio"] = sum(shading.values()) / len(shading) if shading else None
+    written.append(_json_dump(account, os.path.join(out_dir, "account_summary.json")))
     edges = summary.bucket_edges()
     written.append(_write_csv(
         os.path.join(out_dir, "histogram_delta.csv"), ["bucket_low", "bucket_high", "count"],

@@ -7,19 +7,24 @@ import pytest
 from gspinfer.auction import AuctionParams, BidderEntry, DeviationSweep
 from gspinfer.geometry import (
     GeometryError,
-    LinkFunction,
     RateStudyConfig,
     SingleSlotMarket,
     SupportRegion,
     hausdorff,
     link_eval,
-    link_from_curve,
     natural_value_cap,
     run_rate_study,
     support_nr,
     true_region,
 )
-from gspinfer.inference import DeviationCurve, binding_rows, boundary, check_assumptions
+from gspinfer.inference import (
+    DeviationCurve,
+    InferenceError,
+    LinkFunction,
+    boundary,
+    check_assumptions,
+    link_from_curve,
+)
 
 from test_auction import auctions_to_table
 
@@ -65,6 +70,11 @@ class TestLinkFunction:
 
     def test_eval_out_of_domain(self):
         assert math.isnan(link_eval(convex_link(), 0.2))
+
+    @pytest.mark.parametrize("zs, cs", [((), ()), ((0.0, 0.1), (0.0,)), ((0.1, 0.1), (0.0, 0.0))])
+    def test_bad_knots_rejected(self, zs, cs):
+        with pytest.raises(InferenceError, match="knots"):
+            LinkFunction(zs, cs)
 
     def test_from_curve_dedup_keeps_min_c(self):
         # among equal click changes the smallest payment change binds
@@ -122,7 +132,7 @@ class TestLinkConvexityMatchesAssumptions:
                 baseline_c=0.1,
             )
             checked += 1
-            zs, cs = zip(*binding_rows(curve.delta_p, curve.delta_c))
+            zs, cs = curve.delta_p, curve.delta_c  # sorted, tie-free: every row binds
             icc_holds = slopes_convex(zs, cs)
             assert icc_holds == check_assumptions(curve).icc_increasing
             link = link_from_curve(curve)
@@ -175,7 +185,7 @@ class TestSupportNR:
             link = link_from_curve(curve)
             # slopes from the v = 0 tangency rightwards are supported at some v >= 0
             z_lo = link.z_knots[link.c_values.index(min(link.c_values))]
-            u = (rng.uniform(z_lo, link.z_max), -1.0)
+            u = (rng.uniform(z_lo, link.z_knots[-1]), -1.0)
             assert support_nr(link, u) == pytest.approx(self.brute_force_support(curve, u), abs=1e-12)
 
 

@@ -431,6 +431,21 @@ class TestMultiplicative:
         with pytest.raises(InferenceError, match="unbounded"):
             min_mult_regret(curve)
 
+    def test_row_proportional_to_baseline_is_feasible_at_delta_star(self):
+        # the row (0.42, 0.42) is proportional to (P0, C0) up to one ulp of C0, so its
+        # coefficient cancels at delta* = 0.42 / 1.23 and only its right-hand side counts
+        curve = DeviationCurve(
+            grid=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
+            delta_p=(-0.26, -0.19, -0.17, -0.12, -0.09, 0.11, 0.19, 0.42),
+            delta_c=(-0.42, -0.39, -0.32, -0.29, -0.22, 0.3, 0.39, 0.42),
+            baseline_p=0.81,
+            baseline_c=0.8100000000000002,
+        )
+        delta_star = min_mult_regret(curve, v_max=20.0).delta_star
+        assert delta_star == 0.3414634146341463
+        assert feasible_values_mult(curve, delta_star, 20.0) == (1.3278688524590165, 20.0)
+        assert feasible_values_mult(curve, delta_star - 1e-6, 20.0) is None
+
     def test_zero_regret_curve_gives_delta_zero(self):
         # identity row plus strictly losing deviations: (v, 0) feasible
         curve = DeviationCurve(

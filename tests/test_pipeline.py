@@ -98,6 +98,7 @@ BAD_NUMBERS = [
     (_set("mainline_reserve", "NaN"), "mainline_reserve"),
     (_set("own_bid", 10**400), "int too large"),
     (_set("mainline_count", 10**5), "mainline_count"),
+    (_set("period", 2**63), "period: 9223372036854775808 does not fit in 64 bits"),
     # a score below one micro-unit would rank at rank-score 0
     (_set("own_score", 1e-7), "entry 'L0': score=1e-07"),
     (lambda rec: rec["competitors"][0].__setitem__("score", 1e-7), "entry 'c000': score=1e-07"),
@@ -959,6 +960,21 @@ class TestCli:
         assert payload[0]["listing_id"] == "L0"
         assert payload[0]["delta_star"] == pytest.approx(1.0 / 9.0, abs=1e-4)
 
+    def test_predict_reports_a_failed_listing_and_keeps_the_rest(self, tmp_path, capsys):
+        # a lone bidder at bid 1.0 already takes the top slot, so no deviation gains clicks
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        assert main(["predict", str(log), "--grid-step", "0.1"]) == 0
+        good = capsys.readouterr().out
+        lone = dict(micro_fixture_records()[0], listing_id="Z", own_bid=1.0, competitors=[])
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(lone) + "\n")
+        assert main(["predict", str(log), "--grid-step", "0.1"]) == 0
+        captured = capsys.readouterr()
+        assert [p["listing_id"] for p in json.loads(good)] == ["L000", "L001"] and captured.out == good
+        assert captured.err.count("\n") == 1
+        assert json.loads(captured.err) == {"errors": [["Z", "no deviation gains clicks; supply an explicit value cap"]]}
+
     def test_rate_study_command(self, tmp_path, capsys):
         cfg = tmp_path / "cfg"
         cfg.write_text("rate_sample_sizes = [1000, 2000, 4000]\nrate_replications = 2\n")
@@ -967,6 +983,13 @@ class TestCli:
         assert (out / "rate_study.csv").exists()
         summary = json.loads((out / "rate_study_summary.json").read_text())
         assert "slope" in summary and summary["gamma_target"] == pytest.approx(1 / 3)
+        # any drift in the market's draws, the link function or the support fan moves a digest
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("rate_study.csv", "rate_study_summary.json")}
+        assert digests == {
+            "rate_study.csv": "0246cf1dcb86f04c3297f193afd78f41e60b922cef48c674dbc178f48a567a85",
+            "rate_study_summary.json": "071c548d803a8b37a189f226141505e662ba1fa7e1c321444cd26d5377e6d515",
+        }
 
     def test_error_exit_code_and_json(self, tmp_path, capsys):
         missing = tmp_path / "nope.jsonl"
@@ -1003,6 +1026,12 @@ class TestCli:
         "one-number-v-interval": (
             lambda b, lst: lst["prediction"].update(v_interval=[0.5]), "expected a list of 2, got [0.5]"),
         "string-in-curve": (lambda b, lst: lst["curve"].update(delta_p=["0.1"]), "expected float, got '0.1'"),
+        # the curve's own checks, reached through the decoder
+        "reversed-grid": (
+            lambda b, lst: lst["curve"].update(grid=lst["curve"]["grid"][::-1]), "grid must be strictly increasing"),
+        "short-delta-p": (
+            lambda b, lst: lst["curve"].update(delta_p=lst["curve"]["delta_p"][:-1]),
+            "grid, delta_p and delta_c must have equal length"),
         "bool-count": (lambda b, lst: b["summary"].update(nonpositive_count=True), "expected int, got True"),
         "float-config-count": (
             lambda b, lst: b["config"].update(boundary_samples=201.0), "expected int, got 201.0"),
