@@ -4,8 +4,12 @@ Configuration is a flat ``key = value`` text file (``#`` comments allowed);
 values are parsed as JSON, so lists like ``position_curve = [1.0, 0.6]``
 work. A number is a JSON number, ``NaN``, ``Infinity`` or ``-Infinity``,
 never a string; only ``algorithm`` takes unquoted text. Unknown keys are
-errors. Command-line flags override config values; each subcommand takes
-only the flags it reads.
+errors. A key in :data:`FIELD_KEYS` sets one field of ``InferenceConfig``,
+``MarketSpec``, ``BackgroundSpec``, ``LearnerConfig`` or ``RateStudyConfig``
+and defaults to that field's default; the classes are named, not imported,
+so a command loads only the modules it runs. The other keys, in
+:data:`RUN_KEYS`, carry their own defaults. Command-line flags override
+config values; each subcommand takes only the flags it reads.
 Exits 0 on success and 1 with a JSON error list on stderr otherwise.
 """
 
@@ -16,7 +20,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,7 +40,7 @@ from .pipeline import (
 )
 
 if TYPE_CHECKING:
-    from .simulate import LearnerSpec, MarketSpec
+    from .simulate import LearnerSpec
 
 
 def _integer(x) -> int:
@@ -55,62 +58,78 @@ def _real(x) -> float:
 
 
 def _numbers(kind):
-    """Parser for a JSON list of numbers, each parsed with ``kind``."""
+    """Parser for a JSON list of numbers, each parsed with ``kind``, as a tuple."""
 
-    def parse(value) -> list:
+    def parse(value) -> tuple:
         if not isinstance(value, list):
             raise ValueError("expected a JSON list")
-        return [kind(x) for x in value]
+        return tuple(kind(x) for x in value)
 
     return parse
 
 
-# key -> (parser, default); None defaults mean "derived elsewhere"
-CONFIG_KEYS: dict[str, tuple] = {
-    # shared
+def _optional(kind):
+    """Parser for a field whose default is None: ``null``, or a value ``kind`` takes."""
+
+    def parse(value):
+        return None if value is None else kind(value)
+
+    return parse
+
+
+def _text(x) -> str:
+    """Config text: a JSON string or unquoted text, not a number, boolean, list or null."""
+    if not isinstance(x, str):
+        raise ValueError(f"expected text, got {x!r}")
+    return x
+
+
+# key -> (parser, default), for the keys no dataclass owns
+RUN_KEYS: dict[str, tuple] = {
     "seed": (_integer, 0),
     "jobs": (_integer, 1),
-    "bid_max": (_real, 1.0),
-    "grid_step": (_real, None),
-    # inference
-    "epsilon_max": (_real, 1.0),
-    "precision": (_real, 1e-6),
-    "learning_threshold": (_real, 1e-4),
-    "boundary_samples": (_integer, 201),
-    "histogram_bucket_width": (_real, 0.05),
-    "value_cap": (_real, None),
-    # simulation
     "listings": (_integer, 3),
     "periods": (_integer, 200),
     "auctions_per_period": (_integer, 5),
-    "algorithm": (str, "hedge"),
-    "learning_rate": (_real, None),
-    "exploration": (_real, 0.1),
+    "algorithm": (_text, "hedge"),
     "value_low": (_real, 0.3),
     "value_high": (_real, 0.9),
-    "competitors": (_integer, 3),
-    "competitor_bid_low": (_real, 0.05),
-    "competitor_bid_high": (_real, 1.0),
-    "competitor_score_low": (_real, 0.8),
-    "competitor_score_high": (_real, 1.2),
-    "competitor_quality_low": (_real, 0.3),
-    "competitor_quality_high": (_real, 0.9),
-    "drift_amplitude": (_real, 0.0),
-    "drift_period": (_integer, 50),
-    "rank_reserve": (_real, 0.05),
-    "mainline_reserve": (_real, 0.1),
-    "mainline_cap": (_integer, 2),
-    "mainline_count": (_integer, None),
-    "position_curve": (_numbers(_real), [1.0, 0.6, 0.35, 0.2]),
-    # rate study
-    "rate_sample_sizes": (_numbers(_integer), [10**3, 10**4, 10**5, 10**6]),
-    "rate_replications": (_integer, 20),
-    "rate_smoothness_order": (_integer, 0),
-    "rate_holder_exponent": (_real, 1.0),
-    "rate_grid_coeff": (_real, 1.5),
-    "rate_eps_cap": (_real, 0.4),
-    "direction_count": (_integer, 720),
 }
+# key -> (parser, class, field): the key sets that field, and its default is the field's
+FIELD_KEYS: dict[str, tuple] = {
+    "bid_max": (_real, "InferenceConfig", "bid_max"),
+    "grid_step": (_optional(_real), "InferenceConfig", "grid_step"),
+    "epsilon_max": (_real, "InferenceConfig", "epsilon_max"),
+    "precision": (_real, "InferenceConfig", "precision"),
+    "learning_threshold": (_real, "InferenceConfig", "learning_threshold"),
+    "boundary_samples": (_integer, "InferenceConfig", "boundary_samples"),
+    "histogram_bucket_width": (_real, "InferenceConfig", "histogram_bucket_width"),
+    "value_cap": (_optional(_real), "InferenceConfig", "value_cap"),
+    "learning_rate": (_optional(_real), "LearnerConfig", "learning_rate"),
+    "exploration": (_real, "LearnerConfig", "exploration"),
+    "competitors": (_integer, "BackgroundSpec", "count"),
+    "competitor_bid_low": (_real, "BackgroundSpec", "bid_low"),
+    "competitor_bid_high": (_real, "BackgroundSpec", "bid_high"),
+    "competitor_score_low": (_real, "BackgroundSpec", "score_low"),
+    "competitor_score_high": (_real, "BackgroundSpec", "score_high"),
+    "competitor_quality_low": (_real, "BackgroundSpec", "quality_low"),
+    "competitor_quality_high": (_real, "BackgroundSpec", "quality_high"),
+    "drift_amplitude": (_real, "BackgroundSpec", "drift_amplitude"),
+    "drift_period": (_integer, "BackgroundSpec", "drift_period"),
+    "rank_reserve": (_real, "MarketSpec", "rank_reserve"),
+    "mainline_reserve": (_real, "MarketSpec", "mainline_reserve"),
+    "mainline_cap": (_integer, "MarketSpec", "mainline_cap"),
+    "mainline_count": (_optional(_integer), "MarketSpec", "mainline_count"),
+    "position_curve": (_numbers(_real), "MarketSpec", "position_curve"),
+    "rate_sample_sizes": (_numbers(_integer), "RateStudyConfig", "sample_sizes"),
+    "rate_replications": (_integer, "RateStudyConfig", "replications"),
+    "rate_smoothness_order": (_integer, "RateStudyConfig", "smoothness_order"),
+    "rate_holder_exponent": (_real, "RateStudyConfig", "holder_exponent"),
+    "rate_grid_coeff": (_real, "RateStudyConfig", "grid_coeff"),
+    "rate_eps_cap": (_real, "RateStudyConfig", "eps_cap"),
+    "direction_count": (_integer, "RateStudyConfig", "direction_count"),
+}
+CONFIG_KEYS: dict[str, tuple] = {**RUN_KEYS, **FIELD_KEYS}
 
 
 class ConfigError(ValueError):
@@ -118,13 +137,16 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str | None) -> dict:
-    """Parse a flat key=value config file against the known-key registry."""
-    values = {k: default for k, (_, default) in CONFIG_KEYS.items()}
+    """Parse a flat key=value config file: the :data:`RUN_KEYS` defaults plus every key the file sets."""
+    values = {k: default for k, (_, default) in RUN_KEYS.items()}
     if path is None:
         return values
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 gets its line number
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            try:
+                line = raw.decode("utf-8").split("#", 1)[0].strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{path}:{line_no}: not UTF-8: {exc}") from exc
             if not line:
                 continue
             if "=" not in line:
@@ -134,48 +156,21 @@ def load_config(path: str | None) -> dict:
             raw_val = raw_val.strip()
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            caster, default = CONFIG_KEYS[key]
             try:
                 parsed = json.loads(raw_val)
             except json.JSONDecodeError:
                 parsed = raw_val
-            if parsed is None and default is None:
-                values[key] = None
-                continue
             try:
-                if parsed is None:
-                    raise ValueError("null is allowed only for a key whose default is null")
-                values[key] = caster(parsed)
+                values[key] = CONFIG_KEYS[key][0](parsed)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from exc
     return values
 
 
-def _inference_config(cfg: dict) -> InferenceConfig:
-    return InferenceConfig(**{f.name: cfg[f.name] for f in fields(InferenceConfig)})
-
-
-def _market_spec(cfg: dict) -> MarketSpec:
-    from .simulate import BackgroundSpec, MarketSpec
-
-    return MarketSpec(
-        position_curve=tuple(float(a) for a in cfg["position_curve"]),
-        rank_reserve=cfg["rank_reserve"],
-        mainline_reserve=cfg["mainline_reserve"],
-        mainline_cap=cfg["mainline_cap"],
-        mainline_count=cfg["mainline_count"],
-        background=BackgroundSpec(
-            count=cfg["competitors"],
-            bid_low=cfg["competitor_bid_low"],
-            bid_high=cfg["competitor_bid_high"],
-            score_low=cfg["competitor_score_low"],
-            score_high=cfg["competitor_score_high"],
-            quality_low=cfg["competitor_quality_low"],
-            quality_high=cfg["competitor_quality_high"],
-            drift_amplitude=cfg["drift_amplitude"],
-            drift_period=cfg["drift_period"],
-        ),
-    )
+def _build(cls, cfg: dict, **given):
+    """``cls`` with the fields whose keys ``cfg`` sets, plus ``given``; every other field keeps its default."""
+    owned = {name: cfg[key] for key, (_, owner, name) in FIELD_KEYS.items() if owner == cls.__name__ and key in cfg}
+    return cls(**owned, **given)
 
 
 def build_learners(cfg: dict) -> list[LearnerSpec]:
@@ -185,45 +180,33 @@ def build_learners(cfg: dict) -> list[LearnerSpec]:
     """
     from .simulate import LearnerConfig, LearnerSpec, SimulationError
 
-    grid = _inference_config(cfg).bid_grid()
+    grid = _build(InferenceConfig, cfg).bid_grid()
     low, high = cfg["value_low"], cfg["value_high"]
     if not (math.isfinite(low) and math.isfinite(high) and low <= high):
         raise SimulationError(f"values must be finite with value_low <= value_high (got {low}, {high})")
     if cfg["seed"] < 0:
         raise SimulationError(f"seed must be non-negative (got {cfg['seed']})")
+    config = _build(LearnerConfig, cfg, algorithm=cfg["algorithm"], bid_grid=grid)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg["seed"], 0xB1D5))))
-    out = []
-    for k in range(cfg["listings"]):
-        value = float(rng.uniform(cfg["value_low"], cfg["value_high"]))
-        out.append(
-            LearnerSpec(
-                listing_id=f"L{k:03d}",
-                value=value,
-                config=LearnerConfig(
-                    algorithm=cfg["algorithm"],
-                    bid_grid=grid,
-                    learning_rate=cfg["learning_rate"],
-                    exploration=cfg["exploration"],
-                ),
-            )
-        )
-    return out
+    return [
+        LearnerSpec(listing_id=f"L{k:03d}", value=float(rng.uniform(low, high)), config=config)
+        for k in range(cfg["listings"])
+    ]
 
 
 def cmd_simulate(args, cfg) -> int:
-    from .simulate import simulate_market
+    from .simulate import BackgroundSpec, MarketSpec, simulate_market
 
     learners = build_learners(cfg)
-    histories = simulate_market(
-        _market_spec(cfg), learners, cfg["periods"], cfg["auctions_per_period"], cfg["seed"]
-    )
+    market = _build(MarketSpec, cfg, background=_build(BackgroundSpec, cfg))
+    histories = simulate_market(market, learners, cfg["periods"], cfg["auctions_per_period"], cfg["seed"])
     write_histories(histories, args.out)
     print(f"wrote {sum(len(h.period_bounds()) - 1 for h in histories)} periods for {len(histories)} listings to {args.out}")
     return 0
 
 
 def cmd_infer(args, cfg) -> int:
-    config = _inference_config(cfg)
+    config = _build(InferenceConfig, cfg)
     summary, artifacts = infer_account(ingest(args.log), config, jobs=cfg["jobs"])
     bundle = artifacts_to_json(summary, artifacts, config)
     os.makedirs(args.out, exist_ok=True)
@@ -234,7 +217,7 @@ def cmd_infer(args, cfg) -> int:
 
 
 def cmd_predict(args, cfg) -> int:
-    summary, artifacts = infer_account(ingest(args.log), _inference_config(cfg), jobs=cfg["jobs"])
+    summary, artifacts = infer_account(ingest(args.log), _build(InferenceConfig, cfg), jobs=cfg["jobs"])
     predictions = predictions_payload(artifacts)
     if args.out:
         _json_dump(predictions, args.out)
@@ -248,17 +231,7 @@ def cmd_predict(args, cfg) -> int:
 def cmd_rate_study(args, cfg) -> int:
     from .geometry import RateStudyConfig, run_rate_study
 
-    rate_cfg = RateStudyConfig(
-        sample_sizes=cfg["rate_sample_sizes"],
-        replications=cfg["rate_replications"],
-        smoothness_order=cfg["rate_smoothness_order"],
-        holder_exponent=cfg["rate_holder_exponent"],
-        seed=cfg["seed"],
-        eps_cap=cfg["rate_eps_cap"],
-        direction_count=cfg["direction_count"],
-        grid_coeff=cfg["rate_grid_coeff"],
-    )
-    result = run_rate_study(rate_cfg)
+    result = run_rate_study(_build(RateStudyConfig, cfg, seed=cfg["seed"]))
     written = write_rate_study(result, args.out)
     print(
         f"slope {result.slope:.4f} (target {result.gamma_target:.4f}, stderr {result.slope_stderr:.4f}); wrote {written}"

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -14,7 +14,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gspinfer import pipeline
-from gspinfer.cli import CONFIG_KEYS, ConfigError, build_learners, load_config, main
+from gspinfer import cli
+from gspinfer.cli import CONFIG_KEYS, FIELD_KEYS, RUN_KEYS, ConfigError, build_learners, load_config, main
 from gspinfer.inference import DeviationCurve, InferenceError
 from gspinfer.pipeline import (
     AccountSummary,
@@ -496,6 +497,20 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert loaded_after("import gspinfer.cli", names) == "[]"
 
 
+def test_infer_and_predict_leave_the_simulator_and_pool_unloaded(tmp_path):
+    # keys that simulate and rate-study read are parsed without importing their modules
+    cfg = tmp_path / "cfg"
+    cfg.write_text("position_curve = [1.0, 0.5]\nalgorithm = hedge\ncompetitors = 2\nrate_replications = 3\n"
+                   "grid_step = 0.1\n")
+    log = tmp_path / "log.jsonl"
+    write_histories(tiny_market_histories(), str(log))
+    names = {"multiprocessing", "gspinfer.geometry", "gspinfer.simulate"}
+    for argv in (["infer", str(log), "--config", str(cfg), "--out", str(tmp_path / "out")],
+                 ["predict", str(log), "--config", str(cfg), "--out", str(tmp_path / "p.json")]):
+        loaded = loaded_after(f"from gspinfer.cli import main; assert main({argv!r}) == 0", names)
+        assert loaded.splitlines()[-1] == "[]"
+
+
 def test_package_import_loads_no_submodule():
     names = {f"gspinfer.{m}" for m in ("auction", "inference", "pipeline", "simulate", "geometry", "cli")}
     assert loaded_after("import gspinfer", names | {"numpy"}) == "[]"
@@ -647,8 +662,31 @@ class TestEmptyAccountExport:
 
 class TestConfigFile:
     def test_defaults_without_file(self):
+        # a key the file leaves out keeps its field's default: no file builds the default classes
+        from gspinfer.geometry import RateStudyConfig
+
         cfg = load_config(None)
-        assert cfg["epsilon_max"] == 1.0 and cfg["jobs"] == 1
+        assert cfg == {key: default for key, (_, default) in RUN_KEYS.items()} and cfg["jobs"] == 1
+        assert cli._build(InferenceConfig, cfg) == InferenceConfig() and InferenceConfig().epsilon_max == 1.0
+        assert cli._build(MarketSpec, cfg, background=cli._build(BackgroundSpec, cfg)) == MarketSpec()
+        assert cli._build(RateStudyConfig, cfg, seed=cfg["seed"]) == RateStudyConfig()
+        learners = build_learners(cfg)
+        assert len(learners) == 3 and {ls.config for ls in learners} == {
+            LearnerConfig("hedge", InferenceConfig().bid_grid())}
+
+    def test_each_field_key_names_a_field_its_parser_round_trips(self):
+        import gspinfer
+
+        assert set(RUN_KEYS).isdisjoint(FIELD_KEYS) and CONFIG_KEYS == {**RUN_KEYS, **FIELD_KEYS}
+        for key, (parse, owner, name) in FIELD_KEYS.items():
+            field = {f.name: f for f in fields(getattr(gspinfer, owner))}[name]
+            # repr tells 201 from 201.0, so a number parser on an integer field fails here
+            assert repr(parse(json.loads(json.dumps(field.default)))) == repr(field.default), key
+            if field.default is None:
+                assert parse(None) is None, key
+            else:
+                with pytest.raises(ValueError):
+                    parse(None)
 
     @pytest.mark.parametrize("step", [0.01, 0.004, 0.05, 0.06, 0.15])
     def test_learners_bid_on_the_inference_grid(self, step):
@@ -656,7 +694,7 @@ class TestConfigFile:
         cfg = {**load_config(None), "grid_step": step, "listings": 1}
         grid = build_learners(cfg)[0].config.bid_grid
         assert grid == InferenceConfig(grid_step=step).bid_grid()
-        assert grid[-1] <= cfg["bid_max"]
+        assert grid[-1] <= InferenceConfig().bid_max
 
     def test_bid_grid_bounds_what_a_config_allocates(self):
         # the grid has floor(bid_max / step) + 1 points and the histogram round(1 / width) buckets
@@ -671,7 +709,7 @@ class TestConfigFile:
         path = tmp_path / "cfg"
         path.write_text("rate_sample_sizes = [1e3, 2000]\nposition_curve = [1, 0.5]\n")
         cfg = load_config(str(path))
-        assert cfg["rate_sample_sizes"] == [1000, 2000] and cfg["position_curve"] == [1.0, 0.5]
+        assert cfg["rate_sample_sizes"] == (1000, 2000) and cfg["position_curve"] == (1.0, 0.5)
         for bad in ('[1, "a"]', "[[1]]", "[true]", "[1e400]"):
             path.write_text(f"rate_sample_sizes = {bad}\n")
             with pytest.raises(ConfigError, match="bad value for 'rate_sample_sizes'"):
@@ -688,7 +726,7 @@ class TestConfigFile:
         )
         cfg = load_config(str(path))
         assert cfg["epsilon_max"] == 0.5
-        assert cfg["position_curve"] == [1.0, 0.7]
+        assert cfg["position_curve"] == (1.0, 0.7)
         assert cfg["algorithm"] == "epsilon_greedy"
         assert cfg["listings"] == 4
 
@@ -705,9 +743,11 @@ class TestConfigFile:
             load_config(str(path))
 
     @pytest.mark.parametrize("key, value", [
-        # null only where the default is null
+        # null only for a field whose default is None
         ("epsilon_max", "null"), ("boundary_samples", "null"), ("periods", "null"), ("listings", "null"),
-        ("value_low", "null"), ("algorithm", "null"),
+        ("value_low", "null"), ("algorithm", "null"), ("position_curve", "null"),
+        # algorithm is text, quoted or not
+        ("algorithm", "5"), ("algorithm", "true"), ("algorithm", "[1]"),
         # an integer key takes no fraction and no boolean; a number key no boolean
         ("periods", "2.9"), ("competitors", "2.5"), ("rate_replications", "1.5"), ("jobs", "true"),
         ("rate_sample_sizes", "[1000, 2.5]"), ("epsilon_max", "true"),
@@ -728,6 +768,12 @@ class TestConfigFile:
         assert [cfg[k] for k in ("grid_step", "value_cap", "learning_rate", "mainline_count")] == [None] * 4
         assert [(cfg[k], type(cfg[k])) for k in ("periods", "rate_replications", "seed", "epsilon_max")] == [
             (2, int), (10, int), (0, int), (2.0, float)]
+
+    def test_config_that_is_not_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "cfg"
+        path.write_bytes(b"periods = 5\nalgorithm = h\xffdge\n")
+        with pytest.raises(ConfigError, match=r"cfg:2: not UTF-8"):
+            load_config(str(path))
 
     def test_number_too_large_for_int_key_rejected(self, tmp_path):
         path = tmp_path / "cfg"
@@ -755,7 +801,7 @@ class TestConfigFile:
             except ConfigError:
                 pass
             else:
-                assert set(cfg) == set(CONFIG_KEYS)
+                assert set(cfg) == set(RUN_KEYS) | {key for key, _ in lines}
 
 
 class TestCli:
