@@ -8,8 +8,9 @@ errors. A key in :data:`FIELD_KEYS` sets one field of ``InferenceConfig``,
 ``MarketSpec``, ``BackgroundSpec``, ``LearnerConfig`` or ``RateStudyConfig``
 and defaults to that field's default; the classes are named, not imported,
 so a command loads only the modules it runs. The other keys, in
-:data:`RUN_KEYS`, carry their own defaults. Command-line flags override
-config values; each subcommand takes only the flags it reads.
+:data:`RUN_KEYS`, carry their own defaults. A class's error that begins
+with a field's name gets that field's key instead. Command-line flags
+override config values; each subcommand takes only the flags it reads.
 Exits 0 on success and 1 with a JSON error list on stderr otherwise.
 """
 
@@ -168,9 +169,18 @@ def load_config(path: str | None) -> dict:
 
 
 def _build(cls, cfg: dict, **given):
-    """``cls`` with the fields whose keys ``cfg`` sets, plus ``given``; every other field keeps its default."""
-    owned = {name: cfg[key] for key, (_, owner, name) in FIELD_KEYS.items() if owner == cls.__name__ and key in cfg}
-    return cls(**owned, **given)
+    """``cls`` with the fields whose keys ``cfg`` sets, plus ``given``; every other field keeps its default.
+
+    A class's error about one field begins with the field's name; it is re-raised with the key in its place.
+    """
+    keys = {name: key for key, (_, owner, name) in FIELD_KEYS.items() if owner == cls.__name__}
+    try:
+        return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg}, **given)
+    except ValueError as exc:
+        field, _, rest = str(exc).partition(" ")
+        if keys.get(field, field) == field:
+            raise
+        raise type(exc)(f"{keys[field]} {rest}") from exc
 
 
 def build_learners(cfg: dict) -> list[LearnerSpec]:

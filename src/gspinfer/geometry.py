@@ -57,61 +57,32 @@ def support_nr(link: LinkFunction, u) -> float:
     return abs(u2) * link_eval(link, z)
 
 
-def _tangency_knots(link: LinkFunction, value_cap: float) -> tuple[float, float]:
-    """Click-change slopes where the boundary touches v = 0 and v = value_cap."""
-    zs = link.z_knots
-    cs = link.c_values
-    z_lo = zs[min(range(len(zs)), key=lambda k: (cs[k], zs[k]))]
-    z_hi = zs[max(range(len(zs)), key=lambda k: (value_cap * zs[k] - cs[k], zs[k]))]
-    return z_lo, z_hi
-
-
-def natural_value_cap(link: LinkFunction, eps_cap: float) -> float:
-    """Largest rationalizable value at regret ``eps_cap``: the set's right corner.
-
-    ``min`` over knots with positive click change of ``(c(z) + eps_cap) / z``.
-    This is the ``value_cap`` for which the bounded support formula is the
-    exact support function of the capped set.
-    """
-    best = math.inf
-    for z, c in zip(link.z_knots, link.c_values):
-        if z > 0.0:
-            bound = (c + eps_cap) / z
-            if bound < best:
-                best = bound
-    if not math.isfinite(best):
-        raise GeometryError("no deviation gains clicks; the capped set has no right corner")
-    if best <= 0.0:
-        raise GeometryError("the regret cap leaves no non-negative rationalizable value")
-    return best
-
-
 class SupportRegion:
     """The bounded rationalizable set, evaluated through its link function.
 
-    The point ``(value_cap, eps_cap)`` is the set's top-right vertex (pass
-    the natural corner, where the boundary meets ``eps_cap``, for exact
-    geometry). Its lowest point on the regret axis is ``(0, eps_at_zero)``,
-    where ``eps_at_zero = -min f`` is the boundary height at ``v = 0``.
+    Its top-right vertex is ``(value_cap, eps_cap)``, where the boundary
+    meets the regret cap: ``value_cap`` is the least ``(c + eps_cap) / z``
+    over knots with ``z > 0``. Its lowest point on the regret axis is
+    ``(0, eps_at_zero)``, where ``eps_at_zero = -min f`` is the boundary
+    height at ``v = 0``. Since ``eps_cap > eps_at_zero``, every
+    ``c + eps_cap`` is positive, and so is ``value_cap``.
     """
 
-    def __init__(self, link: LinkFunction, eps_cap: float, value_cap: float):
-        eps_at_zero = -min(link.c_values)
+    def __init__(self, link: LinkFunction, eps_cap: float):
+        zs, cs = link.z_knots, link.c_values
+        eps_at_zero = -min(cs)
         if not eps_cap > eps_at_zero:
             raise GeometryError("eps_cap must exceed the boundary height at v = 0")
-        if not value_cap > 0:
-            raise GeometryError("value_cap must be positive")
+        corners = [(c + eps_cap) / z for z, c in zip(zs, cs) if z > 0.0]
+        if not corners:
+            raise GeometryError("no deviation gains clicks; the capped set has no right corner")
         self.link = link
         self.eps_cap = float(eps_cap)
-        self.value_cap = float(value_cap)
+        self.value_cap = float(min(corners))
         self.eps_at_zero = float(eps_at_zero)
-        self._z_lo, self._z_hi = _tangency_knots(link, value_cap)
-
-    @classmethod
-    def from_curve(cls, curve: DeviationCurve, eps_cap: float) -> "SupportRegion":
-        """The region of a curve's link function, capped at its natural right corner."""
-        link = link_from_curve(curve)
-        return cls(link, eps_cap, natural_value_cap(link, eps_cap))
+        # click-change slopes where the boundary touches v = 0 and v = value_cap
+        self._z_lo = zs[min(range(len(zs)), key=lambda k: (cs[k], zs[k]))]
+        self._z_hi = zs[max(range(len(zs)), key=lambda k: (self.value_cap * zs[k] - cs[k], zs[k]))]
 
     def support(self, u: tuple[float, float]) -> float:
         """Support function in direction ``u``.
@@ -193,23 +164,18 @@ class SingleSlotMarket:
         c = self.quality * self.alpha_top * (b * b - lo * lo) / (2.0 * (hi - lo))
         return p, c
 
-    def sample_pc(self, bids: np.ndarray, rivals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Empirical click/payment means of each bid over the rival draws.
+    def sample_pc(self, bid: float, rivals: np.ndarray) -> tuple[float, float]:
+        """Empirical click/payment means of ``bid`` over the rival draws.
 
         Mirrors the exact auction engine: rank-scores compare at micro
         resolution and score ties go to the tracked bidder (its id sorts
         first).
         """
         rival_q = np.rint(rivals * 1e6)
-        bids_q = np.array([round(float(b) * 1e6) for b in np.atleast_1d(bids)])
-        p_out = np.empty(len(bids_q))
-        c_out = np.empty(len(bids_q))
-        gamma = self.quality
-        for k, bq in enumerate(bids_q):
-            win = rival_q <= bq
-            p_out[k] = gamma * (self.alpha_bottom + (self.alpha_top - self.alpha_bottom) * win.mean())
-            c_out[k] = gamma * self.alpha_top * float(np.mean(win * (rival_q / 1e6)))
-        return p_out, c_out
+        win = rival_q <= round(float(bid) * 1e6)
+        p = self.quality * (self.alpha_bottom + (self.alpha_top - self.alpha_bottom) * win.mean())
+        c = self.quality * self.alpha_top * float(np.mean(win * (rival_q / 1e6)))
+        return float(p), c
 
     def population_curve(self, bids: Sequence[float]) -> DeviationCurve:
         p0, c0 = self.population_pc(self.own_bid)
@@ -251,16 +217,22 @@ class RateStudyConfig:
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
         if any(n < 2 for n in self.sample_sizes):
-            raise GeometryError(f"sample sizes must be at least 2 (got {self.sample_sizes})")
+            raise GeometryError(f"sample_sizes must be at least 2 (got {self.sample_sizes})")
         for a, b in zip(self.sample_sizes, self.sample_sizes[1:]):
             if not b > a:
-                raise GeometryError("sample_sizes must be increasing")
+                raise GeometryError(f"sample_sizes must be increasing (got {self.sample_sizes})")
         if self.replications < 1:
-            raise GeometryError("need at least one replication")
-        if self.smoothness_order < 0 or not 0.0 < self.holder_exponent <= 1.0:
-            raise GeometryError("smoothness must satisfy k >= 0 and 0 < alpha <= 1")
+            raise GeometryError(f"replications must be at least 1 (got {self.replications})")
+        if self.smoothness_order < 0:
+            raise GeometryError(f"smoothness_order must be non-negative (got {self.smoothness_order})")
+        if not 0.0 < self.holder_exponent <= 1.0:
+            raise GeometryError(f"holder_exponent must lie in (0, 1] (got {self.holder_exponent})")
         if not (self.grid_coeff > 0 and math.isfinite(self.grid_coeff)):
             raise GeometryError(f"grid_coeff must be positive and finite (got {self.grid_coeff})")
+        for n in self.sample_sizes:  # one draw for each of the g grid arms and the baseline arm
+            g = self.grid_size(n)
+            if n < g + 1:
+                raise GeometryError(f"sample_sizes must cover every arm (budget {n} too small for a {g}-point grid)")
         if self.seed < 0:
             raise GeometryError(f"seed must be non-negative (got {self.seed})")
 
@@ -289,38 +261,27 @@ class RateStudyResult:
         return list(zip(self.sample_sizes, self.mean_dh, self.std_dh))
 
 
-def _estimate_region(
-    cfg: RateStudyConfig, n: int, rng: np.random.Generator
-) -> SupportRegion:
+def _estimate_region(cfg: RateStudyConfig, n: int, rng: np.random.Generator) -> SupportRegion:
     g = cfg.grid_size(n)
     bids = np.linspace(_MARKET.rival_low, _MARKET.rival_high, g)
     batch = n // (g + 1)
-    if batch < 1:
-        raise GeometryError(f"budget {n} too small for a {g}-point grid")
     draws = rng.uniform(_MARKET.rival_low, _MARKET.rival_high, size=(g + 1) * batch)
-    ps = np.empty(g)
-    cs = np.empty(g)
-    for k in range(g):
-        chunk = draws[k * batch:(k + 1) * batch]
-        p, c = _MARKET.sample_pc(np.array([bids[k]]), chunk)
-        ps[k], cs[k] = p[0], c[0]
-    base = draws[g * batch:(g + 1) * batch]
-    p0, c0 = _MARKET.sample_pc(np.array([_MARKET.own_bid]), base)
+    arms = [_MARKET.sample_pc(b, draws[k * batch:(k + 1) * batch]) for k, b in enumerate(bids)]
+    p0, c0 = _MARKET.sample_pc(_MARKET.own_bid, draws[g * batch:])
     curve = DeviationCurve(
-        grid=tuple(float(b) for b in bids),
-        delta_p=tuple(ps - p0[0]),
-        delta_c=tuple(cs - c0[0]),
-        baseline_p=float(p0[0]),
-        baseline_c=float(c0[0]),
+        grid=tuple(bids),
+        delta_p=tuple(p - p0 for p, _ in arms),
+        delta_c=tuple(c - c0 for _, c in arms),
+        baseline_p=p0,
+        baseline_c=c0,
     )
-    return SupportRegion.from_curve(curve, cfg.eps_cap)
+    return SupportRegion(link_from_curve(curve), cfg.eps_cap)
 
 
 def true_region(cfg: RateStudyConfig) -> SupportRegion:
     """Population region from the closed-form curves on a dense grid of 2001 points."""
     bids = np.linspace(_MARKET.rival_low, _MARKET.rival_high, 2001)
-    curve = _MARKET.population_curve([float(b) for b in bids])
-    return SupportRegion.from_curve(curve, cfg.eps_cap)
+    return SupportRegion(link_from_curve(_MARKET.population_curve([float(b) for b in bids])), cfg.eps_cap)
 
 
 def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
@@ -334,23 +295,14 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     if len(cfg.sample_sizes) < 3:
         raise GeometryError("need at least 3 sample sizes to identify a slope")
     truth = true_region(cfg)
-    root = np.random.SeedSequence(cfg.seed)
-    streams = root.spawn(len(cfg.sample_sizes) * cfg.replications)
+    streams = iter(np.random.SeedSequence(cfg.seed).spawn(len(cfg.sample_sizes) * cfg.replications))
     means: list[float] = []
     stds: list[float] = []
-    grids: list[int] = []
-    idx = 0
     for n in cfg.sample_sizes:
-        vals = []
-        for _ in range(cfg.replications):
-            rng = np.random.Generator(np.random.PCG64(streams[idx]))
-            idx += 1
-            est = _estimate_region(cfg, n, rng)
-            vals.append(hausdorff(est, truth, cfg.direction_count))
-        arr = np.asarray(vals)
+        rngs = (np.random.Generator(np.random.PCG64(next(streams))) for _ in range(cfg.replications))
+        arr = np.asarray([hausdorff(_estimate_region(cfg, n, rng), truth, cfg.direction_count) for rng in rngs])
         means.append(float(arr.mean()))
         stds.append(float(arr.std(ddof=1)) if len(arr) > 1 else 0.0)
-        grids.append(cfg.grid_size(n))
     x = np.array([math.log(math.log(n) / n) for n in cfg.sample_sizes])
     y = np.log(np.asarray(means))
     slope, intercept = np.polyfit(x, y, 1)
@@ -366,5 +318,5 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
         slope=float(slope),
         slope_stderr=slope_stderr,
         gamma_target=gamma / (2.0 * gamma + 1.0),
-        grid_sizes=tuple(grids),
+        grid_sizes=tuple(cfg.grid_size(n) for n in cfg.sample_sizes),
     )

@@ -411,9 +411,11 @@ def default_value_cap(curve: DeviationCurve, eps_cap: float) -> float:
     some deviation that gains clicks; otherwise the caller must supply a cap.
 
     It pairs the largest ``dP`` with the largest ``dC``, which may come from
-    different rows, so it is at least ``geometry.natural_value_cap``, the
-    capped set's true right corner. ``infer`` keeps this cap because changing
-    it would move every ``nr_boundary_*.csv`` and some ``v*``.
+    different rows, so it is at least ``geometry.SupportRegion.value_cap``,
+    the capped set's true right corner. On simulated logs the two rarely
+    differ and the predictions do not move, but on monotone penny curves
+    the corner moves some ``v*`` and makes some curves not rationalizable,
+    so ``infer`` keeps this cap.
     """
     sup_dp = max(curve.delta_p)
     if sup_dp <= 0.0:

@@ -121,7 +121,7 @@ class BackgroundSpec:
 
     def __post_init__(self):
         if self.count < 0:
-            raise SimulationError(f"competitor count must be non-negative (got {self.count})")
+            raise SimulationError(f"count must be non-negative (got {self.count})")
         for name, low, high in (
             ("bid", self.bid_low, self.bid_high),
             ("score", self.score_low, self.score_high),

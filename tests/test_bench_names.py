@@ -1,14 +1,16 @@
 """The benchmark under ``perfbench/`` still finds every name it imports or wraps.
 
-The bench's checks import oracles from ``gspinfer`` and read keys of
-``artifacts.json``, and its tracer wraps entry points by name, so a rename in
-``src/`` fails here rather than in a bench run. The files under ``perfbench/``
-are only read.
+The bench's checks import oracles from ``gspinfer``, the bench and its checks
+read keys of ``artifacts.json``, and its tracer wraps entry points by name, so
+a rename in ``src/`` fails here rather than in a bench run. The files under
+``perfbench/`` are only read.
 """
 
 import importlib.util
 import json
 from pathlib import Path
+
+import pytest
 
 import gspinfer.auction
 from gspinfer.cli import main
@@ -40,13 +42,30 @@ def test_tracer_wraps_every_entry_point_and_puts_them_back():
     assert gspinfer.auction.DeviationSweep is sweep
 
 
-def test_bench_checks_pass_on_an_infer_bundle_and_fail_on_a_corrupted_one(tmp_path):
-    checks = load("checks")
-    cfg, log, out = tmp_path / "cfg", tmp_path / "log.jsonl", tmp_path / "out"
+@pytest.fixture(scope="module")
+def infer_run(tmp_path_factory):
+    """A small simulated log and the ``artifacts.json`` bundle ``infer`` writes for it."""
+    tmp = tmp_path_factory.mktemp("bench_names")
+    cfg, log, out = tmp / "cfg", tmp / "log.jsonl", tmp / "out"
     cfg.write_text("listings = 2\nperiods = 12\nauctions_per_period = 3\ngrid_step = 0.1\n")
     assert main(["simulate", "--config", str(cfg), "--out", str(log)]) == 0
     assert main(["infer", str(log), "--config", str(cfg), "--out", str(out)]) == 0
-    bundle = json.loads((out / "artifacts.json").read_text())
+    return log, json.loads((out / "artifacts.json").read_text())
+
+
+def test_infer_bundle_holds_the_keys_the_bench_reads(infer_run):
+    _, bundle = infer_run
+    summary = bundle["summary"]
+    assert isinstance(summary["errors"], list) and isinstance(summary["listing_count"], int)
+    assert summary["listing_count"] == len(bundle["listings"]) == 2
+    for listing in bundle["listings"].values():
+        assert len(listing["curve"]["grid"]) == 11
+        assert isinstance(listing["prediction"]["iterations"], int)
+
+
+def test_bench_checks_pass_on_an_infer_bundle_and_fail_on_a_corrupted_one(infer_run):
+    checks = load("checks")
+    log, bundle = infer_run
     auctions, cells = checks.read_log(str(log)), checks.sample_cells(bundle, 1, 8)
     clean, bad = checks.Tally(), checks.Tally()
     checks.check_bundle(clean, bundle, auctions, cells)

@@ -12,7 +12,6 @@ from gspinfer.geometry import (
     SupportRegion,
     hausdorff,
     link_eval,
-    natural_value_cap,
     run_rate_study,
     support_nr,
     true_region,
@@ -24,6 +23,7 @@ from gspinfer.inference import (
     boundary,
     check_assumptions,
     link_from_curve,
+    value_interval,
 )
 
 from test_auction import auctions_to_table
@@ -192,21 +192,26 @@ class TestSupportNR:
 class TestSupportNRB:
     # convex_link() has boundary height 0.15 at v = 0
     def test_top_face(self):
-        assert SupportRegion(convex_link(), 0.5, 2.0).support((0.0, 1.0)) == pytest.approx(0.5)
+        assert SupportRegion(convex_link(), 0.5).support((0.0, 1.0)) == pytest.approx(0.5)
 
     def test_left_face_zero(self):
-        assert SupportRegion(convex_link(), 0.5, 2.0).support((-1.0, 0.0)) == pytest.approx(0.0)
+        assert SupportRegion(convex_link(), 0.5).support((-1.0, 0.0)) == pytest.approx(0.0)
 
     def test_right_corner(self):
-        assert SupportRegion(convex_link(), 0.5, 2.0).support((1.0, 0.0)) == pytest.approx(2.0)
+        # the boundary meets eps_cap at (0.5 + 0.08) / 0.1 on the one knot with z > 0
+        assert SupportRegion(convex_link(), 0.5).support((1.0, 0.0)) == pytest.approx(5.8)
 
     def test_requires_cap_above_axis_height(self):
         with pytest.raises(GeometryError):
-            SupportRegion(convex_link(), 0.1, 2.0)
+            SupportRegion(convex_link(), 0.1)
+
+    def test_requires_a_deviation_that_gains_clicks(self):
+        with pytest.raises(GeometryError, match="right corner"):
+            SupportRegion(LinkFunction(z_knots=(-0.2, 0.0), c_values=(-0.15, 0.0)), 0.5)
 
     def test_shallow_direction_supported_on_axis(self):
         u = unit(-1.0, -1.0)  # slope -1 below inf dP
-        assert SupportRegion(convex_link(), 0.5, 2.0).support(u) == pytest.approx(u[1] * 0.15)
+        assert SupportRegion(convex_link(), 0.5).support(u) == pytest.approx(u[1] * 0.15)
 
     def test_matches_polygon_oracle_on_penny_curves(self):
         # the capped set is the polygon spanned by its top corners and the
@@ -226,8 +231,9 @@ class TestSupportNRB:
                 delta_p=tuple(dps), delta_c=tuple(dcs), baseline_p=0.5, baseline_c=0.1,
             )
             eps_cap = boundary(curve, 0.0) + rng.uniform(0.05, 0.5)
-            region = SupportRegion.from_curve(curve, eps_cap)
+            region = SupportRegion(link_from_curve(curve), eps_cap)
             cap = region.value_cap
+            assert cap == value_interval(curve, eps_cap)[1]  # the hull's corner is the row scan's, bit for bit
             rows = list(zip(dps, dcs))
             vs = [(c1 - c2) / (p1 - p2) for k, (p1, c1) in enumerate(rows) for p2, c2 in rows[k + 1:] if p1 != p2]
             lower = [(v, boundary(curve, v)) for v in [0.0, cap] + [v for v in vs if 0.0 < v < cap]]
@@ -237,8 +243,7 @@ class TestSupportNRB:
 
     def test_bounded_below_unbounded(self):
         link = convex_link()
-        cap = natural_value_cap(link, 0.5)
-        region = SupportRegion(link, 0.5, cap)
+        region = SupportRegion(link, 0.5)
         for k in range(64):
             theta = 2 * math.pi * k / 64
             u = (math.cos(theta), math.sin(theta))
@@ -248,9 +253,7 @@ class TestSupportNRB:
             assert h_b <= h_nr + 1e-12
 
     def test_homogeneity_and_subadditivity(self):
-        link = convex_link()
-        cap = natural_value_cap(link, 0.5)
-        region = SupportRegion(link, 0.5, cap)
+        region = SupportRegion(convex_link(), 0.5)
         rng = random.Random(4)
         for _ in range(200):
             t1 = rng.uniform(0, 2 * math.pi)
@@ -400,8 +403,8 @@ class TestHausdorffBoundByLinkError:
                 continue
             link_b = LinkFunction(tuple(zs), tuple(cs_b))
             eps_cap = max(-min(cs), -min(cs_b)) + rng.uniform(0.3, 1.0)
-            region_a = SupportRegion(link_a, eps_cap, natural_value_cap(link_a, eps_cap))
-            region_b = SupportRegion(link_b, eps_cap, natural_value_cap(link_b, eps_cap))
+            region_a = SupportRegion(link_a, eps_cap)
+            region_b = SupportRegion(link_b, eps_cap)
             sup_gap = max(abs(e) for e in perturb)
             dh = hausdorff(region_a, region_b)
             assert dh <= sup_gap + 1e-9
@@ -413,8 +416,8 @@ class TestSingleSlotMarket:
         rng = np.random.Generator(np.random.PCG64(5))
         rivals = rng.uniform(0.0, 1.0, size=200)
         bids = np.linspace(0.0, 1.0, 11)
-        ps, cs = market.sample_pc(bids, rivals)
-        for k, b in enumerate(bids):
+        for b in bids:
+            p, c = market.sample_pc(b, rivals)
             # the same auctions, one per rival draw, for the exact engine
             auctions = [
                 AuctionParams(
@@ -425,26 +428,25 @@ class TestSingleSlotMarket:
             ]
             sweep = DeviationSweep(auctions_to_table(auctions, "p"), "p")
             p_ref, c_ref = (float(v.sum()) for v in sweep.evaluate_many(np.full((len(auctions), 1), float(b))))
-            assert ps[k] == pytest.approx(p_ref / len(rivals), abs=1e-12)
-            assert cs[k] == pytest.approx(c_ref / len(rivals), abs=1e-12)
+            assert p == pytest.approx(p_ref / len(rivals), abs=1e-12)
+            assert c == pytest.approx(c_ref / len(rivals), abs=1e-12)
 
     def test_population_curve_is_sample_limit(self):
         market = SingleSlotMarket()
         rng = np.random.Generator(np.random.PCG64(7))
         rivals = rng.uniform(0.0, 1.0, size=400_000)
-        bids = np.array([0.15, 0.45, 0.8])
-        ps, cs = market.sample_pc(bids, rivals)
-        for k, b in enumerate(bids):
-            p_true, c_true = market.population_pc(float(b))
-            assert ps[k] == pytest.approx(p_true, abs=3e-3)
-            assert cs[k] == pytest.approx(c_true, abs=3e-3)
+        for b in (0.15, 0.45, 0.8):
+            p, c = market.sample_pc(b, rivals)
+            p_true, c_true = market.population_pc(b)
+            assert p == pytest.approx(p_true, abs=3e-3)
+            assert c == pytest.approx(c_true, abs=3e-3)
 
 
 class TestRateStudy:
     def test_identical_curves_give_zero_distance(self):
         cfg = RateStudyConfig(sample_sizes=(1000, 2000, 4000), replications=2)
         truth = true_region(cfg)
-        rebuilt = SupportRegion(truth.link, truth.eps_cap, truth.value_cap)
+        rebuilt = SupportRegion(truth.link, truth.eps_cap)
         assert hausdorff(truth, rebuilt, cfg.direction_count) == 0.0
 
     def test_requires_three_sample_sizes(self):

@@ -954,6 +954,14 @@ class TestCli:
         # too large a count used to get the reference's message, which names neither the key nor the value
         "mainline_count = 3": "mainline_count must be at most min(mainline_cap, positions) = 2 (got 3)",
         "mainline_cap = 9\nmainline_count = 9": "mainline_count must be at most min(mainline_cap, positions) = 4 (got 9)",
+        # each named its dataclass field, or no field at all, instead of the key
+        "rate_grid_coeff = 0": "rate_grid_coeff",
+        "rate_holder_exponent = NaN": "rate_holder_exponent",
+        "rate_smoothness_order = -1": "rate_smoothness_order",
+        "rate_sample_sizes = [1000, 100, 10000]": "rate_sample_sizes",
+        "rate_sample_sizes = [2, 3, 4]": "rate_sample_sizes",
+        "rate_replications = 0": "rate_replications",
+        "competitors = -1": "competitors",
     }
 
     @pytest.mark.parametrize("command, lines", [
@@ -964,7 +972,6 @@ class TestCli:
         ("simulate", "competitor_quality_high = 0.1"),
         ("simulate", "competitor_bid_low = NaN"),
         ("simulate", "competitor_score_high = 1e400"),
-        ("simulate", "competitors = -1"),
         ("simulate", "drift_amplitude = 0.5\ndrift_period = 0"),
         ("simulate", "seed = -1"),
         ("simulate", 'position_curve = [1, "a"]'),
