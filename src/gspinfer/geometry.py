@@ -216,6 +216,8 @@ class RateStudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_sizes", tuple(int(n) for n in self.sample_sizes))
+        if len(self.sample_sizes) < 3:
+            raise GeometryError(f"sample_sizes must hold 3 sample sizes or more to fit a slope (got {self.sample_sizes})")
         if any(n < 2 for n in self.sample_sizes):
             raise GeometryError(f"sample_sizes must be at least 2 (got {self.sample_sizes})")
         for a, b in zip(self.sample_sizes, self.sample_sizes[1:]):
@@ -235,6 +237,10 @@ class RateStudyConfig:
                 raise GeometryError(f"sample_sizes must cover every arm (budget {n} too small for a {g}-point grid)")
         if self.seed < 0:
             raise GeometryError(f"seed must be non-negative (got {self.seed})")
+        if not (self.eps_cap > 0 and math.isfinite(self.eps_cap)):
+            raise GeometryError(f"eps_cap must be positive and finite (got {self.eps_cap})")
+        if self.direction_count < 4:
+            raise GeometryError(f"direction_count must be at least 4 (got {self.direction_count})")
 
     @property
     def gamma(self) -> float:
@@ -292,8 +298,6 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     population region; the slope of ``log mean d_H`` on ``log(N^-1 log N)`` is
     fitted by least squares.
     """
-    if len(cfg.sample_sizes) < 3:
-        raise GeometryError("need at least 3 sample sizes to identify a slope")
     truth = true_region(cfg)
     streams = iter(np.random.SeedSequence(cfg.seed).spawn(len(cfg.sample_sizes) * cfg.replications))
     means: list[float] = []

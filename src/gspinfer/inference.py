@@ -93,11 +93,11 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class PointPrediction:
-    """Smallest multiplicative regret rationalizing the data, with its value."""
+    """Smallest multiplicative regret ``delta_star``, the values ``v_interval`` it rationalizes, and their midpoint."""
 
     delta_star: float
     v_star: float
-    v_interval_at_delta_star: tuple[float, float]
+    v_interval: tuple[float, float]
     iterations: int
 
 
@@ -109,7 +109,7 @@ class RationalizableRegion:
     value_cap: float
     epsilon_min: float
     boundary: tuple[tuple[float, float], ...]
-    assumption_report: AssumptionReport
+    assumptions: AssumptionReport
 
 
 def build_deviation_curve(history: ListingHistory, grid: Sequence[float]) -> DeviationCurve:
@@ -399,7 +399,7 @@ def min_mult_regret(
     return PointPrediction(
         delta_star=delta_star,
         v_star=0.5 * (interval[0] + interval[1]),
-        v_interval_at_delta_star=interval,
+        v_interval=interval,
         iterations=len(ratios),
     )
 
@@ -452,5 +452,5 @@ def build_region(
         value_cap=cap,
         epsilon_min=eps0,
         boundary=pts,
-        assumption_report=check_assumptions(curve),
+        assumptions=check_assumptions(curve),
     )

@@ -32,6 +32,7 @@ import numpy as np
 
 from .auction import MAX_MAGNITUDE, ListingHistory, log_ahead
 from .inference import (
+    DEFAULT_PRECISION,
     DeviationCurve,
     InferenceError,
     PointPrediction,
@@ -85,7 +86,7 @@ class InferenceConfig:
     bid_max: float = 1.0
     grid_step: float | None = None
     epsilon_max: float = 1.0
-    precision: float = 1e-6
+    precision: float = DEFAULT_PRECISION
     learning_threshold: float = 1e-4
     boundary_samples: int = 201
     histogram_bucket_width: float = 0.05
@@ -124,9 +125,8 @@ class InferenceConfig:
 
 @dataclass(frozen=True)
 class ListingArtifacts:
-    """Everything inferred for one listing."""
+    """Everything inferred for one listing; its id is its key in every artifacts dict."""
 
-    listing_id: str
     curve: DeviationCurve
     region: RationalizableRegion
     prediction: PointPrediction
@@ -363,7 +363,6 @@ def infer_listing(history: ListingHistory, config: InferenceConfig, grid: Sequen
     mean_bid = history.mean_bid()
     shading = mean_bid / prediction.v_star if prediction.v_star > 0 else None
     return ListingArtifacts(
-        listing_id=history.listing_id,
         curve=curve,
         region=region,
         prediction=prediction,
@@ -461,21 +460,17 @@ def _json_dump(obj, path: str) -> str:
     return path
 
 
-#: Bundle keys that differ from their field names.
-_KEYS = {"v_interval_at_delta_star": "v_interval", "assumption_report": "assumptions"}
-
-
 @cache  # once per class
 def _schema(kind: type) -> dict:
-    """A dataclass's fields as ``{bundle key: (field name, field type)}``."""
+    """A dataclass's fields as ``{name: type}``; the name is also the field's bundle key."""
     hints = get_type_hints(kind)
-    return {_KEYS.get(f.name, f.name): (f.name, hints[f.name]) for f in fields(kind)}
+    return {f.name: hints[f.name] for f in fields(kind)}
 
 
 def _encode(obj):
     """A dataclass as a bundle object of its fields, recursively; anything else as it is (a tuple is a JSON list)."""
     if is_dataclass(obj):
-        return {_KEYS.get(f.name, f.name): _encode(getattr(obj, f.name)) for f in fields(obj)}
+        return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
     return obj
@@ -486,16 +481,15 @@ def artifacts_to_json(
 ) -> dict:
     """A JSON-encodable bundle holding everything needed to re-run exports.
 
-    Each dataclass is an object of its fields, keyed as :data:`_KEYS` says. A
-    listing's id is its key in ``listings``, and its ``prediction`` also holds
-    a copy of the region's ``epsilon_min``.
+    Each dataclass is an object of its fields, keyed by their names, and a
+    listing's id is its key in ``listings``. One fact sits beside that
+    codec: each ``prediction`` also holds a copy of its region's
+    ``epsilon_min``, because ``perfbench/checks.py`` reads it there.
     """
-    listings = {}
-    for lid in sorted(artifacts):
-        listing = listings[lid] = _encode(artifacts[lid])
-        del listing["listing_id"]
+    bundle = _encode({"config": config, "summary": summary, "listings": dict(sorted(artifacts.items()))})
+    for listing in bundle["listings"].values():
         listing["prediction"]["epsilon_min"] = listing["region"]["epsilon_min"]
-    return {"config": _encode(config), "summary": _encode(summary), "listings": listings}
+    return bundle
 
 
 def _value(x, kind: type):
@@ -519,11 +513,11 @@ def _decode(kind, x):
     if type(kind) is type and not is_dataclass(kind):  # not isinstance: 3.10 calls tuple[...] a type
         return _value(x, kind)
     if isinstance(kind, dict) or is_dataclass(kind):
-        names = _schema(kind) if is_dataclass(kind) else {key: (key, t) for key, t in kind.items()}
+        names = _schema(kind) if is_dataclass(kind) else kind
         unknown = sorted(_value(x, dict).keys() - names.keys())
         if unknown:
             raise ValueError(f"unexpected key {unknown[0]!r}")
-        values = {name: _decode(t, x[key]) for key, (name, t) in names.items()}
+        values = {name: _decode(t, x[name]) for name, t in names.items()}
         return kind(**values) if is_dataclass(kind) else values
     origin, args = get_origin(kind), get_args(kind)
     if origin is tuple:
@@ -551,9 +545,7 @@ def artifacts_from_json(
         for lid, listing in top["listings"].items():
             prediction = dict(_value(listing["prediction"], dict))
             _value(prediction.pop("epsilon_min"), float)  # the region's, copied for readers of the file
-            if "listing_id" in listing:  # the id is the listing's key
-                raise ValueError("unexpected key 'listing_id'")
-            artifacts[lid] = _decode(ListingArtifacts, {**listing, "listing_id": lid, "prediction": prediction})
+            artifacts[lid] = _decode(ListingArtifacts, {**listing, "prediction": prediction})
         return top["summary"], artifacts, top["config"]
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(None, f"bad artifacts bundle: {type(exc).__name__}: {exc}") from exc

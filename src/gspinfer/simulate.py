@@ -122,13 +122,12 @@ class BackgroundSpec:
     def __post_init__(self):
         if self.count < 0:
             raise SimulationError(f"count must be non-negative (got {self.count})")
-        for name, low, high in (
-            ("bid", self.bid_low, self.bid_high),
-            ("score", self.score_low, self.score_high),
-            ("quality", self.quality_low, self.quality_high),
-        ):
-            if not (math.isfinite(low) and math.isfinite(high) and low <= high):
-                raise SimulationError(f"competitor {name} range must be finite with low <= high (got {low}, {high})")
+        for name in ("bid", "score", "quality"):  # the error names the end at fault, the high one if they cross
+            low, high = getattr(self, f"{name}_low"), getattr(self, f"{name}_high")
+            if not math.isfinite(low):
+                raise SimulationError(f"{name}_low must be finite (got {low})")
+            if not (math.isfinite(high) and low <= high):
+                raise SimulationError(f"{name}_high must be finite and at least the range's low end {low} (got {high})")
         if self.drift_period < 1:
             raise SimulationError(f"drift_period must be at least 1 (got {self.drift_period})")
         a = abs(self.drift_amplitude)

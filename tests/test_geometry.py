@@ -453,6 +453,11 @@ class TestRateStudy:
         with pytest.raises(GeometryError, match="3 sample sizes"):
             run_rate_study(RateStudyConfig(sample_sizes=(1000, 2000), replications=2))
 
+    @pytest.mark.parametrize("field, value", [("sample_sizes", (1000, 2000)), ("eps_cap", 0.0), ("direction_count", 2)])
+    def test_config_rejects_before_any_region_is_built(self, field, value):
+        with pytest.raises(GeometryError, match=f"^{field} "):
+            RateStudyConfig(**{field: value})
+
     def test_mini_study_decays_and_reports(self):
         cfg = RateStudyConfig(sample_sizes=(1000, 8000, 64000), replications=6, seed=11)
         res = run_rate_study(cfg)

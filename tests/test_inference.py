@@ -136,7 +136,7 @@ def min_mult_regret_bisect(
     return PointPrediction(
         delta_star=delta_star,
         v_star=v_star,
-        v_interval_at_delta_star=interval,
+        v_interval=interval,
         iterations=iterations,
     )
 
@@ -417,7 +417,7 @@ class TestMultiplicative:
         assert pred.iterations > 0
         # exact: the least ratio eps(v) / (v*P0 - C0) = 0.01 / 0.08 sits at the breakpoint v = 0.7
         assert pred.delta_star == pytest.approx(1.0 / 9.0, abs=1e-15)
-        assert pred.v_interval_at_delta_star == pytest.approx((0.7, 0.7), abs=1e-15)
+        assert pred.v_interval == pytest.approx((0.7, 0.7), abs=1e-15)
 
     def test_edge_parallel_to_baseline_ties(self):
         # the row (0.3, 0.15) is proportional to (P0, C0) = (0.6, 0.3), so the
@@ -427,7 +427,7 @@ class TestMultiplicative:
         )
         pred = min_mult_regret(curve, v_max=4.0)
         assert pred.delta_star == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert pred.v_interval_at_delta_star == (pytest.approx(0.7, abs=1e-12), 4.0)
+        assert pred.v_interval == (pytest.approx(0.7, abs=1e-12), 4.0)
         with pytest.raises(InferenceError, match="unbounded"):
             min_mult_regret(curve)
 
@@ -519,7 +519,7 @@ def compare_with_bisection(curve: DeviationCurve, precision: float, v_max: float
     assert type(exact) is type(oracle) and (not isinstance(exact, str) or exact == oracle)
     if isinstance(exact, str):
         return
-    lo, hi = sorted(oracle.v_interval_at_delta_star)
+    lo, hi = sorted(oracle.v_interval)
     assert lo - 1e-9 <= exact.v_star <= hi + 1e-9
     assert exact.delta_star - oracle.delta_star <= 1e-8
     if hi - lo >= precision or oracle.delta_star == 0.0:

@@ -603,6 +603,9 @@ class TestBundleCodec:
         summary, artifacts, config = self.account(tmp_path)
         bundle = json.loads(json.dumps(artifacts_to_json(summary, artifacts, config)))
         assert artifacts_from_json(bundle) == (summary, artifacts, config)
+        # re-encoding what was read gives back the file's bytes, as artifacts.json writes them
+        text = json.dumps(bundle, indent=2, sort_keys=True)
+        assert json.dumps(artifacts_to_json(*artifacts_from_json(bundle)), indent=2, sort_keys=True) == text
 
     def test_every_one_place_damage_rejected(self, tmp_path):
         # each value in turn replaced by one of another JSON type, then each
@@ -962,6 +965,17 @@ class TestCli:
         "rate_sample_sizes = [2, 3, 4]": "rate_sample_sizes",
         "rate_replications = 0": "rate_replications",
         "competitors = -1": "competitors",
+        # each named its range ("competitor bid range") instead of the key
+        "competitor_bid_high = 0.02": "competitor_bid_high",
+        "competitor_score_low = NaN": "competitor_score_low",
+        "competitor_score_high = 0.5": "competitor_score_high",
+        "competitor_quality_low = -Infinity": "competitor_quality_low",
+        "competitor_quality_high = Infinity": "competitor_quality_high",
+        # each failed only once the study ran, naming no key or only after the true region was built
+        "rate_eps_cap = 0": "rate_eps_cap",
+        "rate_eps_cap = Infinity": "rate_eps_cap",
+        "rate_sample_sizes = [1000, 2000]": "rate_sample_sizes",
+        "direction_count = 2": "direction_count",
     }
 
     @pytest.mark.parametrize("command, lines", [
@@ -981,7 +995,8 @@ class TestCli:
         ("rate-study", "rate_sample_sizes = [1e3, 1e400, 1e5]"),
         ("rate-study", 'rate_sample_sizes = [1e3, "a", 1e5]'),
         ("rate-study", "rate_grid_coeff = NaN"),
-        *(("rate-study" if key.startswith("rate_") else "simulate", line) for line, key in BAD_SIMULATION_KEY.items()),
+        *(("rate-study" if key.startswith(("rate_", "direction_count")) else "simulate", line)
+          for line, key in BAD_SIMULATION_KEY.items()),
     ])
     def test_bad_simulation_config_exits_with_error_list(self, tmp_path, capsys, command, lines):
         cfg = tmp_path / "cfg"
