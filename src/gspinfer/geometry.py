@@ -237,8 +237,11 @@ class RateStudyConfig:
                 raise GeometryError(f"sample_sizes must cover every arm (budget {n} too small for a {g}-point grid)")
         if self.seed < 0:
             raise GeometryError(f"seed must be non-negative (got {self.seed})")
-        if not (self.eps_cap > 0 and math.isfinite(self.eps_cap)):
-            raise GeometryError(f"eps_cap must be positive and finite (got {self.eps_cap})")
+        height = _MARKET.population_pc(_MARKET.own_bid)[1]  # the true boundary at v = 0: a zero bid pays nothing
+        if not (self.eps_cap > height and math.isfinite(self.eps_cap)):
+            raise GeometryError(
+                f"eps_cap must be finite and exceed {height:g}, the market's boundary height at v = 0 (got {self.eps_cap})"
+            )
         if self.direction_count < 4:
             raise GeometryError(f"direction_count must be at least 4 (got {self.direction_count})")
 

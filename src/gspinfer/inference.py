@@ -105,7 +105,6 @@ class PointPrediction:
 class RationalizableRegion:
     """The bounded rationalizable set: caps, boundary samples, diagnostics."""
 
-    epsilon_cap: float
     value_cap: float
     epsilon_min: float
     boundary: tuple[tuple[float, float], ...]
@@ -448,7 +447,6 @@ def build_region(
         (k * step, boundary(curve, k * step)) for k in range(boundary_samples)
     )
     return RationalizableRegion(
-        epsilon_cap=eps_cap,
         value_cap=cap,
         epsilon_min=eps0,
         boundary=pts,

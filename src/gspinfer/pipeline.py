@@ -57,6 +57,8 @@ COMPETITOR_FIELDS = {"score", "bid", "quality"}
 MAX_GRID_POINTS = 100_001
 #: Narrowest histogram bucket a config may ask for: 10 000 buckets on [0, 1).
 MIN_BUCKET_WIDTH = 1e-4
+#: Longest listing id in UTF-8 bytes: ``nr_boundary_<id>.csv`` must fit a 255-byte file name.
+MAX_ID_BYTES = 255 - len("nr_boundary_.csv")
 
 
 class ParseError(ValueError):
@@ -131,32 +133,25 @@ class ListingArtifacts:
     region: RationalizableRegion
     prediction: PointPrediction
     mean_bid: float
-    shading_ratio: float | None
 
 
 @dataclass(frozen=True)
 class AccountSummary:
-    """Account-level roll-up of the per-listing point predictions.
+    """What an account run found beyond its listings: how many succeeded, which failed, and the roll-up's knobs.
 
-    The histogram partitions (0, 1) into buckets of ``bucket_width``, the last
-    ending at 1, plus a dedicated bucket for listings whose smallest
-    rationalizable error is non-positive.
-    The scatter holds exactly the listings whose error exceeds
-    ``learning_threshold``.
+    :func:`export` rolls the point predictions up: a histogram of ``delta*``
+    over buckets of ``bucket_width`` and the scatter of the listings whose
+    ``delta*`` exceeds ``learning_threshold``.
     """
 
     listing_count: int
     bucket_width: float
-    nonpositive_count: int
-    histogram_counts: tuple[int, ...]
-    shading_ratios: dict[str, float]
-    scatter: tuple[tuple[str, float, float], ...]
     learning_threshold: float
     errors: tuple[tuple[str, str], ...] = ()
 
     def bucket_edges(self) -> list[float]:
         """Multiples of the width, then 1.0: the last bucket counts every ``delta*`` up to 1."""
-        return [k * self.bucket_width for k in range(len(self.histogram_counts))] + [1.0]
+        return [k * self.bucket_width for k in range(max(1, round(1.0 / self.bucket_width)))] + [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +196,12 @@ def _parse_record(obj, line: int):
     listing_id = obj["listing_id"]
     if not isinstance(listing_id, str) or not listing_id:
         raise ParseError(line, "listing_id must be a non-empty string")
+    try:
+        size = len(listing_id.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
+        size = None
+    if size is None or size > MAX_ID_BYTES or "/" in listing_id or "\0" in listing_id:
+        raise ParseError(line, f"listing_id must name a file: no '/', NUL or lone surrogate, at most {MAX_ID_BYTES} UTF-8 bytes")
     period = _checked(obj["period"], int, line, "period")
     own_fields = ("own_bid", "own_score", "own_quality", "rank_reserve", "mainline_reserve")
     own = _floats([obj.get(f, 1.0) for f in own_fields], line, lambda: own_fields)
@@ -360,14 +361,11 @@ def infer_listing(history: ListingHistory, config: InferenceConfig, grid: Sequen
         boundary_samples=config.boundary_samples,
     )
     prediction = min_mult_regret(curve, precision=config.precision, v_max=region.value_cap)
-    mean_bid = history.mean_bid()
-    shading = mean_bid / prediction.v_star if prediction.v_star > 0 else None
     return ListingArtifacts(
         curve=curve,
         region=region,
         prediction=prediction,
-        mean_bid=mean_bid,
-        shading_ratio=shading,
+        mean_bid=history.mean_bid(),
     )
 
 
@@ -390,7 +388,7 @@ def infer_account(
     config: InferenceConfig,
     jobs: int = 1,
 ) -> tuple[AccountSummary, dict[str, ListingArtifacts]]:
-    """Run inference over every listing and roll up the account summary.
+    """Run inference over every listing; the summary counts them and keeps each failure.
 
     A listing whose inference fails is recorded under ``errors`` and the run
     continues; a bad config value (from :meth:`InferenceConfig.bid_grid`) or
@@ -415,29 +413,9 @@ def infer_account(
             errors.append((lid, err))
         else:
             artifacts[lid] = art
-    width = config.histogram_bucket_width
-    n_buckets = max(1, round(1.0 / width))
-    counts = [0] * n_buckets
-    nonpos = 0
-    shading: dict[str, float] = {}
-    scatter: list[tuple[str, float, float]] = []
-    for lid, art in artifacts.items():
-        d = art.prediction.delta_star
-        if d <= 0.0:
-            nonpos += 1
-        else:
-            counts[min(int(d / width), n_buckets - 1)] += 1
-        if art.shading_ratio is not None:
-            shading[lid] = art.shading_ratio
-        if d > config.learning_threshold:
-            scatter.append((lid, art.prediction.v_star, d))
     summary = AccountSummary(
         listing_count=len(artifacts),
-        bucket_width=width,
-        nonpositive_count=nonpos,
-        histogram_counts=tuple(counts),
-        shading_ratios=shading,
-        scatter=tuple(scatter),
+        bucket_width=config.histogram_bucket_width,
         learning_threshold=config.learning_threshold,
         errors=tuple(errors),
     )
@@ -556,12 +534,12 @@ def predictions_payload(artifacts: dict[str, ListingArtifacts]) -> list[dict]:
     return [
         {
             "listing_id": lid,
-            "delta_star": artifacts[lid].prediction.delta_star,
-            "v_star": artifacts[lid].prediction.v_star,
-            "eps0": artifacts[lid].region.epsilon_min,
-            "shading_ratio": artifacts[lid].shading_ratio,
+            "delta_star": art.prediction.delta_star,
+            "v_star": art.prediction.v_star,
+            "eps0": art.region.epsilon_min,
+            "shading_ratio": art.mean_bid / art.prediction.v_star if art.prediction.v_star > 0 else None,
         }
-        for lid in sorted(artifacts)
+        for lid, art in sorted(artifacts.items())
     ]
 
 
@@ -591,22 +569,31 @@ def export(
                    ([repr(v), repr(e)] for v, e in artifacts[lid].region.boundary))
         for lid in sorted(artifacts)
     ]
-    written.append(_json_dump(predictions_payload(artifacts), os.path.join(out_dir, "predictions.json")))
-    # the summary's own fields, with the per-listing ratios and the scatter rolled up
-    account = _encode(summary)
-    shading = account.pop("shading_ratios")
-    del account["scatter"]
-    account["scatter_count"] = len(summary.scatter)
-    account["mean_shading_ratio"] = sum(shading.values()) / len(shading) if shading else None
-    written.append(_json_dump(account, os.path.join(out_dir, "account_summary.json")))
+    predictions = predictions_payload(artifacts)
+    written.append(_json_dump(predictions, os.path.join(out_dir, "predictions.json")))
+    # the roll-up, summed in listing-id order: delta* histogram, learning-phase scatter, mean shading ratio
     edges = summary.bucket_edges()
+    counts = [0] * (len(edges) - 1)
+    for p in predictions:
+        if p["delta_star"] > 0.0:
+            counts[min(int(p["delta_star"] / summary.bucket_width), len(counts) - 1)] += 1
+    scatter = [p for p in predictions if p["delta_star"] > summary.learning_threshold]
+    ratios = [p["shading_ratio"] for p in predictions if p["shading_ratio"] is not None]
+    account = {
+        **_encode(summary),
+        "nonpositive_count": len(predictions) - sum(counts),
+        "histogram_counts": counts,
+        "scatter_count": len(scatter),
+        "mean_shading_ratio": sum(ratios) / len(ratios) if ratios else None,
+    }
+    written.append(_json_dump(account, os.path.join(out_dir, "account_summary.json")))
     written.append(_write_csv(
         os.path.join(out_dir, "histogram_delta.csv"), ["bucket_low", "bucket_high", "count"],
-        [["-inf", "0.0", summary.nonpositive_count]]
-        + [[repr(edges[k]), repr(edges[k + 1]), count] for k, count in enumerate(summary.histogram_counts)],
+        [["-inf", "0.0", account["nonpositive_count"]]]
+        + [[repr(edges[k]), repr(edges[k + 1]), count] for k, count in enumerate(counts)],
     ))
     written.append(_write_csv(os.path.join(out_dir, "scatter_v_delta.csv"), ["listing_id", "v_star", "delta_star"],
-                              ([lid, repr(v), repr(d)] for lid, v, d in summary.scatter)))
+                              ([p["listing_id"], repr(p["v_star"]), repr(p["delta_star"])] for p in scatter)))
     return written
 
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings. Tolerances are fixed here, not tuned at runtime.
 """
 
+import json
 import math
 import random
 import time
@@ -382,19 +383,28 @@ def test_criterion_8_summary_format_reproduction(tmp_path):
     histories = acceptance_account(tmp_path)
     config = InferenceConfig(bid_max=1.0, grid_step=0.05, epsilon_max=1.0)
     summary, artifacts = infer_account(histories, config)
-    files = export(summary, artifacts, str(tmp_path / "out"))
+    out = tmp_path / "out"
+    files = export(summary, artifacts, str(out))
 
-    conserved = summary.nonpositive_count + sum(summary.histogram_counts) == summary.listing_count
-    scatter_ids = {lid for lid, _, _ in summary.scatter}
+    # the roll-up as exported, computed from the predictions
+    account = json.loads((out / "account_summary.json").read_text())
+    histogram = [line.split(",") for line in (out / "histogram_delta.csv").read_text().splitlines()[1:]]
+    scatter = [line.split(",") for line in (out / "scatter_v_delta.csv").read_text().splitlines()[1:]]
+    predictions = json.loads((out / "predictions.json").read_text())
+    conserved = (
+        account["nonpositive_count"] + sum(account["histogram_counts"]) == summary.listing_count
+        and [int(row[2]) for row in histogram] == [account["nonpositive_count"], *account["histogram_counts"]]
+    )
+    scatter_ids = {row[0] for row in scatter}
     scatter_exact = scatter_ids == {
         lid for lid, art in artifacts.items()
         if art.prediction.delta_star > config.learning_threshold
-    }
+    } and account["scatter_count"] == len(scatter)
     edges = summary.bucket_edges()
     partition = edges[0] == 0.0 and abs(edges[-1] - 1.0) < 1e-12 and all(
         b > a for a, b in zip(edges, edges[1:])
-    )
-    shading_positive = all(r > 0 for r in summary.shading_ratios.values())
+    ) and [float(row[1]) for row in histogram[1:]] == edges[1:]
+    shading_positive = all(p["shading_ratio"] > 0 for p in predictions if p["shading_ratio"] is not None)
     names = {f.split("/")[-1] for f in files}
     expected = {"predictions.json", "account_summary.json", "histogram_delta.csv",
                 "scatter_v_delta.csv"} | {f"nr_boundary_{lid}.csv" for lid in artifacts}

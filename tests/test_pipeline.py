@@ -28,6 +28,7 @@ from gspinfer.pipeline import (
     infer_account,
     infer_listing,
     ingest,
+    predictions_payload,
     write_histories,
 )
 from gspinfer.simulate import (
@@ -83,6 +84,15 @@ def tiny_market_histories(seed=11, periods=12, listings=2):
         background=BackgroundSpec(count=2, quality_low=0.5, quality_high=0.5),
     )
     return simulate_market(spec, learners, periods, 2, seed)
+
+
+def exported_rollup(summary, artifacts, out):
+    """The account roll-up as ``export`` writes it: account summary, histogram rows, scatter rows, predictions."""
+    export(summary, artifacts, str(out))
+    account = json.loads((out / "account_summary.json").read_text())
+    histogram = [line.split(",") for line in (out / "histogram_delta.csv").read_text().splitlines()[1:]]
+    scatter = [line.split(",") for line in (out / "scatter_v_delta.csv").read_text().splitlines()[1:]]
+    return account, histogram, scatter, json.loads((out / "predictions.json").read_text())
 
 
 def _set(field, value):
@@ -201,6 +211,23 @@ class TestIngest:
         write_jsonl(records, path)
         assert [h.listing_id for h in ingest(str(path))] == ["c001"]
 
+    @pytest.mark.parametrize("lid", ["a/b", "a\u0000b", "x" * 240, "\u00e9" * 120, "a\ud800b"],
+                             ids=["slash", "nul", "240-bytes", "240-utf8-bytes", "lone-surrogate"])
+    def test_listing_id_that_cannot_name_a_file_rejected(self, tmp_path, lid):
+        # export writes nr_boundary_<id>.csv; each of these ids used to fail only there, after artifacts.json
+        path = tmp_path / "log.jsonl"
+        write_jsonl([dict(micro_fixture_records()[0], listing_id=lid)], path)
+        with pytest.raises(ParseError, match="^line 1: listing_id must name a file"):
+            ingest(str(path))
+
+    def test_longest_listing_id_names_a_file(self, tmp_path):
+        lid = "\u00e9" * 119 + "x"  # 239 UTF-8 bytes: nr_boundary_<id>.csv is 255
+        path = tmp_path / "log.jsonl"
+        write_jsonl([dict(micro_fixture_records()[0], listing_id=lid)], path)
+        summary, artifacts = infer_account(ingest(str(path)), InferenceConfig(epsilon_max=0.08))
+        export(summary, artifacts, str(tmp_path / "out"))
+        assert (tmp_path / "out" / f"nr_boundary_{lid}.csv").is_file()
+
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"listing_id": "a"\n')
@@ -281,7 +308,7 @@ class TestMicroFixturePipeline:
         assert art.prediction.delta_star == pytest.approx(1.0 / 9.0, abs=1e-4)
         assert art.prediction.v_star == pytest.approx(0.7, abs=1e-4)
         assert art.region.epsilon_min == pytest.approx(0.01, abs=1e-9)
-        assert art.shading_ratio == pytest.approx(0.51 / art.prediction.v_star)
+        assert predictions_payload(artifacts)[0]["shading_ratio"] == pytest.approx(0.51 / art.prediction.v_star)
 
     def test_boundary_csv_row_at_point_prediction(self, tmp_path):
         path = tmp_path / "micro.jsonl"
@@ -329,19 +356,24 @@ class TestAccountSummary:
         summary, artifacts = infer_account(
             histories, InferenceConfig(grid_step=0.05, epsilon_max=1.0, value_cap=2.0)
         )
+        account, histogram, scatter, _ = exported_rollup(summary, artifacts, tmp_path / "out")
         assert summary.listing_count == 3
-        assert summary.nonpositive_count == 3
-        assert sum(summary.histogram_counts) == 0
-        assert summary.scatter == ()
+        assert account["nonpositive_count"] == 3 and histogram[0] == ["-inf", "0.0", "3"]
+        assert sum(account["histogram_counts"]) == 0 and all(row[2] == "0" for row in histogram[1:])
+        assert account["scatter_count"] == 0 and scatter == []
 
-    def test_learning_listings_spread_and_conserve(self):
+    def test_learning_listings_spread_and_conserve(self, tmp_path):
         histories = tiny_market_histories(seed=29, periods=10, listings=4)
         summary, artifacts = infer_account(histories, InferenceConfig(grid_step=0.1, epsilon_max=1.0))
+        account, histogram, scatter, predictions = exported_rollup(summary, artifacts, tmp_path / "out")
         assert summary.listing_count == 4
-        assert summary.nonpositive_count + sum(summary.histogram_counts) == 4
+        assert account["nonpositive_count"] + sum(account["histogram_counts"]) == 4
+        assert [int(row[2]) for row in histogram] == [account["nonpositive_count"], *account["histogram_counts"]]
         # mid-training hedge listings carry positive error mass (pinned seed)
-        assert len(summary.scatter) >= 1
-        above = {lid for lid, v, d in summary.scatter}
+        assert len(scatter) >= 1 and account["scatter_count"] == len(scatter)
+        above = {lid for lid, v, d in scatter}
+        assert scatter == [[p["listing_id"], repr(p["v_star"]), repr(p["delta_star"])]
+                           for p in predictions if p["listing_id"] in above]
         for lid, art in artifacts.items():
             if art.prediction.delta_star > summary.learning_threshold:
                 assert lid in above
@@ -564,7 +596,7 @@ class TestBundleCodec:
         histories = tiny_market_histories(seed=55)
         config = InferenceConfig(grid_step=0.1, epsilon_max=1.0)
         summary, artifacts = infer_account(histories, config)
-        assert summary.scatter
+        assert any(art.prediction.delta_star > summary.learning_threshold for art in artifacts.values())
         build = pipeline.build_deviation_curve
 
         def numpy_curve(history, grid):
@@ -587,7 +619,7 @@ class TestBundleCodec:
 
     @staticmethod
     def account(tmp_path, **config):
-        """A summary with scatter, shading ratios and errors, its artifacts and config."""
+        """A summary with errors, its artifacts (some in the scatter, each with a shading ratio) and config."""
         # a listing whose every deviation loses clicks fails and is kept under errors
         solo = dict(micro_fixture_records()[0], listing_id="Z9", own_bid=1.0, competitors=[],
                     position_curve=[1.0], rank_reserve=0.0, mainline_reserve=0.0)
@@ -596,7 +628,9 @@ class TestBundleCodec:
         histories = tiny_market_histories(seed=7, listings=3) + ingest(str(path))
         config = InferenceConfig(grid_step=0.1, epsilon_max=1.0, **config)
         summary, artifacts = infer_account(histories, config)
-        assert summary.scatter and summary.shading_ratios and summary.errors
+        payload = predictions_payload(artifacts)
+        assert summary.errors and all(p["shading_ratio"] for p in payload)
+        assert any(p["delta_star"] > summary.learning_threshold for p in payload)
         return summary, artifacts, config
 
     def test_round_trip_restores_objects(self, tmp_path):
@@ -645,15 +679,7 @@ class TestBundleCodec:
 
 class TestEmptyAccountExport:
     def test_zero_listings_still_produce_valid_files(self, tmp_path):
-        summary = AccountSummary(
-            listing_count=0,
-            bucket_width=0.05,
-            nonpositive_count=0,
-            histogram_counts=(0,) * 20,
-            shading_ratios={},
-            scatter=(),
-            learning_threshold=1e-4,
-        )
+        summary = AccountSummary(listing_count=0, bucket_width=0.05, learning_threshold=1e-4)
         files = export(summary, {}, str(tmp_path / "out"))
         names = {f.split("/")[-1] for f in files}
         assert names == {"predictions.json", "account_summary.json",
@@ -834,6 +860,7 @@ class TestCli:
     def test_infer_outputs_match_pinned_digests(self, tmp_path, capsys):
         # A fine grid (n = 251) on a small seeded market: any rewrite of the
         # envelope, the curve or the encoders that drifts an output byte fails.
+        # The artifacts.json pin is the bundle without the roll-ups export computes.
         cfg = tmp_path / "cfg"
         cfg.write_text("listings = 1\nperiods = 20\nauctions_per_period = 3\ngrid_step = 0.004\n")
         log = tmp_path / "log.jsonl"
@@ -844,7 +871,7 @@ class TestCli:
                    for name in ("predictions.json", "artifacts.json")}
         assert digests == {
             "predictions.json": "356f294afd10806e3eb220b4b8a40ec3d06889018dece45a0b2a239433b35be6",
-            "artifacts.json": "41969c63db3909f318a05c08c5565fd92daa14bbff9e32dc216ae17ea5b3b0a9",
+            "artifacts.json": "e70245f94e68eebfcfd2431d2a1e57cead7cb335e5bad5a31804da2a602cc0fd",
         }
 
     def test_simulate_outputs_match_pinned_digests(self, tmp_path, capsys):
@@ -974,6 +1001,9 @@ class TestCli:
         # each failed only once the study ran, naming no key or only after the true region was built
         "rate_eps_cap = 0": "rate_eps_cap",
         "rate_eps_cap = Infinity": "rate_eps_cap",
+        # at or below the fixed market's boundary height at v = 0, the true region has no cap to meet
+        "rate_eps_cap = 0.045": "rate_eps_cap must be finite and exceed 0.045",
+        "rate_eps_cap = 1e-12": "rate_eps_cap must be finite and exceed 0.045",
         "rate_sample_sizes = [1000, 2000]": "rate_sample_sizes",
         "direction_count = 2": "direction_count",
     }
@@ -1076,6 +1106,16 @@ class TestCli:
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert len(errors) == 1 and errors[0].startswith("line 1:")
 
+    @pytest.mark.parametrize("lid", ["a/b", "a\u0000b", "x" * 300], ids=["slash", "nul", "300-bytes"])
+    def test_listing_id_that_cannot_name_a_file_exits_before_any_output(self, tmp_path, capsys, lid):
+        # each used to end partway through export, leaving artifacts.json and no predictions.json
+        log = tmp_path / "bad.jsonl"
+        write_jsonl([dict(micro_fixture_records()[0], listing_id=lid)], log)
+        assert main(["infer", str(log), "--out", str(tmp_path / "o")]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert len(errors) == 1 and errors[0].startswith("line 1: listing_id must name a file")
+        assert not (tmp_path / "o").exists()
+
     # damage -> (edit of the decoded bundle, or None for a text edit; expected message)
     BUNDLE_DAMAGE = {
         "empty-object": (None, "KeyError: 'summary'"),
@@ -1100,7 +1140,7 @@ class TestCli:
         "short-delta-p": (
             lambda b, lst: lst["curve"].update(delta_p=lst["curve"]["delta_p"][:-1]),
             "grid, delta_p and delta_c must have equal length"),
-        "bool-count": (lambda b, lst: b["summary"].update(nonpositive_count=True), "expected int, got True"),
+        "bool-count": (lambda b, lst: b["summary"].update(listing_count=True), "expected int, got True"),
         "float-config-count": (
             lambda b, lst: b["config"].update(boundary_samples=201.0), "expected int, got 201.0"),
         "surprise-in-prediction": (
@@ -1109,6 +1149,15 @@ class TestCli:
         "surprise-in-listing": (lambda b, lst: lst.update(surprise=1), "unexpected key 'surprise'"),
         "id-in-listing": (lambda b, lst: lst.update(listing_id="L000"), "unexpected key 'listing_id'"),
         "surprise-at-top": (lambda b, lst: b.update(surprise=1), "unexpected key 'surprise'"),
+        # the roll-ups export computes from the predictions, and the region's copy of epsilon_max
+        "old-histogram-counts": (
+            lambda b, lst: b["summary"].update(histogram_counts=[0] * 20), "unexpected key 'histogram_counts'"),
+        "old-nonpositive-count": (
+            lambda b, lst: b["summary"].update(nonpositive_count=0), "unexpected key 'nonpositive_count'"),
+        "old-scatter": (lambda b, lst: b["summary"].update(scatter=[]), "unexpected key 'scatter'"),
+        "old-shading-ratios": (lambda b, lst: b["summary"].update(shading_ratios={}), "unexpected key 'shading_ratios'"),
+        "old-shading-ratio": (lambda b, lst: lst.update(shading_ratio=0.5), "unexpected key 'shading_ratio'"),
+        "old-epsilon-cap": (lambda b, lst: lst["region"].update(epsilon_cap=1.0), "unexpected key 'epsilon_cap'"),
     }
 
     @pytest.mark.parametrize("damage", list(BUNDLE_DAMAGE))
