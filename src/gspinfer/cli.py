@@ -221,7 +221,7 @@ def cmd_infer(args, cfg) -> int:
     bundle = artifacts_to_json(summary, artifacts, config)
     os.makedirs(args.out, exist_ok=True)
     _json_dump(bundle, os.path.join(args.out, "artifacts.json"))
-    written = export(summary, artifacts, args.out)
+    written = export(summary, artifacts, config, args.out)
     print(f"inferred {summary.listing_count} listings ({len(summary.errors)} failed); wrote {len(written) + 1} files to {args.out}")
     return 0
 
@@ -255,8 +255,8 @@ def cmd_export(args, cfg) -> int:
             bundle = json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise ParseError(None, f"{args.bundle}: not a JSON bundle: {exc}") from exc
-    summary, artifacts, _ = artifacts_from_json(bundle)
-    written = export(summary, artifacts, args.out)
+    summary, artifacts, config = artifacts_from_json(bundle)
+    written = export(summary, artifacts, config, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return 0
 

@@ -100,6 +100,10 @@ class PointPrediction:
     v_interval: tuple[float, float]
     iterations: int
 
+    def __post_init__(self):
+        if not 0.0 <= self.delta_star <= 1.0:
+            raise InferenceError(f"delta_star must lie in [0, 1] (got {self.delta_star})")
+
 
 @dataclass(frozen=True)
 class RationalizableRegion:

@@ -124,6 +124,11 @@ class InferenceConfig:
             raise InferenceError(f"bid_max {self.bid_max} is too small for a grid rounded to 12 decimals")
         return grid
 
+    def bucket_edges(self) -> list[float]:
+        """The ``delta*`` histogram's edges: multiples of the width, then 1.0 (the last bucket counts up to 1)."""
+        width = self.histogram_bucket_width
+        return [k * width for k in range(max(1, round(1.0 / width)))] + [1.0]
+
 
 @dataclass(frozen=True)
 class ListingArtifacts:
@@ -137,21 +142,10 @@ class ListingArtifacts:
 
 @dataclass(frozen=True)
 class AccountSummary:
-    """What an account run found beyond its listings: how many succeeded, which failed, and the roll-up's knobs.
-
-    :func:`export` rolls the point predictions up: a histogram of ``delta*``
-    over buckets of ``bucket_width`` and the scatter of the listings whose
-    ``delta*`` exceeds ``learning_threshold``.
-    """
+    """What an account run found beyond its listings: how many succeeded and which failed."""
 
     listing_count: int
-    bucket_width: float
-    learning_threshold: float
     errors: tuple[tuple[str, str], ...] = ()
-
-    def bucket_edges(self) -> list[float]:
-        """Multiples of the width, then 1.0: the last bucket counts every ``delta*`` up to 1."""
-        return [k * self.bucket_width for k in range(max(1, round(1.0 / self.bucket_width)))] + [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +177,19 @@ def _floats(xs: list, line: int, fields) -> list[float]:
         raise
 
 
+def _check_id(listing_id, line: int | None) -> str:
+    """``listing_id`` if it is a non-empty string that can name ``nr_boundary_<id>.csv``, else a ParseError."""
+    if not isinstance(listing_id, str) or not listing_id:
+        raise ParseError(line, "listing_id must be a non-empty string")
+    try:
+        size = len(listing_id.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
+        size = None
+    if size is None or size > MAX_ID_BYTES or "/" in listing_id or "\0" in listing_id:
+        raise ParseError(line, f"listing_id must name a file: no '/', NUL or lone surrogate, at most {MAX_ID_BYTES} UTF-8 bytes")
+    return listing_id
+
+
 def _parse_record(obj, line: int):
     """One record's listing id, period, truth, position curve, competitors and other columns."""
     if not isinstance(obj, dict):
@@ -193,15 +200,7 @@ def _parse_record(obj, line: int):
     missing = REQUIRED_FIELDS - obj.keys()
     if missing:
         raise ParseError(line, f"missing fields {sorted(missing)}")
-    listing_id = obj["listing_id"]
-    if not isinstance(listing_id, str) or not listing_id:
-        raise ParseError(line, "listing_id must be a non-empty string")
-    try:
-        size = len(listing_id.encode("utf-8"))
-    except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
-        size = None
-    if size is None or size > MAX_ID_BYTES or "/" in listing_id or "\0" in listing_id:
-        raise ParseError(line, f"listing_id must name a file: no '/', NUL or lone surrogate, at most {MAX_ID_BYTES} UTF-8 bytes")
+    listing_id = _check_id(obj["listing_id"], line)
     period = _checked(obj["period"], int, line, "period")
     own_fields = ("own_bid", "own_score", "own_quality", "rank_reserve", "mainline_reserve")
     own = _floats([obj.get(f, 1.0) for f in own_fields], line, lambda: own_fields)
@@ -413,13 +412,7 @@ def infer_account(
             errors.append((lid, err))
         else:
             artifacts[lid] = art
-    summary = AccountSummary(
-        listing_count=len(artifacts),
-        bucket_width=config.histogram_bucket_width,
-        learning_threshold=config.learning_threshold,
-        errors=tuple(errors),
-    )
-    return summary, artifacts
+    return AccountSummary(listing_count=len(artifacts), errors=tuple(errors)), artifacts
 
 
 # ---------------------------------------------------------------------------
@@ -514,13 +507,18 @@ def artifacts_from_json(
 ) -> tuple[AccountSummary, dict[str, ListingArtifacts], InferenceConfig]:
     """Inverse of :func:`artifacts_to_json`: the summary, artifacts and config it encodes.
 
-    A bundle that lacks a key, has a key it does not write, or holds a value
-    of the wrong type or shape raises :class:`ParseError`.
+    A bundle that lacks a key, has a key it does not write, holds a value of the
+    wrong type or shape, a config that :meth:`InferenceConfig.bid_grid` rejects,
+    a listing id that cannot name a file or a wrong listing count raises :class:`ParseError`.
     """
     try:
         top = _decode({"summary": AccountSummary, "listings": dict[str, dict], "config": InferenceConfig}, bundle)
+        top["config"].bid_grid()
+        if top["summary"].listing_count != len(top["listings"]):
+            raise ValueError(f"listing_count {top['summary'].listing_count} but {len(top['listings'])} listings")
         artifacts = {}
         for lid, listing in top["listings"].items():
+            _check_id(lid, None)
             prediction = dict(_value(listing["prediction"], dict))
             _value(prediction.pop("epsilon_min"), float)  # the region's, copied for readers of the file
             artifacts[lid] = _decode(ListingArtifacts, {**listing, "prediction": prediction})
@@ -554,14 +552,16 @@ def _write_csv(path: str, header: list[str], rows) -> str:
 def export(
     summary: AccountSummary,
     artifacts: dict[str, ListingArtifacts],
+    config: InferenceConfig,
     out_dir: str,
 ) -> list[str]:
     """Write the per-listing boundary CSVs and the account-level outputs.
 
     Emits ``nr_boundary_<id>.csv``, ``predictions.json``,
     ``account_summary.json``, ``histogram_delta.csv`` and
-    ``scatter_v_delta.csv``; returns the written paths. Re-running on the
-    same inputs reproduces the files byte for byte.
+    ``scatter_v_delta.csv``; returns the written paths. ``config`` gives the
+    ``delta*`` histogram's bucket width and the scatter's learning threshold.
+    Re-running on the same inputs reproduces the files byte for byte.
     """
     os.makedirs(out_dir, exist_ok=True)
     written = [
@@ -572,15 +572,18 @@ def export(
     predictions = predictions_payload(artifacts)
     written.append(_json_dump(predictions, os.path.join(out_dir, "predictions.json")))
     # the roll-up, summed in listing-id order: delta* histogram, learning-phase scatter, mean shading ratio
-    edges = summary.bucket_edges()
+    width, threshold = config.histogram_bucket_width, config.learning_threshold
+    edges = config.bucket_edges()
     counts = [0] * (len(edges) - 1)
     for p in predictions:
         if p["delta_star"] > 0.0:
-            counts[min(int(p["delta_star"] / summary.bucket_width), len(counts) - 1)] += 1
-    scatter = [p for p in predictions if p["delta_star"] > summary.learning_threshold]
+            counts[min(int(p["delta_star"] / width), len(counts) - 1)] += 1
+    scatter = [p for p in predictions if p["delta_star"] > threshold]
     ratios = [p["shading_ratio"] for p in predictions if p["shading_ratio"] is not None]
     account = {
         **_encode(summary),
+        "bucket_width": width,
+        "learning_threshold": threshold,
         "nonpositive_count": len(predictions) - sum(counts),
         "histogram_counts": counts,
         "scatter_count": len(scatter),

@@ -365,8 +365,8 @@ def test_criterion_7_pipeline_determinism(tmp_path):
     ) and summary_mem == summary_disk
 
     out1, out2 = tmp_path / "x", tmp_path / "y"
-    files1 = export(summary_disk, arts_disk, str(out1))
-    files2 = export(summary_disk, arts_disk, str(out2))
+    files1 = export(summary_disk, arts_disk, config, str(out1))
+    files2 = export(summary_disk, arts_disk, config, str(out2))
     bytes_equal = all(
         open(f1, "rb").read() == open(f2, "rb").read() for f1, f2 in zip(files1, files2)
     )
@@ -384,7 +384,7 @@ def test_criterion_8_summary_format_reproduction(tmp_path):
     config = InferenceConfig(bid_max=1.0, grid_step=0.05, epsilon_max=1.0)
     summary, artifacts = infer_account(histories, config)
     out = tmp_path / "out"
-    files = export(summary, artifacts, str(out))
+    files = export(summary, artifacts, config, str(out))
 
     # the roll-up as exported, computed from the predictions
     account = json.loads((out / "account_summary.json").read_text())
@@ -400,7 +400,7 @@ def test_criterion_8_summary_format_reproduction(tmp_path):
         lid for lid, art in artifacts.items()
         if art.prediction.delta_star > config.learning_threshold
     } and account["scatter_count"] == len(scatter)
-    edges = summary.bucket_edges()
+    edges = config.bucket_edges()
     partition = edges[0] == 0.0 and abs(edges[-1] - 1.0) < 1e-12 and all(
         b > a for a, b in zip(edges, edges[1:])
     ) and [float(row[1]) for row in histogram[1:]] == edges[1:]

@@ -86,9 +86,9 @@ def tiny_market_histories(seed=11, periods=12, listings=2):
     return simulate_market(spec, learners, periods, 2, seed)
 
 
-def exported_rollup(summary, artifacts, out):
+def exported_rollup(summary, artifacts, config, out):
     """The account roll-up as ``export`` writes it: account summary, histogram rows, scatter rows, predictions."""
-    export(summary, artifacts, str(out))
+    export(summary, artifacts, config, str(out))
     account = json.loads((out / "account_summary.json").read_text())
     histogram = [line.split(",") for line in (out / "histogram_delta.csv").read_text().splitlines()[1:]]
     scatter = [line.split(",") for line in (out / "scatter_v_delta.csv").read_text().splitlines()[1:]]
@@ -224,8 +224,9 @@ class TestIngest:
         lid = "\u00e9" * 119 + "x"  # 239 UTF-8 bytes: nr_boundary_<id>.csv is 255
         path = tmp_path / "log.jsonl"
         write_jsonl([dict(micro_fixture_records()[0], listing_id=lid)], path)
-        summary, artifacts = infer_account(ingest(str(path)), InferenceConfig(epsilon_max=0.08))
-        export(summary, artifacts, str(tmp_path / "out"))
+        config = InferenceConfig(epsilon_max=0.08)
+        summary, artifacts = infer_account(ingest(str(path)), config)
+        export(summary, artifacts, config, str(tmp_path / "out"))
         assert (tmp_path / "out" / f"nr_boundary_{lid}.csv").is_file()
 
     def test_invalid_json_reports_line(self, tmp_path):
@@ -317,7 +318,7 @@ class TestMicroFixturePipeline:
         config = InferenceConfig(bid_max=1.0, grid_step=0.01, epsilon_max=0.08, boundary_samples=141)
         summary, artifacts = infer_account(histories, config)
         out = tmp_path / "out"
-        export(summary, artifacts, str(out))
+        export(summary, artifacts, config, str(out))
         rows = (out / "nr_boundary_L0.csv").read_text().strip().splitlines()
         v, eps = rows[71].split(",")  # header + 70 rows before v=0.7
         assert float(v) == pytest.approx(0.7, abs=1e-9)
@@ -328,8 +329,7 @@ class TestAccountSummary:
     @pytest.mark.parametrize("width", [0.3, 0.4, 0.7, 0.07])
     def test_bucket_edges_end_at_one_when_the_width_does_not_divide_it(self, width):
         # the last bucket counts every delta* up to 1, so its upper edge is 1.0
-        summary, _ = infer_account([], InferenceConfig(histogram_bucket_width=width))
-        edges = summary.bucket_edges()
+        edges = InferenceConfig(histogram_bucket_width=width).bucket_edges()
         assert len(edges) == round(1.0 / width) + 1
         assert edges[0] == 0.0 and edges[-1] == 1.0 and all(b > a for a, b in zip(edges, edges[1:]))
 
@@ -353,10 +353,9 @@ class TestAccountSummary:
         histories = [h.rows(h.period_bounds()[1], len(h)) for h in histories]
         # top bidders gain no clicks from any deviation, so the value cap
         # cannot be derived from the curve and must come from the config
-        summary, artifacts = infer_account(
-            histories, InferenceConfig(grid_step=0.05, epsilon_max=1.0, value_cap=2.0)
-        )
-        account, histogram, scatter, _ = exported_rollup(summary, artifacts, tmp_path / "out")
+        config = InferenceConfig(grid_step=0.05, epsilon_max=1.0, value_cap=2.0)
+        summary, artifacts = infer_account(histories, config)
+        account, histogram, scatter, _ = exported_rollup(summary, artifacts, config, tmp_path / "out")
         assert summary.listing_count == 3
         assert account["nonpositive_count"] == 3 and histogram[0] == ["-inf", "0.0", "3"]
         assert sum(account["histogram_counts"]) == 0 and all(row[2] == "0" for row in histogram[1:])
@@ -364,8 +363,9 @@ class TestAccountSummary:
 
     def test_learning_listings_spread_and_conserve(self, tmp_path):
         histories = tiny_market_histories(seed=29, periods=10, listings=4)
-        summary, artifacts = infer_account(histories, InferenceConfig(grid_step=0.1, epsilon_max=1.0))
-        account, histogram, scatter, predictions = exported_rollup(summary, artifacts, tmp_path / "out")
+        config = InferenceConfig(grid_step=0.1, epsilon_max=1.0)
+        summary, artifacts = infer_account(histories, config)
+        account, histogram, scatter, predictions = exported_rollup(summary, artifacts, config, tmp_path / "out")
         assert summary.listing_count == 4
         assert account["nonpositive_count"] + sum(account["histogram_counts"]) == 4
         assert [int(row[2]) for row in histogram] == [account["nonpositive_count"], *account["histogram_counts"]]
@@ -375,7 +375,7 @@ class TestAccountSummary:
         assert scatter == [[p["listing_id"], repr(p["v_star"]), repr(p["delta_star"])]
                            for p in predictions if p["listing_id"] in above]
         for lid, art in artifacts.items():
-            if art.prediction.delta_star > summary.learning_threshold:
+            if art.prediction.delta_star > config.learning_threshold:
                 assert lid in above
             else:
                 assert lid not in above
@@ -583,8 +583,8 @@ class TestDeterminism:
         summary, artifacts = infer_account(histories, config)
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
-        files1 = export(summary, artifacts, str(out1))
-        files2 = export(summary, artifacts, str(out2))
+        files1 = export(summary, artifacts, config, str(out1))
+        files2 = export(summary, artifacts, config, str(out2))
         for f1, f2 in zip(files1, files2):
             assert open(f1, "rb").read() == open(f2, "rb").read()
 
@@ -596,7 +596,7 @@ class TestBundleCodec:
         histories = tiny_market_histories(seed=55)
         config = InferenceConfig(grid_step=0.1, epsilon_max=1.0)
         summary, artifacts = infer_account(histories, config)
-        assert any(art.prediction.delta_star > summary.learning_threshold for art in artifacts.values())
+        assert any(art.prediction.delta_star > config.learning_threshold for art in artifacts.values())
         build = pipeline.build_deviation_curve
 
         def numpy_curve(history, grid):
@@ -611,8 +611,8 @@ class TestBundleCodec:
 
         monkeypatch.setattr(pipeline, "build_deviation_curve", numpy_curve)
         summary_np, artifacts_np = infer_account(histories, config)
-        files = export(summary, artifacts, str(tmp_path / "a"))
-        files_np = export(summary_np, artifacts_np, str(tmp_path / "b"))
+        files = export(summary, artifacts, config, str(tmp_path / "a"))
+        files_np = export(summary_np, artifacts_np, config, str(tmp_path / "b"))
         assert [os.path.basename(f) for f in files] == [os.path.basename(f) for f in files_np]
         for f, f_np in zip(files, files_np):
             assert open(f, "rb").read() == open(f_np, "rb").read(), f
@@ -630,7 +630,7 @@ class TestBundleCodec:
         summary, artifacts = infer_account(histories, config)
         payload = predictions_payload(artifacts)
         assert summary.errors and all(p["shading_ratio"] for p in payload)
-        assert any(p["delta_star"] > summary.learning_threshold for p in payload)
+        assert any(p["delta_star"] > config.learning_threshold for p in payload)
         return summary, artifacts, config
 
     def test_round_trip_restores_objects(self, tmp_path):
@@ -679,8 +679,7 @@ class TestBundleCodec:
 
 class TestEmptyAccountExport:
     def test_zero_listings_still_produce_valid_files(self, tmp_path):
-        summary = AccountSummary(listing_count=0, bucket_width=0.05, learning_threshold=1e-4)
-        files = export(summary, {}, str(tmp_path / "out"))
+        files = export(AccountSummary(listing_count=0), {}, InferenceConfig(), str(tmp_path / "out"))
         names = {f.split("/")[-1] for f in files}
         assert names == {"predictions.json", "account_summary.json",
                          "histogram_delta.csv", "scatter_v_delta.csv"}
@@ -871,7 +870,7 @@ class TestCli:
                    for name in ("predictions.json", "artifacts.json")}
         assert digests == {
             "predictions.json": "356f294afd10806e3eb220b4b8a40ec3d06889018dece45a0b2a239433b35be6",
-            "artifacts.json": "e70245f94e68eebfcfd2431d2a1e57cead7cb335e5bad5a31804da2a602cc0fd",
+            "artifacts.json": "812ad8f52ddece90d3f107c37ae503a6a0896ebb2c16c447418f5a9e1f23c556",
         }
 
     def test_simulate_outputs_match_pinned_digests(self, tmp_path, capsys):
@@ -1123,7 +1122,7 @@ class TestCli:
         "one-number-boundary-row": (
             lambda b, lst: lst["region"].update(boundary=[[1]]), "expected a list of 2, got [1]"),
         "string-bucket-width": (
-            lambda b, lst: b["summary"].update(bucket_width="0.05"), "expected float, got '0.05'"),
+            lambda b, lst: b["config"].update(histogram_bucket_width="0.05"), "expected float, got '0.05'"),
         "string-value-cap": (
             lambda b, lst: lst["region"].update(value_cap="2.0"), "expected float, got '2.0'"),
         "string-delta-star": (
@@ -1158,6 +1157,29 @@ class TestCli:
         "old-shading-ratios": (lambda b, lst: b["summary"].update(shading_ratios={}), "unexpected key 'shading_ratios'"),
         "old-shading-ratio": (lambda b, lst: lst.update(shading_ratio=0.5), "unexpected key 'shading_ratio'"),
         "old-epsilon-cap": (lambda b, lst: lst["region"].update(epsilon_cap=1.0), "unexpected key 'epsilon_cap'"),
+        # the config's copies of the roll-up's knobs
+        "old-bucket-width": (lambda b, lst: b["summary"].update(bucket_width=0.05), "unexpected key 'bucket_width'"),
+        "old-learning-threshold": (
+            lambda b, lst: b["summary"].update(learning_threshold=1e-4), "unexpected key 'learning_threshold'"),
+        # values export computes with, checked before it runs
+        "zero-bucket-width": (
+            lambda b, lst: b["config"].update(histogram_bucket_width=0), "histogram_bucket_width must lie in (0, 1]"),
+        "tiny-bucket-width": (
+            lambda b, lst: b["config"].update(histogram_bucket_width=1e-300), "histogram_bucket_width must lie in (0, 1]"),
+        "negative-bucket-width": (
+            lambda b, lst: b["config"].update(histogram_bucket_width=-0.05), "histogram_bucket_width must lie in (0, 1]"),
+        "huge-delta-star": (
+            lambda b, lst: lst["prediction"].update(delta_star=1e308), "delta_star must lie in [0, 1]"),
+        "negative-delta-star": (
+            lambda b, lst: lst["prediction"].update(delta_star=-0.5), "delta_star must lie in [0, 1]"),
+        "slash-listing-id": (
+            lambda b, lst: b["listings"].update({"a/b": b["listings"].pop(next(iter(b["listings"])))}),
+            "listing_id must name a file"),
+        "long-listing-id": (
+            lambda b, lst: b["listings"].update({"x" * 300: b["listings"].pop(next(iter(b["listings"])))}),
+            "listing_id must name a file"),
+        "miscounted-listings": (
+            lambda b, lst: b["summary"].update(listing_count=3), "listing_count 3 but 2 listings"),
     }
 
     @pytest.mark.parametrize("damage", list(BUNDLE_DAMAGE))
