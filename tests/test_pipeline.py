@@ -890,6 +890,89 @@ class TestCli:
             "predictions.json": "d7102c78393ac609df5884a70588f7711b1943556ee4e72b74644ac468cea41c",
         }
 
+    # market -> (config lines, seed, whether a listing that fails is appended to the simulated log):
+    # the two markets pinned above, and one with a failed listing and a roll-up on non-default knobs
+    PIN_MARKETS = {
+        "fine-grid": ("listings = 1\nperiods = 20\nauctions_per_period = 3\ngrid_step = 0.004\n", 5, False),
+        "two-learners": ("listings = 2\nperiods = 30\nauctions_per_period = 10\n", 3, False),
+        "failed-listing": ("listings = 3\nperiods = 12\nauctions_per_period = 2\ngrid_step = 0.05\n"
+                           "histogram_bucket_width = 0.07\nlearning_threshold = 0.05\n", 9, True),
+    }
+    # market -> output -> sha256: every file infer writes, every file export writes from its
+    # artifacts.json (export/<name>), and predict's stdout
+    OUTPUT_PINS = {
+        "fine-grid": {
+            "account_summary.json": "94c56541691495defd780d84d7d63fa44c4312758e1669fa99e04dba449a37ef",
+            "artifacts.json": "812ad8f52ddece90d3f107c37ae503a6a0896ebb2c16c447418f5a9e1f23c556",
+            "histogram_delta.csv": "a6e0146711c54cceba61b6f5cc93fc50ee03e248dd465e425c5a5d47f170f893",
+            "nr_boundary_L000.csv": "026fc1425a998490ba27adb31f42fab89aa56176094e0f9fbc3822b001e0e5c9",
+            "predictions.json": "356f294afd10806e3eb220b4b8a40ec3d06889018dece45a0b2a239433b35be6",
+            "scatter_v_delta.csv": "d350aabf4f92e6619d15d54b9ab38fd1fa013ea0e1c051235bf7f723595a2599",
+            "export/account_summary.json": "94c56541691495defd780d84d7d63fa44c4312758e1669fa99e04dba449a37ef",
+            "export/histogram_delta.csv": "a6e0146711c54cceba61b6f5cc93fc50ee03e248dd465e425c5a5d47f170f893",
+            "export/nr_boundary_L000.csv": "026fc1425a998490ba27adb31f42fab89aa56176094e0f9fbc3822b001e0e5c9",
+            "export/predictions.json": "356f294afd10806e3eb220b4b8a40ec3d06889018dece45a0b2a239433b35be6",
+            "export/scatter_v_delta.csv": "d350aabf4f92e6619d15d54b9ab38fd1fa013ea0e1c051235bf7f723595a2599",
+            "predict stdout": "356f294afd10806e3eb220b4b8a40ec3d06889018dece45a0b2a239433b35be6",
+        },
+        "two-learners": {
+            "account_summary.json": "63c5adb4805706689b63a944b0816af99e3fd7fd31fca619266db24b9ff7962c",
+            "artifacts.json": "6c6ae8dabc8f45af5a52e29bb723ac785f0ac75902fafb120945b83b4e2dc4e8",
+            "histogram_delta.csv": "e164fa44edf3f35d9a42641484703122a4f18f710ef8842dd13927df5e2e7560",
+            "nr_boundary_L000.csv": "47ad14867834a0c2fd972a440aa352a0daa4785d796ba8f93a14822d878c33de",
+            "nr_boundary_L001.csv": "7c798e6860d10e7d111650eb538a4e1c828914d3d548f003c8d1095c1ff75e5d",
+            "predictions.json": "d7102c78393ac609df5884a70588f7711b1943556ee4e72b74644ac468cea41c",
+            "scatter_v_delta.csv": "3ff3a14ad49cdd5c6c7485f80d0e88a4ee95bafea3b88799ed99178fd20150bd",
+            "export/account_summary.json": "63c5adb4805706689b63a944b0816af99e3fd7fd31fca619266db24b9ff7962c",
+            "export/histogram_delta.csv": "e164fa44edf3f35d9a42641484703122a4f18f710ef8842dd13927df5e2e7560",
+            "export/nr_boundary_L000.csv": "47ad14867834a0c2fd972a440aa352a0daa4785d796ba8f93a14822d878c33de",
+            "export/nr_boundary_L001.csv": "7c798e6860d10e7d111650eb538a4e1c828914d3d548f003c8d1095c1ff75e5d",
+            "export/predictions.json": "d7102c78393ac609df5884a70588f7711b1943556ee4e72b74644ac468cea41c",
+            "export/scatter_v_delta.csv": "3ff3a14ad49cdd5c6c7485f80d0e88a4ee95bafea3b88799ed99178fd20150bd",
+            "predict stdout": "d7102c78393ac609df5884a70588f7711b1943556ee4e72b74644ac468cea41c",
+        },
+        "failed-listing": {
+            "account_summary.json": "17447e46c70c47d3426071f625425b1b3a3ee65c2df1502b0e3630b5ecc70ac9",
+            "artifacts.json": "5e2dfb5b7bfe93a1b011540c1f56cb7a874ea3c463e45e1ecee2a8ed0f3838bb",
+            "histogram_delta.csv": "9217364a0abf085dd79b589bd982945866cc6616990a8cc9e6ac6e0adfc128a3",
+            "nr_boundary_L000.csv": "3e152e2900f0030d5a4d3982fc2b2c37f65f8e7af7cbd8ad3e05042df14d45d4",
+            "nr_boundary_L001.csv": "fd0a8e7a5a8d8acdea6fd0be1faf0f952d6b2eec41981af7b9545b00ceb0f01f",
+            "nr_boundary_L002.csv": "b07abbe8765201d2eb73a87d6a940f57992db6500a3f807a59907f20acff008a",
+            "predictions.json": "8165298693ce4abf91078cea4ab63a810955262f8f9346d5ee770719143447ad",
+            "scatter_v_delta.csv": "c2052d6b0af8f4b978716832b84b116356ed22be29cb64bba57a0e7a791efb2a",
+            "export/account_summary.json": "17447e46c70c47d3426071f625425b1b3a3ee65c2df1502b0e3630b5ecc70ac9",
+            "export/histogram_delta.csv": "9217364a0abf085dd79b589bd982945866cc6616990a8cc9e6ac6e0adfc128a3",
+            "export/nr_boundary_L000.csv": "3e152e2900f0030d5a4d3982fc2b2c37f65f8e7af7cbd8ad3e05042df14d45d4",
+            "export/nr_boundary_L001.csv": "fd0a8e7a5a8d8acdea6fd0be1faf0f952d6b2eec41981af7b9545b00ceb0f01f",
+            "export/nr_boundary_L002.csv": "b07abbe8765201d2eb73a87d6a940f57992db6500a3f807a59907f20acff008a",
+            "export/predictions.json": "8165298693ce4abf91078cea4ab63a810955262f8f9346d5ee770719143447ad",
+            "export/scatter_v_delta.csv": "c2052d6b0af8f4b978716832b84b116356ed22be29cb64bba57a0e7a791efb2a",
+            "predict stdout": "8165298693ce4abf91078cea4ab63a810955262f8f9346d5ee770719143447ad",
+        },
+    }
+
+    @pytest.mark.parametrize("market", list(PIN_MARKETS))
+    def test_every_output_matches_its_pin(self, tmp_path, capsys, market):
+        lines, seed, failing = self.PIN_MARKETS[market]
+        cfg = tmp_path / "cfg"
+        cfg.write_text(lines)
+        log = tmp_path / "log.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(log)]) == 0
+        if failing:  # a lone bidder at bid 1.0 already takes the top slot, so no deviation gains clicks
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(json.dumps(dict(micro_fixture_records()[0], listing_id="Z", own_bid=1.0, competitors=[])) + "\n")
+        out = tmp_path / "out"
+        assert main(["infer", "--config", str(cfg), str(log), "--out", str(out)]) == 0
+        assert main(["export", str(out / "artifacts.json"), "--out", str(tmp_path / "export")]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), str(log)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in out.iterdir()}
+        digests.update({f"export/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+                        for path in (tmp_path / "export").iterdir()})
+        digests["predict stdout"] = hashlib.sha256(stdout).hexdigest()
+        assert digests == self.OUTPUT_PINS[market]
+
     @pytest.mark.parametrize("command", ["infer", "predict"])
     @pytest.mark.parametrize("step", ["0", "-0.01", "1.5", "nan", "1e-6"])
     def test_bad_grid_step_exits_with_error_list(self, tmp_path, capsys, command, step):
