@@ -21,6 +21,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -168,19 +169,27 @@ def load_config(path: str | None) -> dict:
     return values
 
 
-def _build(cls, cfg: dict, **given):
-    """``cls`` with the fields whose keys ``cfg`` sets, plus ``given``; every other field keeps its default.
+@contextmanager
+def _keyed(cls):
+    """The config key of each field of ``cls`` that a key sets, by field name.
 
-    A class's error about one field begins with the field's name; it is re-raised with the key in its place.
+    A class's error about one field begins with the field's name; one raised
+    in the block is re-raised with the key in its place.
     """
     keys = {name: key for key, (_, owner, name) in FIELD_KEYS.items() if owner == cls.__name__}
     try:
-        return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg}, **given)
+        yield keys
     except ValueError as exc:
         field, _, rest = str(exc).partition(" ")
         if keys.get(field, field) == field:
             raise
         raise type(exc)(f"{keys[field]} {rest}") from exc
+
+
+def _build(cls, cfg: dict, **given):
+    """``cls`` with the fields whose keys ``cfg`` sets, plus ``given``; every other field keeps its default."""
+    with _keyed(cls) as keys:
+        return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg}, **given)
 
 
 def build_learners(cfg: dict) -> list[LearnerSpec]:
@@ -219,9 +228,8 @@ def cmd_infer(args, cfg) -> int:
     config = _build(InferenceConfig, cfg)
     summary, artifacts = infer_account(ingest(args.log), config, jobs=cfg["jobs"])
     bundle = artifacts_to_json(summary, artifacts, config)
-    os.makedirs(args.out, exist_ok=True)
+    written = export(summary, artifacts, config, args.out)  # first: it refuses an --out that holds another run's files
     _json_dump(bundle, os.path.join(args.out, "artifacts.json"))
-    written = export(summary, artifacts, config, args.out)
     print(f"inferred {summary.listing_count} listings ({len(summary.errors)} failed); wrote {len(written) + 1} files to {args.out}")
     return 0
 
@@ -241,7 +249,9 @@ def cmd_predict(args, cfg) -> int:
 def cmd_rate_study(args, cfg) -> int:
     from .geometry import RateStudyConfig, run_rate_study
 
-    result = run_rate_study(_build(RateStudyConfig, cfg, seed=cfg["seed"]))
+    config = _build(RateStudyConfig, cfg, seed=cfg["seed"])
+    with _keyed(RateStudyConfig):  # a sampled region's error names the field too
+        result = run_rate_study(config)
     written = write_rate_study(result, args.out)
     print(
         f"slope {result.slope:.4f} (target {result.gamma_target:.4f}, stderr {result.slope_stderr:.4f}); wrote {written}"

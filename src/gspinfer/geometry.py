@@ -72,7 +72,7 @@ class SupportRegion:
         zs, cs = link.z_knots, link.c_values
         eps_at_zero = -min(cs)
         if not eps_cap > eps_at_zero:
-            raise GeometryError("eps_cap must exceed the boundary height at v = 0")
+            raise GeometryError(f"eps_cap must exceed the boundary height at v = 0, {eps_at_zero:g} (got {eps_cap})")
         corners = [(c + eps_cap) / z for z, c in zip(zs, cs) if z > 0.0]
         if not corners:
             raise GeometryError("no deviation gains clicks; the capped set has no right corner")
@@ -306,8 +306,15 @@ def run_rate_study(cfg: RateStudyConfig) -> RateStudyResult:
     means: list[float] = []
     stds: list[float] = []
     for n in cfg.sample_sizes:
-        rngs = (np.random.Generator(np.random.PCG64(next(streams))) for _ in range(cfg.replications))
-        arr = np.asarray([hausdorff(_estimate_region(cfg, n, rng), truth, cfg.direction_count) for rng in rngs])
+        distances = []
+        for r in range(1, cfg.replications + 1):
+            rng = np.random.Generator(np.random.PCG64(next(streams)))
+            try:
+                region = _estimate_region(cfg, n, rng)
+            except GeometryError as exc:  # a sampled region's height at v = 0 varies with its draws
+                raise GeometryError(f"{exc}, in replication {r} of sample size {n}") from exc
+            distances.append(hausdorff(region, truth, cfg.direction_count))
+        arr = np.asarray(distances)
         means.append(float(arr.mean()))
         stds.append(float(arr.std(ddof=1)) if len(arr) > 1 else 0.0)
     x = np.array([math.log(math.log(n) / n) for n in cfg.sample_sizes])

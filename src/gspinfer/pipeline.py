@@ -15,6 +15,11 @@ non-finite numbers where a number belongs, scores below
 :data:`~gspinfer.auction.MAX_MAGNITUDE` are rejected with the line number.
 Synthetic and real data flow through the same reader into one
 :class:`~gspinfer.auction.ListingHistory` table per listing.
+
+The reader checks each record's shape as its line is decoded and each
+column of numbers once, with C-level operations, and formats no message;
+only when a check fails does it walk the records one by one, and the walk
+names the fault.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import os
 import struct
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -168,13 +175,8 @@ def _checked(x, kind: type, line: int, field: str):
 
 
 def _floats(xs: list, line: int, fields) -> list[float]:
-    """``xs`` as floats if each is a log number, else a ParseError naming its field (``fields()``, in order)."""
-    try:
-        return [float(_value(x, float)) for x in xs]
-    except (ValueError, OverflowError):
-        for x, field in zip(xs, fields()):
-            _checked(x, float, line, field)
-        raise
+    """``xs`` as floats if each is a log number, else a ParseError naming its field (``fields``, in order)."""
+    return [float(_checked(x, float, line, field)) for x, field in zip(xs, fields)]
 
 
 def _check_id(listing_id, line: int | None) -> str:
@@ -191,7 +193,7 @@ def _check_id(listing_id, line: int | None) -> str:
 
 
 def _parse_record(obj, line: int):
-    """One record's listing id, period, truth, position curve, competitors and other columns."""
+    """One record's listing id, period, mainline cap and count, truth, position curve, own numbers and competitors."""
     if not isinstance(obj, dict):
         raise ParseError(line, "record must be a JSON object")
     unknown = obj.keys() - REQUIRED_FIELDS - OPTIONAL_FIELDS
@@ -203,19 +205,19 @@ def _parse_record(obj, line: int):
     listing_id = _check_id(obj["listing_id"], line)
     period = _checked(obj["period"], int, line, "period")
     own_fields = ("own_bid", "own_score", "own_quality", "rank_reserve", "mainline_reserve")
-    own = _floats([obj.get(f, 1.0) for f in own_fields], line, lambda: own_fields)
+    own = _floats([obj.get(f, 1.0) for f in own_fields], line, own_fields)
     competitors = obj["competitors"]
     if not isinstance(competitors, list):
         raise ParseError(line, "competitors must be a list")
     for k, comp in enumerate(competitors):
         if not isinstance(comp, dict) or comp.keys() != COMPETITOR_FIELDS:
             raise ParseError(line, f"competitor {k} must have exactly fields {sorted(COMPETITOR_FIELDS)}")
-    flat = _floats([c[f] for c in competitors for f in ("score", "quality", "bid")], line, lambda: (
-        f"competitor {k} {f}" for k in range(len(competitors)) for f in ("score", "quality", "bid")))
+    flat = _floats([c[f] for c in competitors for f in ("score", "quality", "bid")], line,
+                   (f"competitor {k} {f}" for k in range(len(competitors)) for f in ("score", "quality", "bid")))
     curve = obj["position_curve"]
     if not isinstance(curve, list) or not curve:
         raise ParseError(line, "position_curve must be a non-empty list")
-    curve = tuple(_floats(curve, line, lambda: ["position_curve"] * len(curve)))
+    curve = tuple(_floats(curve, line, ["position_curve"] * len(curve)))
     cap = _checked(obj["mainline_cap"], int, line, "mainline_cap")
     n_main = obj.get("mainline_count")
     if n_main is None:
@@ -225,7 +227,7 @@ def _parse_record(obj, line: int):
     truth = obj.get("truth_value")
     if truth is not None:
         truth = float(_checked(truth, float, line, "truth_value"))
-    return listing_id, period, truth, curve, (period, cap, n_main), own, flat
+    return listing_id, period, cap, n_main, truth, curve, own, flat
 
 
 def _non_finite(token: str):
@@ -238,38 +240,21 @@ _DECODER = json.JSONDecoder(parse_constant=_non_finite)
 def ingest(path: str) -> list[ListingHistory]:
     """Read an auction log into one table per listing, ordered by listing id.
 
+    The log is read column by column (:func:`_columns`): each record's shape
+    is checked as its line is decoded, and each column's types, int64 or
+    float64 range and finiteness once the file is read, with one own bid per
+    period and one truth per listing. Only when one of these fails is the
+    log read again record by record (:func:`_walk`), which names the fault.
+    The range, contiguous-period and truth checks run on the tables of
+    either pass.
+
     Raises :class:`ParseError` with the offending line number for undecodable
-    lines, schema violations, out-of-range numbers (checked per column once
-    the records are read), inconsistent per-period data, or non-contiguous periods.
+    lines, schema violations, out-of-range numbers (the first bad line before
+    any other error), inconsistent per-period data, or non-contiguous periods.
     """
-    records: dict[str, list[tuple]] = {}  # per listing, in file order: ints, floats, competitors
-    curves: dict[str, dict[tuple[float, ...], int]] = {}  # per listing, its distinct position curves
-    bids: dict[tuple[str, int], float] = {}
-    truths: dict[str, float | None] = {}
-    error = None
-    with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 gets its line number
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                try:  # bad UTF-8 or JSON, a non-finite constant, an over-long integer, deep nesting
-                    text = raw.decode("utf-8").strip()
-                    if not text:
-                        continue
-                    obj = _DECODER.decode(text)
-                except (ValueError, RecursionError) as exc:
-                    raise ParseError(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-                lid, period, truth, curve, ints, floats, flat = _parse_record(obj, line_no)
-                interned = curves.setdefault(lid, {})
-                records.setdefault(lid, []).append(((line_no, *ints, interned.setdefault(curve, len(interned))), floats, flat))
-                if bids.setdefault((lid, period), floats[0]) != floats[0]:
-                    raise ParseError(line_no, f"inconsistent own_bid within listing {lid!r} period {period}")
-                if truth is not None and truths.get(lid) not in (None, truth):
-                    raise ParseError(line_no, f"inconsistent truth_value for listing {lid!r}")
-                if truth is not None or lid not in truths:
-                    truths[lid] = truth
-            except ParseError as exc:
-                error = exc
-                break
-    tables = [_listing_table(lid, records[lid], tuple(curves[lid]), truths[lid]) for lid in sorted(records)]
+    tables, error = _columns(path), None
+    if tables is None:
+        tables, error = _walk(path)
     faults = []
     for table, lines in tables:
         rows = np.flatnonzero(table.invalid_rows())
@@ -292,17 +277,161 @@ def ingest(path: str) -> list[ListingHistory]:
     return [table for table, _ in tables]
 
 
-def _listing_table(lid: str, records: list[tuple], curves: tuple, truth) -> tuple[ListingHistory, np.ndarray]:
-    """One listing's records as a table ordered by period, and the line of each row."""
-    records = sorted(records, key=lambda r: r[0][1])  # stable: a period's auctions keep their order
-    line, period, cap, n_main, curve = np.array([r[0] for r in records], dtype=np.int64).T.copy()
-    own = np.array([r[1] for r in records], dtype=np.float64).T.copy()
-    score, quality, bid = np.array([x for r in records for x in r[2]], dtype=np.float64).reshape(-1, 3).T.copy()
-    offsets = np.cumsum([0] + [len(r[2]) // 3 for r in records])
-    table = ListingHistory(  # the columns in field order
-        lid, period, *own, cap, n_main, curve, curves, offsets, score, quality, bid, log_ahead(lid, offsets), truth,
-    )
-    return table, line
+_FIELDS = REQUIRED_FIELDS | OPTIONAL_FIELDS
+_RECORD = itemgetter(
+    "listing_id", "period", "own_bid", "rank_reserve", "mainline_reserve", "mainline_cap",
+    "competitors", "position_curve",
+)
+_ENTRY = itemgetter("score", "quality", "bid")
+_SCAN = _DECODER.scan_once  # (value, end) of the JSON value at an index; StopIteration if there is none
+
+
+def _columns(path: str) -> list[tuple[ListingHistory, np.ndarray]] | None:
+    """:func:`_tables` of a well-formed log, or None, with no message, if any record is malformed.
+
+    Each line is decoded and its record's shape checked with C-level
+    operations: a JSON object with the required fields and no unknown one,
+    list-typed ``competitors``, each an object of exactly ``score``,
+    ``quality`` and ``bid``, and a non-empty ``position_curve`` list. Its
+    values are gathered raw into columns. Then each column is checked once:
+    element types (``int`` for the integer columns, ``int`` or ``float``,
+    so never a ``bool``, for the rest), integers within int64, numbers within
+    float64 and finite, one own bid per period and one truth per listing.
+    """
+    ids: dict[str, int] = {}  # listing id -> index, in order of first appearance
+    curves: list[dict[tuple[float, ...], int]] = []  # per listing, its distinct position curves
+    ints, own, flat, values, truth_rows, truth_values = [], [], [], [], [], []
+    try:
+        with open(path, "rb") as fh:
+            for line_no, raw in enumerate(fh, start=1):
+                text = raw.decode("utf-8").strip()
+                if not text:
+                    continue
+                obj, end = _SCAN(text, 0)  # the walk's decode without its wrapper: any failure is a fault
+                if end != len(text) or type(obj) is not dict or not REQUIRED_FIELDS <= obj.keys() <= _FIELDS:
+                    return None
+                lid, period, bid, r, m, cap, comps, curve = _RECORD(obj)
+                k = ids.get(lid)  # an unhashable id raises TypeError
+                if k is None:
+                    k = ids[_check_id(lid, line_no)] = len(curves)
+                    curves.append({})
+                # every entry has the three fields, so their lengths sum to three per entry only if none has more
+                if type(comps) is not list or sum(map(len, comps)) != 3 * len(comps):
+                    return None
+                flat.extend(chain.from_iterable(map(_ENTRY, comps)))
+                if type(curve) is not list or not curve:
+                    return None
+                values.extend(curve)  # typed raw, not through the curve keys: True == 1.0 and hashes alike
+                n_main = obj.get("mainline_count")
+                if n_main is None:
+                    n_main = min(cap, len(curve))
+                elif not 0 <= n_main <= len(curve):
+                    return None
+                truth = obj.get("truth_value")
+                if truth is not None:
+                    truth_rows.append(k)
+                    truth_values.append(truth)
+                interned = curves[k]
+                index = interned.setdefault(tuple(map(float, curve)), len(interned))
+                ints.extend((line_no, k, period, cap, n_main, index, len(comps)))
+                own.extend((bid, obj.get("own_score", 1.0), obj.get("own_quality", 1.0), r, m))
+        if not set(map(type, ints)) <= {int}:
+            return None
+        if not set(map(type, chain(own, flat, values, truth_values))) <= {int, float}:
+            return None
+        ints = np.array(ints, dtype=np.int64)
+        own, flat, truth_values = (np.array(x, dtype=np.float64) for x in (own, flat, truth_values))
+    except (ValueError, TypeError, KeyError, OverflowError, StopIteration, RecursionError):
+        return None
+    if not (np.isfinite(own).all() and np.isfinite(flat).all() and np.isfinite(truth_values).all()
+            and all(map(math.isfinite, chain.from_iterable(chain.from_iterable(curves))))):
+        return None
+    order = np.argsort(truth_rows, kind="stable")
+    listing, truth = np.array(truth_rows, dtype=np.int64)[order], truth_values[order]
+    first = np.diff(listing, prepend=-1) != 0  # each listing's first truth in file order
+    if not (first[1:] | (truth[1:] == truth[:-1])).all():
+        return None
+    tables = _tables(ids, curves, ints, own, flat, dict(zip(listing[first].tolist(), truth[first].tolist())))
+    for table, _ in tables:
+        period, bid = table.period, table.own_bid
+        if not ((period[1:] != period[:-1]) | (bid[1:] == bid[:-1])).all():
+            return None
+    return tables
+
+
+def _walk(path: str) -> tuple[list[tuple[ListingHistory, np.ndarray]], ParseError | None]:
+    """:func:`_tables` of the records before the first malformed one, each checked on its own, and its ParseError.
+
+    The error is None when every record is well-formed.
+    """
+    ids: dict[str, int] = {}
+    curves: list[dict[tuple[float, ...], int]] = []
+    ints, own, flat = [], [], []
+    bids: dict[tuple[int, int], float] = {}
+    truths: dict[int, float | None] = {}
+    error = None
+    try:
+        with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 gets its line number
+            for line_no, raw in enumerate(fh, start=1):
+                try:  # bad UTF-8 or JSON, a non-finite constant, an over-long integer, deep nesting
+                    text = raw.decode("utf-8").strip()
+                    if not text:
+                        continue
+                    obj = _DECODER.decode(text)
+                except (ValueError, RecursionError) as exc:
+                    raise ParseError(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+                lid, period, cap, n_main, truth, curve, floats, entries = _parse_record(obj, line_no)
+                k = ids.setdefault(lid, len(curves))
+                if k == len(curves):
+                    curves.append({})
+                index = curves[k].setdefault(curve, len(curves[k]))
+                ints.extend((line_no, k, period, cap, n_main, index, len(entries) // 3))
+                own.extend(floats)
+                flat.extend(entries)
+                if bids.setdefault((k, period), floats[0]) != floats[0]:
+                    raise ParseError(line_no, f"inconsistent own_bid within listing {lid!r} period {period}")
+                if truth is not None and truths.get(k) not in (None, truth):
+                    raise ParseError(line_no, f"inconsistent truth_value for listing {lid!r}")
+                if truth is not None or k not in truths:
+                    truths[k] = truth
+    except ParseError as exc:
+        error = exc
+    return _tables(ids, curves, ints, own, flat, truths), error
+
+
+def _tables(ids: dict[str, int], curves: list[dict], ints, own, flat, truths: dict[int, float | None]):
+    """One table per listing, ordered by listing id, each with the line of each row.
+
+    Row ``j`` of the gathered columns is the ``j``-th record of the file:
+    ``ints`` holds its line, listing index, period, mainline cap and count,
+    curve index and competitor count, ``own`` its own bid, score and quality
+    and both reserves, and ``flat`` its competitors' score, quality and bid.
+    A listing's rows are ordered by period, a period's auctions in file order.
+    """
+    ints = np.asarray(ints, dtype=np.int64).reshape(-1, 7)
+    names = sorted(ids)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[[ids[lid] for lid in names]] = np.arange(len(names))
+    count = ints[:, 6]
+    starts = np.cumsum(count) - count  # each record's first competitor entry
+    order = np.lexsort((ints[:, 2], rank[ints[:, 1]]))  # by listing id, then period; stable within a period
+    # gathered column by column: each is contiguous, and no reordered copy of the whole block is made
+    line, listing, period, cap, n_main, curve, count = (column[order] for column in ints.T)
+    own = [column[order] for column in np.asarray(own, dtype=np.float64).reshape(-1, 5).T]
+    offsets = np.r_[0, np.cumsum(count)]
+    entries = np.repeat(starts[order] - offsets[:-1], count) + np.arange(offsets[-1])
+    score, quality, bid = (column[entries] for column in np.asarray(flat, dtype=np.float64).reshape(-1, 3).T)
+    bounds = np.searchsorted(rank[listing], np.arange(len(names) + 1)).tolist()
+    tables = []
+    for lid, lo, hi in zip(names, bounds, bounds[1:]):
+        a, b = offsets[lo], offsets[hi]
+        table = ListingHistory(  # the columns in field order
+            lid, period[lo:hi], *(column[lo:hi] for column in own), cap[lo:hi], n_main[lo:hi], curve[lo:hi],
+            tuple(curves[ids[lid]]), offsets[lo:hi + 1] - a, score[a:b], quality[a:b], bid[a:b],
+            log_ahead(lid, offsets[lo:hi + 1] - a), truths.get(ids[lid]),
+        )
+        tables.append((table, line[lo:hi]))
+    return tables
 
 
 class _EntryTexts(dict):
@@ -561,8 +690,17 @@ def export(
     ``account_summary.json``, ``histogram_delta.csv`` and
     ``scatter_v_delta.csv``; returns the written paths. ``config`` gives the
     ``delta*`` histogram's bucket width and the scatter's learning threshold.
-    Re-running on the same inputs reproduces the files byte for byte.
+    Re-running on the same inputs reproduces the files byte for byte. An
+    ``out_dir`` that holds a boundary CSV of a listing not in ``artifacts``
+    raises :class:`FileExistsError` naming it, before anything is written, so
+    the boundary files name the run's listings.
     """
+    boundaries = {f"nr_boundary_{lid}.csv" for lid in artifacts}
+    if os.path.isdir(out_dir):
+        for name in sorted(os.listdir(out_dir)):
+            if name.startswith("nr_boundary_") and name.endswith(".csv") and name not in boundaries:
+                raise FileExistsError(f"{os.path.join(out_dir, name)} is the boundary of a listing this run does not "
+                                      "export; remove it or choose another output directory")
     os.makedirs(out_dir, exist_ok=True)
     written = [
         _write_csv(os.path.join(out_dir, f"nr_boundary_{lid}.csv"), ["v", "epsilon"],

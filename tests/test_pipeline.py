@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import os
@@ -7,10 +8,12 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import fields, replace
+from functools import cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gspinfer import pipeline
@@ -280,6 +283,41 @@ def fuzzed_records(draw):
     return rec
 
 
+def ingest_outcome(path):
+    """``ingest``'s tables, or the line and message of its ParseError."""
+    try:
+        return ingest(path)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+def typed(table):
+    """A table's position curves and truth with the type of each number, which table equality does not compare."""
+    return [[(type(x), repr(x)) for x in c] for c in table.curves], (type(table.truth), repr(table.truth))
+
+
+def assert_column_pass_matches_walk(path):
+    """``ingest`` (the column pass, then the walk on a fault) against the per-record walk alone.
+
+    Both give equal tables, curves and truth compared by value and type, or the same line and message; and
+    the column pass alone reads every log whose records the walk finds well-formed, to the walk's tables.
+    """
+    walk = inspect.unwrap(pipeline._walk)
+    with mock.patch.object(pipeline, "_columns", lambda path: None), mock.patch.object(pipeline, "_walk", walk):
+        expected = ingest_outcome(path)
+    got = ingest_outcome(path)
+    assert got == expected
+    if isinstance(got, list):
+        assert [typed(t) for t in got] == [typed(t) for t in expected]
+    tables, error = walk(path)
+    if error is None:
+        columns = pipeline._columns(path)
+        assert columns is not None
+        assert [t for t, _ in columns] == [t for t, _ in tables]
+        assert [typed(t) for t, _ in columns] == [typed(t) for t, _ in tables]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(columns, tables))
+
+
 class TestIngestFuzz:
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(records=st.lists(fuzzed_records() | JSON_VALUES, min_size=1, max_size=3))
@@ -293,6 +331,77 @@ class TestIngestFuzz:
                 assert exc.line >= 1
             else:
                 assert isinstance(histories, list)
+            assert_column_pass_matches_walk(path)
+
+
+@cache
+def base_log() -> tuple[str, ...]:
+    """A valid 12-line log: two listings, three periods of two auctions, three competitors an auction."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "log.jsonl")
+        write_histories(tiny_market_histories(seed=11, periods=3), path)
+        with open(path, encoding="utf-8") as fh:
+            return tuple(fh)
+
+
+DROP, BAD_JSON, EXTRA_DATA, OVERFLOW = object(), object(), object(), "1e400"  # json.dumps writes inf as Infinity
+# every place a base record holds a value (a field, a competitor's field, a position-curve element) and two it may not
+PLACES = [(f,) for f in RECORD_FIELDS] + [
+    ("competitors", k, f) for k in range(3) for f in ("score", "quality", "bid")] + [
+    ("position_curve", 0), ("position_curve", 1), ("surprise",), ("competitors", 1, "surprise")]
+# bools, integers and strings for a float; numbers beyond int64 and float64; a nested list; range faults
+ODD_VALUES = [True, False, 0, 1, 2, "0.4", 1.5, None, 2**63, -(2**63) - 1, 10**400, OVERFLOW, [0.6], [], -0.2, 1e-7,
+              2000.0, DROP, BAD_JSON, EXTRA_DATA]
+
+
+def mutated_log(order, mutations) -> str:
+    """The base log's lines in ``order``, each ``(line, place, value)`` set on the record at that line."""
+    records = [json.loads(line) for line in base_log()]
+    lines = [None] * len(records)
+    for i, (*path, key), value in mutations:
+        if value is BAD_JSON or value is EXTRA_DATA:
+            lines[i] = '{"listing_id": "L000", "period":\n' if value is BAD_JSON else base_log()[i].strip() + " {}\n"
+            continue
+        container = records[i]
+        try:
+            for step in path:
+                container = container[step]
+            if value is DROP:
+                del container[key]
+            else:
+                container[key] = value
+        except (LookupError, TypeError):  # an earlier mutation removed or replaced the place
+            pass
+    return "".join(lines[i] or json.dumps(records[i]).replace(f'"{OVERFLOW}"', OVERFLOW) + "\n" for i in order)
+
+
+class TestColumnPass:
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(order=st.permutations(range(12)),
+           mutations=st.lists(st.tuples(st.integers(0, 11), st.sampled_from(PLACES), st.sampled_from(ODD_VALUES)),
+                              max_size=3))
+    # [1.0, 0.5] on line 1, then [True, 0.5], equal and hashed alike as curve keys: a bool for a float
+    @example(order=range(12), mutations=[(1, ("position_curve", 0), True)])
+    # [1, 0.5] on line 1, then [1.0, 0.5]: one float curve
+    @example(order=range(12), mutations=[(0, ("position_curve", 0), 1)])
+    # an out-of-range bid on line 3 beats the parse error on line 6
+    @example(order=range(12), mutations=[(2, ("own_bid",), -0.2), (5, ("period",), "x")])
+    # a list in a curve, which cannot be a key
+    @example(order=range(12), mutations=[(4, ("position_curve", 1), [0.6])])
+    # 2**63 is a truth but no period; past float64, an integer that does not convert and a literal that is inf
+    @example(order=range(12), mutations=[(3, ("truth_value",), 2**63), (7, ("period",), 2**63)])
+    @example(order=range(12), mutations=[(3, ("competitors", 1, "bid"), 10**400)])
+    @example(order=range(12), mutations=[(3, ("competitors", 1, "bid"), OVERFLOW)])
+    @example(order=range(12), mutations=[(3, ("own_quality",), OVERFLOW)])
+    # a second value on a line, and a competitor with a fourth field
+    @example(order=range(12), mutations=[(3, ("period",), EXTRA_DATA)])
+    @example(order=range(12), mutations=[(3, ("competitors", 1, "surprise"), 0.5)])
+    def test_mutated_log_matches_the_walk(self, order, mutations):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "log.jsonl")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(mutated_log(order, mutations))
+            assert_column_pass_matches_walk(path)
 
 
 class TestMicroFixturePipeline:
@@ -1086,6 +1195,10 @@ class TestCli:
         # at or below the fixed market's boundary height at v = 0, the true region has no cap to meet
         "rate_eps_cap = 0.045": "rate_eps_cap must be finite and exceed 0.045",
         "rate_eps_cap = 1e-12": "rate_eps_cap must be finite and exceed 0.045",
+        # above it, but below the height one sample's draws gave: it exited 1 mid-study naming no key
+        "rate_eps_cap = 0.0451\nrate_sample_sizes = [200, 400, 800]": (
+            "rate_eps_cap must exceed the boundary height at v = 0, 0.0567028 (got 0.0451), "
+            "in replication 1 of sample size 200"),
         "rate_sample_sizes = [1000, 2000]": "rate_sample_sizes",
         "direction_count = 2": "direction_count",
     }
@@ -1285,6 +1398,32 @@ class TestCli:
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert len(errors) == 1
         assert message in errors[0]
+
+    @pytest.mark.parametrize("command", ["infer", "export"])
+    def test_out_holding_another_listings_boundary_is_refused(self, tmp_path, capsys, command):
+        # each used to write beside the first run's nr_boundary_L001.csv, so the boundary files in the
+        # directory no longer named the run's listings
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        out = tmp_path / "out"
+        assert main(["infer", str(log), "--grid-step", "0.1", "--out", str(out)]) == 0
+        renamed = tmp_path / "renamed.jsonl"
+        renamed.write_text(log.read_text().replace('"L001"', '"Z001"'))
+        args = ["infer", str(renamed), "--grid-step", "0.1", "--out", str(out)]
+        if command == "export":
+            assert main([*args[:-1], str(tmp_path / "other")]) == 0
+            args = ["export", str(tmp_path / "other" / "artifacts.json"), "--out", str(out)]
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"errors": [
+            f"{out / 'nr_boundary_L001.csv'} is the boundary of a listing this run does not export; "
+            "remove it or choose another output directory"]}
+        assert captured.out == "" and {path.name: path.read_bytes() for path in out.iterdir()} == before
+        # the same listings may be written again
+        assert main(["infer", str(log), "--grid-step", "0.1", "--out", str(out)]) == 0
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     def test_subcommands_take_only_the_flags_they_read(self, capsys):
         with pytest.raises(SystemExit):
