@@ -9,7 +9,7 @@ import importlib
 __version__ = "0.1.0"
 
 #: The modules whose public classes and functions ``gspinfer`` re-exports, searched in this order.
-_MODULES = ("auction", "inference", "pipeline", "simulate", "geometry")
+_MODULES = ("auction", "auctionlog", "inference", "pipeline", "simulate", "geometry")
 
 
 def __getattr__(name: str):

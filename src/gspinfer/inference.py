@@ -126,22 +126,30 @@ def build_deviation_curve(history: ListingHistory, grid: Sequence[float]) -> Dev
     swept once at each auction's realized bid followed by the grid.
     """
     grid = [float(b) for b in grid]
-    bounds = history.period_bounds().tolist()
-    step = max(1, BLOCK_CELLS // (len(grid) * max(b - a for a, b in zip(bounds, bounds[1:]))))
+    bounds = history.period_bounds()
+    sizes = np.diff(bounds)
+    step = max(1, BLOCK_CELLS // (len(grid) * int(sizes.max())))
     sums = np.zeros((2, 1 + len(grid)))  # click probability, payment; column 0 is the realized bid
-    for first in range(0, len(bounds) - 1, step):
-        last = min(first + step, len(bounds) - 1)
+    for first in range(0, len(sizes), step):
+        last = min(first + step, len(sizes))
         block = history.rows(bounds[first], bounds[last])
         bids = np.column_stack((block.own_bid, np.broadcast_to(grid, (len(block), len(grid)))))
         cells = DeviationSweep(block, history.listing_id).evaluate_many(bids)
-        for start, end in zip(bounds[first:last], bounds[first + 1:last + 1]):
-            rows = slice(start - bounds[first], end - bounds[first])
-            for k in (0, 1):
-                # axis-0 sums add in sample order, keeping the curve bit-identical to a scalar replay
-                mean = np.add.reduce(cells[k][rows], axis=0) / (end - start)
-                sums[k, 0] += mean[0]
-                sums[k, 1:] += mean[1:] - mean[0]
-    sums /= len(bounds) - 1
+        # sums over a non-inner axis add in sample order, keeping the curve bit-identical to a scalar replay
+        n = int(sizes[first])
+        if (sizes[first:last] == n).all():  # every period's mean at once, its auctions added in order
+            means = [np.add.reduce(c.reshape(last - first, n, -1), axis=1) / n for c in cells]
+        else:  # periods of uneven size: one mean at a time
+            starts = bounds[first:last + 1] - bounds[first]
+            means = [[np.add.reduce(c[a:b], axis=0) / (b - a) for a, b in zip(starts, starts[1:])] for c in cells]
+        for k, mean in enumerate(means):
+            # the running sum, then each period's realized mean and deviations, added in period order
+            rows = np.empty((1 + last - first, 1 + len(grid)))
+            rows[0] = sums[k]
+            rows[1:] = mean
+            rows[1:, 1:] -= rows[1:, :1]
+            sums[k] = np.add.reduce(rows, axis=0)
+    sums /= len(sizes)
     return DeviationCurve(grid, sums[0, 1:].tolist(), sums[1, 1:].tolist(), sums[0, 0], sums[1, 0])
 
 

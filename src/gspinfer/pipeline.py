@@ -1,25 +1,8 @@
-"""Auction-log ingestion, per-account inference, and plot-ready exports.
+"""Per-account inference and plot-ready exports.
 
-The log format is JSONL with one record per (listing, period, auction draw):
-
-    {"listing_id": "L000", "period": 1, "own_bid": 0.4,
-     "competitors": [{"score": 1.1, "bid": 0.3, "quality": 0.5}, ...],
-     "rank_reserve": 0.05, "mainline_reserve": 0.1, "mainline_cap": 2,
-     "position_curve": [1.0, 0.6, 0.35, 0.2]}
-
-Optional per-record fields: ``own_score``/``own_quality`` (default 1.0),
-``truth_value`` (ground truth on synthetic logs), ``mainline_count``
-(default ``min(mainline_cap, len(position_curve))``). Strings, booleans and
-non-finite numbers where a number belongs, scores below
-:data:`~gspinfer.auction.MIN_SCORE` and scores, bids or reserves above
-:data:`~gspinfer.auction.MAX_MAGNITUDE` are rejected with the line number.
-Synthetic and real data flow through the same reader into one
-:class:`~gspinfer.auction.ListingHistory` table per listing.
-
-The reader checks each record's shape as its line is decoded and each
-column of numbers once, with C-level operations, and formats no message;
-only when a check fails does it walk the records one by one, and the walk
-names the fault.
+Logs are read into :class:`~gspinfer.auction.ListingHistory` tables and
+written back by :mod:`gspinfer.auctionlog`; :func:`ingest`,
+:func:`write_histories` and :class:`ParseError` are also found here.
 """
 
 from __future__ import annotations
@@ -28,16 +11,13 @@ import csv
 import json
 import math
 import os
-import struct
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
-from itertools import chain
-from operator import itemgetter
 from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
 
-import numpy as np
-
-from .auction import MAX_MAGNITUDE, ListingHistory, log_ahead
+from .auction import MAX_MAGNITUDE, ListingHistory
+from .auctionlog import ParseError, _check_id, _value, ingest, write_histories  # noqa: F401 - read from here too
 from .inference import (
     DEFAULT_PRECISION,
     DeviationCurve,
@@ -52,28 +32,10 @@ from .inference import (
 if TYPE_CHECKING:
     from .geometry import RateStudyResult
 
-REQUIRED_FIELDS = {
-    "listing_id", "period", "own_bid", "competitors",
-    "rank_reserve", "mainline_reserve", "mainline_cap", "position_curve",
-}
-OPTIONAL_FIELDS = {"own_score", "own_quality", "truth_value", "mainline_count"}
-COMPETITOR_FIELDS = {"score", "bid", "quality"}
-
-
 #: Most deviation-grid points a config may ask for: a 1e-5 step on [0, bid_max].
 MAX_GRID_POINTS = 100_001
 #: Narrowest histogram bucket a config may ask for: 10 000 buckets on [0, 1).
 MIN_BUCKET_WIDTH = 1e-4
-#: Longest listing id in UTF-8 bytes: ``nr_boundary_<id>.csv`` must fit a 255-byte file name.
-MAX_ID_BYTES = 255 - len("nr_boundary_.csv")
-
-
-class ParseError(ValueError):
-    """A malformed log record or bundle; carries the line number when there is one."""
-
-    def __init__(self, line: int | None, message: str):
-        super().__init__(message if line is None else f"line {line}: {message}")
-        self.line = line
 
 
 def default_bid_grid(bid_max: float, step_fraction: float = 0.01) -> tuple[float, ...]:
@@ -153,322 +115,6 @@ class AccountSummary:
 
     listing_count: int
     errors: tuple[tuple[str, str], ...] = ()
-
-
-# ---------------------------------------------------------------------------
-# Ingestion / serialization
-# ---------------------------------------------------------------------------
-
-
-_INT64 = 2**63
-
-
-def _checked(x, kind: type, line: int, field: str):
-    """``x`` if it is a log value of ``kind`` (the bundle codec's :func:`_value`), else a ParseError naming ``field``."""
-    try:
-        _value(x, kind)
-    except (ValueError, OverflowError) as exc:
-        raise ParseError(line, f"{field}: {exc}") from exc
-    if kind is int and not -_INT64 <= x < _INT64:
-        raise ParseError(line, f"{field}: {x} does not fit in 64 bits")
-    return x
-
-
-def _floats(xs: list, line: int, fields) -> list[float]:
-    """``xs`` as floats if each is a log number, else a ParseError naming its field (``fields``, in order)."""
-    return [float(_checked(x, float, line, field)) for x, field in zip(xs, fields)]
-
-
-def _check_id(listing_id, line: int | None) -> str:
-    """``listing_id`` if it is a non-empty string that can name ``nr_boundary_<id>.csv``, else a ParseError."""
-    if not isinstance(listing_id, str) or not listing_id:
-        raise ParseError(line, "listing_id must be a non-empty string")
-    try:
-        size = len(listing_id.encode("utf-8"))
-    except UnicodeEncodeError:  # a lone surrogate, from a JSON escape
-        size = None
-    if size is None or size > MAX_ID_BYTES or "/" in listing_id or "\0" in listing_id:
-        raise ParseError(line, f"listing_id must name a file: no '/', NUL or lone surrogate, at most {MAX_ID_BYTES} UTF-8 bytes")
-    return listing_id
-
-
-def _parse_record(obj, line: int):
-    """One record's listing id, period, mainline cap and count, truth, position curve, own numbers and competitors."""
-    if not isinstance(obj, dict):
-        raise ParseError(line, "record must be a JSON object")
-    unknown = obj.keys() - REQUIRED_FIELDS - OPTIONAL_FIELDS
-    if unknown:
-        raise ParseError(line, f"unknown fields {sorted(unknown)}")
-    missing = REQUIRED_FIELDS - obj.keys()
-    if missing:
-        raise ParseError(line, f"missing fields {sorted(missing)}")
-    listing_id = _check_id(obj["listing_id"], line)
-    period = _checked(obj["period"], int, line, "period")
-    own_fields = ("own_bid", "own_score", "own_quality", "rank_reserve", "mainline_reserve")
-    own = _floats([obj.get(f, 1.0) for f in own_fields], line, own_fields)
-    competitors = obj["competitors"]
-    if not isinstance(competitors, list):
-        raise ParseError(line, "competitors must be a list")
-    for k, comp in enumerate(competitors):
-        if not isinstance(comp, dict) or comp.keys() != COMPETITOR_FIELDS:
-            raise ParseError(line, f"competitor {k} must have exactly fields {sorted(COMPETITOR_FIELDS)}")
-    flat = _floats([c[f] for c in competitors for f in ("score", "quality", "bid")], line,
-                   (f"competitor {k} {f}" for k in range(len(competitors)) for f in ("score", "quality", "bid")))
-    curve = obj["position_curve"]
-    if not isinstance(curve, list) or not curve:
-        raise ParseError(line, "position_curve must be a non-empty list")
-    curve = tuple(_floats(curve, line, ["position_curve"] * len(curve)))
-    cap = _checked(obj["mainline_cap"], int, line, "mainline_cap")
-    n_main = obj.get("mainline_count")
-    if n_main is None:
-        n_main = min(cap, len(curve))
-    elif not 0 <= _checked(n_main, int, line, "mainline_count") <= len(curve):
-        raise ParseError(line, "mainline_count must be an integer in [0, len(position_curve)]")
-    truth = obj.get("truth_value")
-    if truth is not None:
-        truth = float(_checked(truth, float, line, "truth_value"))
-    return listing_id, period, cap, n_main, truth, curve, own, flat
-
-
-def _non_finite(token: str):
-    raise ValueError(f"non-finite number {token}")
-
-
-_DECODER = json.JSONDecoder(parse_constant=_non_finite)
-
-
-def ingest(path: str) -> list[ListingHistory]:
-    """Read an auction log into one table per listing, ordered by listing id.
-
-    The log is read column by column (:func:`_columns`): each record's shape
-    is checked as its line is decoded, and each column's types, int64 or
-    float64 range and finiteness once the file is read, with one own bid per
-    period and one truth per listing. Only when one of these fails is the
-    log read again record by record (:func:`_walk`), which names the fault.
-    The range, contiguous-period and truth checks run on the tables of
-    either pass.
-
-    Raises :class:`ParseError` with the offending line number for undecodable
-    lines, schema violations, out-of-range numbers (the first bad line before
-    any other error), inconsistent per-period data, or non-contiguous periods.
-    """
-    tables, error = _columns(path), None
-    if tables is None:
-        tables, error = _walk(path)
-    faults = []
-    for table, lines in tables:
-        rows = np.flatnonzero(table.invalid_rows())
-        if len(rows):
-            row = rows[np.argmin(lines[rows])]
-            faults.append((int(lines[row]), table.row_error(row)))
-    if faults:  # an out-of-range number on a line before the error, if any
-        raise ParseError(*min(faults))
-    if error:
-        raise error
-    for table, lines in tables:
-        lid, first_line = table.listing_id, int(lines.min())
-        steps = np.diff(table.period)  # rows are ordered by period
-        gaps = np.flatnonzero((steps != 0) & (steps != 1))
-        if len(gaps):
-            a, b = table.period[gaps[0]:gaps[0] + 2].tolist()
-            raise ParseError(first_line, f"listing {lid!r} has non-contiguous periods ({a} then {b})")
-        if (table.truth or 0.0) < 0:
-            raise ParseError(first_line, f"listing {lid!r}: truth value must be non-negative")
-    return [table for table, _ in tables]
-
-
-_FIELDS = REQUIRED_FIELDS | OPTIONAL_FIELDS
-_RECORD = itemgetter(
-    "listing_id", "period", "own_bid", "rank_reserve", "mainline_reserve", "mainline_cap",
-    "competitors", "position_curve",
-)
-_ENTRY = itemgetter("score", "quality", "bid")
-_SCAN = _DECODER.scan_once  # (value, end) of the JSON value at an index; StopIteration if there is none
-
-
-def _columns(path: str) -> list[tuple[ListingHistory, np.ndarray]] | None:
-    """:func:`_tables` of a well-formed log, or None, with no message, if any record is malformed.
-
-    Each line is decoded and its record's shape checked with C-level
-    operations: a JSON object with the required fields and no unknown one,
-    list-typed ``competitors``, each an object of exactly ``score``,
-    ``quality`` and ``bid``, and a non-empty ``position_curve`` list. Its
-    values are gathered raw into columns. Then each column is checked once:
-    element types (``int`` for the integer columns, ``int`` or ``float``,
-    so never a ``bool``, for the rest), integers within int64, numbers within
-    float64 and finite, one own bid per period and one truth per listing.
-    """
-    ids: dict[str, int] = {}  # listing id -> index, in order of first appearance
-    curves: list[dict[tuple[float, ...], int]] = []  # per listing, its distinct position curves
-    ints, own, flat, values, truth_rows, truth_values = [], [], [], [], [], []
-    try:
-        with open(path, "rb") as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                text = raw.decode("utf-8").strip()
-                if not text:
-                    continue
-                obj, end = _SCAN(text, 0)  # the walk's decode without its wrapper: any failure is a fault
-                if end != len(text) or type(obj) is not dict or not REQUIRED_FIELDS <= obj.keys() <= _FIELDS:
-                    return None
-                lid, period, bid, r, m, cap, comps, curve = _RECORD(obj)
-                k = ids.get(lid)  # an unhashable id raises TypeError
-                if k is None:
-                    k = ids[_check_id(lid, line_no)] = len(curves)
-                    curves.append({})
-                # every entry has the three fields, so their lengths sum to three per entry only if none has more
-                if type(comps) is not list or sum(map(len, comps)) != 3 * len(comps):
-                    return None
-                flat.extend(chain.from_iterable(map(_ENTRY, comps)))
-                if type(curve) is not list or not curve:
-                    return None
-                values.extend(curve)  # typed raw, not through the curve keys: True == 1.0 and hashes alike
-                n_main = obj.get("mainline_count")
-                if n_main is None:
-                    n_main = min(cap, len(curve))
-                elif not 0 <= n_main <= len(curve):
-                    return None
-                truth = obj.get("truth_value")
-                if truth is not None:
-                    truth_rows.append(k)
-                    truth_values.append(truth)
-                interned = curves[k]
-                index = interned.setdefault(tuple(map(float, curve)), len(interned))
-                ints.extend((line_no, k, period, cap, n_main, index, len(comps)))
-                own.extend((bid, obj.get("own_score", 1.0), obj.get("own_quality", 1.0), r, m))
-        if not set(map(type, ints)) <= {int}:
-            return None
-        if not set(map(type, chain(own, flat, values, truth_values))) <= {int, float}:
-            return None
-        ints = np.array(ints, dtype=np.int64)
-        own, flat, truth_values = (np.array(x, dtype=np.float64) for x in (own, flat, truth_values))
-    except (ValueError, TypeError, KeyError, OverflowError, StopIteration, RecursionError):
-        return None
-    if not (np.isfinite(own).all() and np.isfinite(flat).all() and np.isfinite(truth_values).all()
-            and all(map(math.isfinite, chain.from_iterable(chain.from_iterable(curves))))):
-        return None
-    order = np.argsort(truth_rows, kind="stable")
-    listing, truth = np.array(truth_rows, dtype=np.int64)[order], truth_values[order]
-    first = np.diff(listing, prepend=-1) != 0  # each listing's first truth in file order
-    if not (first[1:] | (truth[1:] == truth[:-1])).all():
-        return None
-    tables = _tables(ids, curves, ints, own, flat, dict(zip(listing[first].tolist(), truth[first].tolist())))
-    for table, _ in tables:
-        period, bid = table.period, table.own_bid
-        if not ((period[1:] != period[:-1]) | (bid[1:] == bid[:-1])).all():
-            return None
-    return tables
-
-
-def _walk(path: str) -> tuple[list[tuple[ListingHistory, np.ndarray]], ParseError | None]:
-    """:func:`_tables` of the records before the first malformed one, each checked on its own, and its ParseError.
-
-    The error is None when every record is well-formed.
-    """
-    ids: dict[str, int] = {}
-    curves: list[dict[tuple[float, ...], int]] = []
-    ints, own, flat = [], [], []
-    bids: dict[tuple[int, int], float] = {}
-    truths: dict[int, float | None] = {}
-    error = None
-    try:
-        with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 gets its line number
-            for line_no, raw in enumerate(fh, start=1):
-                try:  # bad UTF-8 or JSON, a non-finite constant, an over-long integer, deep nesting
-                    text = raw.decode("utf-8").strip()
-                    if not text:
-                        continue
-                    obj = _DECODER.decode(text)
-                except (ValueError, RecursionError) as exc:
-                    raise ParseError(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-                lid, period, cap, n_main, truth, curve, floats, entries = _parse_record(obj, line_no)
-                k = ids.setdefault(lid, len(curves))
-                if k == len(curves):
-                    curves.append({})
-                index = curves[k].setdefault(curve, len(curves[k]))
-                ints.extend((line_no, k, period, cap, n_main, index, len(entries) // 3))
-                own.extend(floats)
-                flat.extend(entries)
-                if bids.setdefault((k, period), floats[0]) != floats[0]:
-                    raise ParseError(line_no, f"inconsistent own_bid within listing {lid!r} period {period}")
-                if truth is not None and truths.get(k) not in (None, truth):
-                    raise ParseError(line_no, f"inconsistent truth_value for listing {lid!r}")
-                if truth is not None or k not in truths:
-                    truths[k] = truth
-    except ParseError as exc:
-        error = exc
-    return _tables(ids, curves, ints, own, flat, truths), error
-
-
-def _tables(ids: dict[str, int], curves: list[dict], ints, own, flat, truths: dict[int, float | None]):
-    """One table per listing, ordered by listing id, each with the line of each row.
-
-    Row ``j`` of the gathered columns is the ``j``-th record of the file:
-    ``ints`` holds its line, listing index, period, mainline cap and count,
-    curve index and competitor count, ``own`` its own bid, score and quality
-    and both reserves, and ``flat`` its competitors' score, quality and bid.
-    A listing's rows are ordered by period, a period's auctions in file order.
-    """
-    ints = np.asarray(ints, dtype=np.int64).reshape(-1, 7)
-    names = sorted(ids)
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[[ids[lid] for lid in names]] = np.arange(len(names))
-    count = ints[:, 6]
-    starts = np.cumsum(count) - count  # each record's first competitor entry
-    order = np.lexsort((ints[:, 2], rank[ints[:, 1]]))  # by listing id, then period; stable within a period
-    # gathered column by column: each is contiguous, and no reordered copy of the whole block is made
-    line, listing, period, cap, n_main, curve, count = (column[order] for column in ints.T)
-    own = [column[order] for column in np.asarray(own, dtype=np.float64).reshape(-1, 5).T]
-    offsets = np.r_[0, np.cumsum(count)]
-    entries = np.repeat(starts[order] - offsets[:-1], count) + np.arange(offsets[-1])
-    score, quality, bid = (column[entries] for column in np.asarray(flat, dtype=np.float64).reshape(-1, 3).T)
-    bounds = np.searchsorted(rank[listing], np.arange(len(names) + 1)).tolist()
-    tables = []
-    for lid, lo, hi in zip(names, bounds, bounds[1:]):
-        a, b = offsets[lo], offsets[hi]
-        table = ListingHistory(  # the columns in field order
-            lid, period[lo:hi], *(column[lo:hi] for column in own), cap[lo:hi], n_main[lo:hi], curve[lo:hi],
-            tuple(curves[ids[lid]]), offsets[lo:hi + 1] - a, score[a:b], quality[a:b], bid[a:b],
-            log_ahead(lid, offsets[lo:hi + 1] - a), truths.get(ids[lid]),
-        )
-        tables.append((table, line[lo:hi]))
-    return tables
-
-
-class _EntryTexts(dict):
-    """A competitor entry's log text by its (score, bid, quality) float64 bytes, formatted on first lookup."""
-
-    def __missing__(self, key: bytes) -> str:
-        # numpy's "S24" drops trailing zero bytes; the width restores them
-        text = self[key] = '{"score":%r,"bid":%r,"quality":%r}' % struct.unpack("=3d", key.ljust(24, b"\0"))
-        return text
-
-
-def write_histories(histories: Sequence[ListingHistory], path: str) -> None:
-    """Serialize histories to the JSONL auction-log format (round-trip exact).
-
-    Lines are formatted from the columns as ``json.dumps(record, separators=(",", ":"))`` writes them;
-    each distinct competitor entry is formatted once per call.
-    """
-    entries = _EntryTexts()
-    with open(path, "w", encoding="utf-8") as fh:
-        for h in histories:
-            # an entry's key is its 24 bytes, so -0.0 and 0.0 stay apart
-            keys = np.stack((h.score, h.bid, h.quality), axis=1).view("S24").ravel().tolist()
-            competitors = [entries[k] for k in keys]
-            curves = [json.dumps(list(c), separators=(",", ":")) for c in h.curves]
-            lid, offsets = json.dumps(h.listing_id), h.offsets.tolist()
-            truth = "" if h.truth is None else ',"truth_value":' + json.dumps(h.truth)
-            rows = zip(offsets, offsets[1:], h.period.tolist(), h.own_bid.tolist(), h.rank_reserve.tolist(),
-                       h.mainline_reserve.tolist(), h.mainline_cap.tolist(), h.curve.tolist(),
-                       h.mainline_count.tolist(), h.own_score.tolist(), h.own_quality.tolist())
-            fh.write("".join(
-                '{"listing_id":%s,"period":%r,"own_bid":%r,"competitors":[%s],"rank_reserve":%r,'
-                '"mainline_reserve":%r,"mainline_cap":%r,"position_curve":%s,"mainline_count":%r%s%s%s}\n' % (
-                    lid, period, own_bid, ",".join(competitors[lo:hi]), r, m, cap, curves[curve], n_main,
-                    "" if own_score == 1.0 else ',"own_score":%r' % own_score,
-                    "" if own_quality == 1.0 else ',"own_quality":%r' % own_quality, truth)
-                for lo, hi, period, own_bid, r, m, cap, curve, n_main, own_score, own_quality in rows
-            ))
 
 
 # ---------------------------------------------------------------------------
@@ -554,9 +200,27 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@contextmanager
+def _replacing(path: str, newline: str | None = None):
+    """A text file that becomes ``path``: written under a temporary name in its directory, then renamed to it.
+
+    If writing raises, the temporary file is removed, so no file is ever half-written under ``path``.
+    """
+    tmp = os.path.join(os.path.dirname(path), f".gspinfer-{os.getpid()}.tmp")  # short: ``path`` may fill NAME_MAX
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _json_dump(obj, path: str) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_json_text(obj))
+    text = _json_text(obj)
+    with _replacing(path) as fh:
+        fh.write(text)
     return path
 
 
@@ -590,17 +254,6 @@ def artifacts_to_json(
     for listing in bundle["listings"].values():
         listing["prediction"]["epsilon_min"] = listing["region"]["epsilon_min"]
     return bundle
-
-
-def _value(x, kind: type):
-    """``x`` if it is a bundle value of ``kind``, else ValueError.
-
-    ``float`` means a finite number, ``int`` an integer; neither accepts a bool.
-    """
-    ok = (isinstance(x, (int, float)) and math.isfinite(x)) if kind is float else isinstance(x, kind)
-    if not ok or (isinstance(x, bool) and kind is not bool):
-        raise ValueError(f"expected {kind.__name__}, got {x!r}")
-    return x
 
 
 def _decode(kind, x):
@@ -671,7 +324,7 @@ def predictions_payload(artifacts: dict[str, ListingArtifacts]) -> list[dict]:
 
 
 def _write_csv(path: str, header: list[str], rows) -> str:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -690,7 +343,9 @@ def export(
     ``account_summary.json``, ``histogram_delta.csv`` and
     ``scatter_v_delta.csv``; returns the written paths. ``config`` gives the
     ``delta*`` histogram's bucket width and the scatter's learning threshold.
-    Re-running on the same inputs reproduces the files byte for byte. An
+    Re-running on the same inputs reproduces the files byte for byte, and
+    each file is renamed into place once written, so none is ever left
+    half-written under its own name. An
     ``out_dir`` that holds a boundary CSV of a listing not in ``artifacts``
     raises :class:`FileExistsError` naming it, before anything is written, so
     the boundary files name the run's listings.

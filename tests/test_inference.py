@@ -1,12 +1,13 @@
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gspinfer.auction import AuctionParams, BidderEntry, row_to_auction
+from gspinfer.auction import BLOCK_CELLS, AuctionParams, BidderEntry, DeviationSweep, row_to_auction
 from gspinfer.cli import main
 from gspinfer.inference import (
     DEFAULT_PRECISION,
@@ -28,7 +29,7 @@ from gspinfer.inference import (
 )
 from gspinfer.pipeline import InferenceConfig, infer_account, ingest
 
-from test_auction import auctions_to_table
+from test_auction import auctions_to_table, random_params
 
 
 @dataclass(frozen=True)
@@ -567,7 +568,62 @@ class TestConvexity:
                 assert feasible(RationalizablePoint(v, e), curve)
 
 
+def build_deviation_curve_per_period(history, grid) -> DeviationCurve:
+    """``build_deviation_curve`` with each period's means taken and added to the running sums on their own.
+
+    The oracle for its block reductions: every sum adds in the same order, so the two agree bit for bit.
+    """
+    grid = [float(b) for b in grid]
+    bounds = history.period_bounds().tolist()
+    step = max(1, BLOCK_CELLS // (len(grid) * max(b - a for a, b in zip(bounds, bounds[1:]))))
+    sums = np.zeros((2, 1 + len(grid)))  # click probability, payment; column 0 is the realized bid
+    for first in range(0, len(bounds) - 1, step):
+        last = min(first + step, len(bounds) - 1)
+        block = history.rows(bounds[first], bounds[last])
+        bids = np.column_stack((block.own_bid, np.broadcast_to(grid, (len(block), len(grid)))))
+        cells = DeviationSweep(block, history.listing_id).evaluate_many(bids)
+        for start, end in zip(bounds[first:last], bounds[first + 1:last + 1]):
+            rows = slice(start - bounds[first], end - bounds[first])
+            for k in (0, 1):
+                mean = np.add.reduce(cells[k][rows], axis=0) / (end - start)
+                sums[k, 0] += mean[0]
+                sums[k, 1:] += mean[1:] - mean[0]
+    sums /= len(bounds) - 1
+    return DeviationCurve(grid, sums[0, 1:].tolist(), sums[1, 1:].tolist(), sums[0, 0], sums[1, 0])
+
+
+def curve_bits(curve: DeviationCurve) -> tuple[bytes, ...]:
+    """A curve's numbers as float64 bytes, so that ``-0.0`` and ``0.0`` differ."""
+    return tuple(np.asarray(x, dtype=np.float64).tobytes()
+                 for x in (curve.grid, curve.delta_p, curve.delta_c, curve.baseline_p, curve.baseline_c))
+
+
+@st.composite
+def uneven_periods(draw):
+    """A history of 1 to 40 periods of 1 to 12 random auctions each, of uneven or equal sizes, and 1 to 80 grid bids."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    periods = draw(st.integers(1, 40))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=periods, max_size=periods)
+                 | st.integers(1, 12).map(lambda n: [n] * periods))
+    auctions, periods = [], []
+    for t, n in enumerate(sizes, start=1):
+        bid = rng.randint(0, 20) / 10.0  # the player b0's, one per period
+        for _ in range(n):
+            params = random_params(rng)
+            auctions.append(replace(params, entries=(replace(params.entries[0], bid=bid), *params.entries[1:])))
+            periods.append(t)
+    grid = sorted({rng.randint(0, 300) / 100.0 for _ in range(draw(st.integers(1, 80)))})
+    return auctions_to_table(auctions, "b0", periods=periods), grid
+
+
 class TestBuildDeviationCurve:
+    @settings(max_examples=150, deadline=None)
+    @given(case=uneven_periods())
+    def test_blocks_match_the_per_period_loop(self, case):
+        history, grid = case
+        assert curve_bits(build_deviation_curve(history, grid)) == curve_bits(
+            build_deviation_curve_per_period(history, grid))
+
     def params_with_player(self, own_bid):
         return AuctionParams(
             entries=(
