@@ -371,8 +371,6 @@ def _tables(ids: dict[str, int], curves: list[dict], numbers: _Numbers, truths: 
     rank[[ids[lid] for lid in names]] = np.arange(len(names))
     period, listing = numbers.column(2), rank[numbers.column(1)]
     order = np.lexsort((period, listing))  # by listing id, then period; stable within a period
-    if (order[1:] > order[:-1]).all():  # a log already in table order is gathered as views
-        order = slice(None)
     period, listing = period[order], listing[order]
     count = numbers.column(6)
     shift = (np.cumsum(count) - count)[order]  # each row's first competitor entry in the file
@@ -400,8 +398,6 @@ def _gather(source: np.ndarray, shift: np.ndarray, count: np.ndarray, offsets: n
 
     Indexed a block of :data:`BLOCK_LINES` rows at a time, so no index as long as the column is made.
     """
-    if not shift.any():
-        return source
     out = np.empty_like(source)
     for lo in range(0, len(count), BLOCK_LINES):
         a, b = offsets[lo], offsets[min(lo + BLOCK_LINES, len(count))]

@@ -136,13 +136,14 @@ def build_deviation_curve(history: ListingHistory, grid: Sequence[float]) -> Dev
         bids = np.column_stack((block.own_bid, np.broadcast_to(grid, (len(block), len(grid)))))
         cells = DeviationSweep(block, history.listing_id).evaluate_many(bids)
         # sums over a non-inner axis add in sample order, keeping the curve bit-identical to a scalar replay
-        n = int(sizes[first])
-        if (sizes[first:last] == n).all():  # every period's mean at once, its auctions added in order
-            means = [np.add.reduce(c.reshape(last - first, n, -1), axis=1) / n for c in cells]
-        else:  # periods of uneven size: one mean at a time
-            starts = bounds[first:last + 1] - bounds[first]
-            means = [[np.add.reduce(c[a:b], axis=0) / (b - a) for a, b in zip(starts, starts[1:])] for c in cells]
-        for k, mean in enumerate(means):
+        # each period's auctions on one axis, padded to the block's longest period with -0.0, which adds nothing
+        size = sizes[first:last]
+        place = np.arange(len(block)) - np.repeat(bounds[first:last] - bounds[first], size)  # within its period
+        at = np.repeat(np.arange(last - first), size), place
+        for k, c in enumerate(cells):
+            periods = np.full((last - first, size.max(), c.shape[1]), -0.0)
+            periods[at] = c
+            mean = np.add.reduce(periods, axis=1) / size[:, None]  # every period's mean at once
             # the running sum, then each period's realized mean and deviations, added in period order
             rows = np.empty((1 + last - first, 1 + len(grid)))
             rows[0] = sums[k]

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
@@ -204,8 +205,17 @@ def _json_text(obj) -> str:
 def _replacing(path: str, newline: str | None = None):
     """A text file that becomes ``path``: written under a temporary name in its directory, then renamed to it.
 
-    If writing raises, the temporary file is removed, so no file is ever half-written under ``path``.
+    If writing raises, the temporary file is removed, so no file is ever half-written under ``path``. Only a
+    new name or a regular file is replaced so; anything else (a symlink, a FIFO, a device) is written through.
     """
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        return
     tmp = os.path.join(os.path.dirname(path), f".gspinfer-{os.getpid()}.tmp")  # short: ``path`` may fill NAME_MAX
     try:
         with open(tmp, "w", newline=newline, encoding="utf-8") as fh:

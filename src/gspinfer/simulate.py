@@ -72,9 +72,6 @@ class LearnerConfig:
             raise SimulationError(f"learning_rate must be non-negative and finite (got {self.learning_rate})")
 
 
-_UNDERFLOW = "learning_rate {:g} is too large: every hedge weight underflowed to 0"
-
-
 def hedge_step(weights: np.ndarray, payoffs: np.ndarray, eta: float) -> np.ndarray:
     """Exponential-weights update ``w'_k proportional to w_k * exp(eta * payoff_k)``.
 
@@ -94,7 +91,7 @@ def hedge_step(weights: np.ndarray, payoffs: np.ndarray, eta: float) -> np.ndarr
     scaled = weights * np.exp(eta * (payoffs - payoffs.max()))
     total = scaled.sum()
     if not total > 0.0:
-        raise SimulationError(_UNDERFLOW.format(eta))
+        raise SimulationError(f"learning_rate {eta:g} is too large: every hedge weight underflowed to 0")
     return scaled / total
 
 
@@ -219,13 +216,7 @@ class _LearnerState:
     def update(self, payoffs: np.ndarray) -> None:
         alg = self.spec.config.algorithm
         if alg == "hedge":
-            # hedge_step without its checks of what this state built: weights, eta and the payoffs' shape
-            payoffs = payoffs / self.scale
-            scaled = self.weights * np.exp(self.eta * (payoffs - payoffs.max()))
-            total = scaled.sum()
-            if not total > 0.0:
-                raise SimulationError(_UNDERFLOW.format(self.eta))
-            self.weights = scaled / total
+            self.weights = hedge_step(self.weights, payoffs / self.scale, self.eta)
         elif alg == "epsilon_greedy":
             self.mean_payoff = (self.mean_payoff * self.rounds + payoffs) / (self.rounds + 1)
         else:  # fixed_best_response

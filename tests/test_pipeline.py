@@ -880,6 +880,21 @@ class TestWritesReplaceWholeFiles:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["rows.csv"]
 
+    def test_predict_out_writes_through_a_symlink(self, tmp_path, capsys):
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        assert main(["predict", str(log), "--grid-step", "0.1"]) == 0
+        expected = capsys.readouterr().out.encode()
+        (tmp_path / "target").mkdir()
+        target, link = tmp_path / "target" / "pred.json", tmp_path / "pred.json"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert main(["predict", str(log), "--grid-step", "0.1", "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == expected
+        assert sorted(os.listdir(tmp_path)) == ["log.jsonl", "pred.json", "target"]
+        assert os.listdir(tmp_path / "target") == ["pred.json"]
+
 
 class TestEmptyAccountExport:
     def test_zero_listings_still_produce_valid_files(self, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gspinfer.auction import BLOCK_CELLS, DeviationSweep, row_to_auction
 from gspinfer.inference import boundary, build_deviation_curve
-from gspinfer import simulate
 from gspinfer.pipeline import default_bid_grid
 from gspinfer.simulate import (
     ALGORITHMS,
@@ -62,34 +61,6 @@ class TestHedgeStep:
         # the best arm has weight 0 and every other weight underflows: 0 / 0 used to make NaN weights
         with pytest.raises(SimulationError, match="learning_rate 1e\\+06 is too large"):
             hedge_step(np.array([1.0, 0.0]), np.array([0.0, 1.0]), eta=1e6)
-
-
-class HedgeStepState(_LearnerState):
-    """A learner that checks each of its hedge updates against ``hedge_step``, bit for bit."""
-
-    checked = 0
-
-    def update(self, payoffs):
-        hedge = self.spec.config.algorithm == "hedge"
-        expected = hedge_step(self.weights, payoffs / self.scale, self.eta) if hedge else None
-        super().update(payoffs)
-        if hedge:
-            assert self.weights.tobytes() == expected.tobytes()
-            HedgeStepState.checked += 1
-
-
-class TestHedgeUpdate:
-    @pytest.mark.parametrize("roster", ["lone hedge", "two hedge", "three, every algorithm", "three, off-grid bids"])
-    @pytest.mark.parametrize("rate", [None, 0.05, 40.0])
-    def test_each_period_is_hedge_step(self, monkeypatch, roster, rate):
-        monkeypatch.setattr(simulate, "_LearnerState", HedgeStepState)
-        monkeypatch.setattr(HedgeStepState, "checked", 0)
-        learners = [LearnerSpec(f"L{i:03d}", 0.3 + 0.25 * i, LearnerConfig(alg, grid, learning_rate=rate))
-                    for i, (alg, grid) in enumerate(ROSTERS[roster])]
-        market = MarketSpec(background=BackgroundSpec(drift_amplitude=0.5, drift_period=7))
-        simulate_market(market, learners, 30, 3, 5)
-        hedge = sum(alg == "hedge" for alg, _ in ROSTERS[roster])
-        assert HedgeStepState.checked == 30 * hedge
 
 
 def hedge_state(weights, seed):
