@@ -13,9 +13,12 @@ derived from the same integers and returned as floats.
 
 A listing's auctions live in one columnar table, :class:`ListingHistory`.
 :class:`DeviationSweep` evaluates the listing over a row range of it as numpy
-arrays. :class:`AuctionParams`, :func:`rank_and_allocate` and
-:func:`replay_at_bid` work on one auction and are the scalar reference;
-:func:`row_to_auction` turns a table row into one.
+arrays. A bidder's slot and price are step functions of its bid, changing
+only where its rank-score reaches an opponent's or a reserve, so the sweep
+prices each auction once per such threshold state and looks every bid up.
+:class:`AuctionParams`, :func:`rank_and_allocate` and :func:`replay_at_bid`
+work on one auction and are the scalar reference; :func:`row_to_auction`
+turns a table row into one.
 """
 
 from __future__ import annotations
@@ -383,12 +386,17 @@ class DeviationSweep:
     """One bidder's (click probability, expected payment) over a row range of its table.
 
     ``DeviationSweep(table, bidder_id)`` takes listing ``bidder_id``'s
-    :class:`ListingHistory`, or rows of it, and sorts each auction's opponents
-    by the reserve they pass into counting keys (which carry the tie-break)
-    and next-slot price lookups. :meth:`evaluate_many` ``(bids)`` returns
-    ``(P, C)`` of shape ``(A, G)``, one row per auction and one column per
-    bid: the same ``(G,)`` bids in every auction, or an ``(A, G)`` matrix
-    with one row of bids per auction.
+    :class:`ListingHistory`, or rows of it. In GSP the bidder's slot and price
+    change only where its rank-score reaches a threshold: an opponent's key
+    (its rank-score, plus one if it wins the tie) or a reserve. So each
+    auction with ``w`` opponents has ``w + 3`` threshold states. The
+    constructor sorts each auction's thresholds, prices every state once at
+    one rank-score inside it, and keeps the least micro bid that reaches each
+    threshold. :meth:`evaluate_many` ``(bids)`` returns ``(P, C)`` of shape
+    ``(A, G)``, one row per auction and one column per bid: the same ``(G,)``
+    bids in every auction, or an ``(A, G)`` matrix with one row of bids per
+    auction. It counts the thresholds each bid reaches and looks the state up.
+    :meth:`rows` is the sweep of a row range, sharing this one's arrays.
 
     Every cell equals ``replay_at_bid(row_to_auction(table, a), bidder_id, bid)``
     bit for bit: the ranking is the same integer comparison with the same
@@ -401,91 +409,116 @@ class DeviationSweep:
     these two entry points.
     """
 
-    __slots__ = ("_s", "_den", "_r", "_m", "_n_main", "_last_main", "_last", "_gamma",
-                 "_keys_q", "_keys_n", "_lut", "_off_q", "_off_n", "_alpha", "_off_a", "_exact")
+    __slots__ = ("_least", "_p", "_c")
 
     def __init__(self, table: ListingHistory, bidder_id: str):
         if bidder_id != table.listing_id:
             raise AllocationError(f"no entry with id {bidder_id!r}")
-        n = len(table)
-        counts = table.offsets[1:] - table.offsets[:-1]
-        w = int(counts.max())
-        s_int = np.rint(table.own_score * MICRO).astype(np.int64).reshape(n, 1)
-        r_int = np.rint(table.rank_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
-        m_int = np.rint(table.mainline_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
-        n_main = table.mainline_count.reshape(n, 1)
-        # opponents' rank-scores and keys, one row per auction, padded with -1;
-        # a key exceeds the bidder's rank-score exactly when the opponent ranks above it
-        q = np.rint(table.score * MICRO).astype(np.int64) * np.rint(table.bid * MICRO).astype(np.int64)
-        cell = (np.arange(n) * w - table.offsets[:-1]).repeat(counts) + np.arange(len(q))
-        grid = np.full(n * w, -1, dtype=np.int64)
-        grid[cell] = q
-        keys = grid.copy()
-        keys[cell] += table.ahead
-        grid, keys = grid.reshape(n, w), keys.reshape(n, w)
-        # opponents passing the mainline reserve, then those passing only the
-        # rank reserve: keys padded with -1, rank-scores padded with 0, each sorted
-        qual = grid >= m_int
-        rest = (grid >= r_int) & ~qual
-        keys_q, q_q, keys_n, q_n = (np.where(mask, x, pad) for mask in (qual, rest) for x, pad in ((keys, -1), (grid, 0)))
-        for x in (keys_q, q_q, keys_n, q_n):
-            x.sort(axis=1)
-        w_q, w_n = int(qual.sum(axis=1).max()), int(rest.sum(axis=1).max())
-        # price lookups: the qualified rank-scores just below (up to the
-        # mainline count), then the rest queue's, each descending, 0 if vacant
-        w_qd = max(w_q, int(n_main.max())) + 1
-        lut = np.zeros((n, w_qd + w_n + 1), dtype=np.int64)
-        lut[:, :w_q] = q_q[:, w - w_q:][:, ::-1]
-        lut[:, w_qd:w_qd + w_n] = q_n[:, w - w_n:][:, ::-1]
-        # a slot past the last position has click factor 0
-        w_a = max(max(map(len, table.curves)), w_qd + w_n)
-        alpha = np.zeros((len(table.curves), w_a))
-        for i, c in enumerate(table.curves):
-            alpha[i, :len(c)] = c
-        self._s, self._den, self._r, self._m = s_int, s_int * MICRO, r_int, m_int
-        self._n_main, self._last_main = n_main, n_main - 1
-        self._last = np.array([len(c) - 1 for c in table.curves])[table.curve].reshape(n, 1)
-        self._gamma = table.own_quality.reshape(n, 1)
-        self._keys_q = [keys_q[:, k:k + 1] for k in range(w - w_q, w)]
-        self._keys_n = [keys_n[:, k:k + 1] for k in range(w - w_n, w)]
-        self._lut, self._alpha = lut.reshape(-1), alpha.reshape(-1)
-        self._off_q = np.arange(0, lut.size, lut.shape[1]).reshape(n, 1)
-        self._off_n = self._off_q + w_qd
-        self._off_a = table.curve.reshape(n, 1) * w_a
-        # no price or denominator reaches 2**53: numpy's division is exact
-        self._exact = max(int(lut.max()), int(m_int.max()), int(s_int.max()) * MICRO) < _EXACT_FLOAT
+        self._least, self._p, self._c = _threshold_states(table)
 
-    def _cells(self, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if bids.size and not (bids.min() >= 0.0 and bids.max() <= MAX_MAGNITUDE):
-            raise ValidationError(f"bids must lie in [0, {MAX_MAGNITUDE:g}]")
-        q_p = self._s * np.rint(bids * MICRO).astype(np.int64)
-        a_q = _opponents_above(self._keys_q, q_p)
-        a_n = _opponents_above(self._keys_n, q_p)
-        main = (q_p >= self._m) & (a_q < self._n_main)
-        hi = np.maximum(a_q, self._n_main)
-        # 0-based slot: in the mainline after the qualified bidders above; in
-        # the rest after the mainline (or every qualified bidder above, if
-        # more) and every unqualified bidder above
-        pos = np.where(main, a_q, hi + a_n)
-        # next slot's rank-score: the qualified bidder just below, and from the
-        # last mainline slot on also the head of the rest queue; none after the last slot
-        next_q = self._lut.take(np.where(main, a_q, hi) + self._off_q)
-        head = self._lut.take(np.where(main, 0, a_n) + self._off_n)
-        next_q = np.where(pos >= self._last_main, np.maximum(next_q, head), next_q)
-        next_q[pos >= self._last] = 0
-        price = np.maximum(next_q, np.where(main, self._m, self._r))
-        p = np.where(q_p >= self._r, self._alpha.take(pos + self._off_a), 0.0) * self._gamma
-        c = p * (price / self._den)
-        if not self._exact:
-            den = np.broadcast_to(self._den, price.shape)
-            for i in np.flatnonzero((price >= _EXACT_FLOAT) | (den >= _EXACT_FLOAT)).tolist():
-                c.flat[i] = p.flat[i] * (int(price.flat[i]) / int(den.flat[i]))
-        return p, c
+    def rows(self, start: int, stop: int) -> DeviationSweep:
+        """The sweep of table rows ``start:stop``; its arrays are views of this one's."""
+        view = object.__new__(type(self))
+        view._least, view._p, view._c = self._least[start:stop], self._p[start:stop], self._c[start:stop]
+        return view
 
     def evaluate_many(self, bids: np.ndarray | Sequence) -> tuple[np.ndarray, np.ndarray]:
         """``(P, C)`` of shape ``(A, G)``: ``(G,)`` bids in every auction, or one row of an ``(A, G)`` matrix in each."""
         bids = np.asarray(bids, dtype=np.float64)
-        return self._cells(bids if bids.ndim == 2 else bids.reshape(1, -1))
+        if bids.size and not (bids.min() >= 0.0 and bids.max() <= MAX_MAGNITUDE):
+            raise ValidationError(f"bids must lie in [0, {MAX_MAGNITUDE:g}]")
+        micro = np.rint(bids * MICRO).astype(np.int64)
+        n, t = self._least.shape
+        if micro.ndim == 2:
+            state = np.zeros(np.broadcast_shapes((n, 1), micro.shape), dtype=np.int64)
+            for least in self._least.T:
+                state += least[:, None] <= micro
+        else:
+            # the first sorted bid that reaches each threshold, then per bid the thresholds reached
+            micro = micro.reshape(-1)
+            g = len(micro)
+            order = np.argsort(micro, kind="stable")
+            first = np.searchsorted(micro[order], self._least) + np.arange(0, n * (g + 1), g + 1).reshape(n, 1)
+            state = np.bincount(first.reshape(-1), minlength=n * (g + 1)).reshape(n, g + 1)[:, :g].cumsum(axis=1)
+            if (order[1:] < order[:-1]).any():
+                state = state[:, order.argsort()]
+        state += np.arange(0, n * (t + 1), t + 1).reshape(n, 1)
+        return self._p.take(state), self._c.take(state)
+
+
+def _threshold_states(table: ListingHistory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per auction, the least micro bid reaching each sorted threshold, and ``(P, C)`` in each threshold state.
+
+    State ``k`` holds the rank-scores that reach exactly the first ``k``
+    thresholds; it is priced at its least rank-score (the ``k``-th threshold,
+    or one below the first). A state between equal thresholds is never looked up.
+    """
+    n = len(table)
+    counts = table.offsets[1:] - table.offsets[:-1]
+    w = int(counts.max())
+    s_int = np.rint(table.own_score * MICRO).astype(np.int64).reshape(n, 1)
+    r_int = np.rint(table.rank_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
+    m_int = np.rint(table.mainline_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
+    n_main = table.mainline_count.reshape(n, 1)
+    # opponents' rank-scores and keys, one row per auction, padded with -1;
+    # a key exceeds the bidder's rank-score exactly when the opponent ranks above it
+    q = np.rint(table.score * MICRO).astype(np.int64) * np.rint(table.bid * MICRO).astype(np.int64)
+    cell = (np.arange(n) * w - table.offsets[:-1]).repeat(counts) + np.arange(len(q))
+    grid = np.full(n * w, -1, dtype=np.int64)
+    grid[cell] = q
+    keys = grid.copy()
+    keys[cell] += table.ahead
+    grid, keys = grid.reshape(n, w), keys.reshape(n, w)
+    # opponents passing the mainline reserve, then those passing only the
+    # rank reserve: keys padded with -1, rank-scores padded with 0, each sorted
+    qual = grid >= m_int
+    rest = (grid >= r_int) & ~qual
+    keys_q, q_q, keys_n, q_n = (np.where(mask, x, pad) for mask in (qual, rest) for x, pad in ((keys, -1), (grid, 0)))
+    for x in (keys_q, q_q, keys_n, q_n):
+        x.sort(axis=1)
+    w_q, w_n = int(qual.sum(axis=1).max()), int(rest.sum(axis=1).max())
+    # price lookups: the qualified rank-scores just below (up to the
+    # mainline count), then the rest queue's, each descending, 0 if vacant
+    w_qd = max(w_q, int(n_main.max())) + 1
+    lut = np.zeros((n, w_qd + w_n + 1), dtype=np.int64)
+    lut[:, :w_q] = q_q[:, w - w_q:][:, ::-1]
+    lut[:, w_qd:w_qd + w_n] = q_n[:, w - w_n:][:, ::-1]
+    # a slot past the last position has click factor 0
+    w_a = max(max(map(len, table.curves)), w_qd + w_n)
+    alpha = np.zeros((len(table.curves), w_a))
+    for i, c in enumerate(table.curves):
+        alpha[i, :len(c)] = c
+    last = np.array([len(c) - 1 for c in table.curves])[table.curve].reshape(n, 1)
+    den = s_int * MICRO
+    thresholds = np.sort(np.concatenate((keys, r_int, m_int), axis=1), axis=1)
+    q_p = np.concatenate((thresholds[:, :1] - 1, thresholds), axis=1)
+    # the bidder's slot and next-slot price in each state
+    a_q = _opponents_above([keys_q[:, k:k + 1] for k in range(w - w_q, w)], q_p)
+    a_n = _opponents_above([keys_n[:, k:k + 1] for k in range(w - w_n, w)], q_p)
+    main = (q_p >= m_int) & (a_q < n_main)
+    hi = np.maximum(a_q, n_main)
+    # 0-based slot: in the mainline after the qualified bidders above; in
+    # the rest after the mainline (or every qualified bidder above, if
+    # more) and every unqualified bidder above
+    pos = np.where(main, a_q, hi + a_n)
+    # next slot's rank-score: the qualified bidder just below, and from the
+    # last mainline slot on also the head of the rest queue; none after the last slot
+    off_q = np.arange(0, lut.size, lut.shape[1]).reshape(n, 1)
+    lut = lut.reshape(-1)
+    next_q = lut.take(np.where(main, a_q, hi) + off_q)
+    head = lut.take(np.where(main, 0, a_n) + off_q + w_qd)
+    next_q = np.where(pos >= n_main - 1, np.maximum(next_q, head), next_q)
+    next_q[pos >= last] = 0
+    price = np.maximum(next_q, np.where(main, m_int, r_int))
+    p = np.where(q_p >= r_int, alpha.reshape(-1).take(pos + table.curve.reshape(n, 1) * w_a), 0.0)
+    p *= table.own_quality.reshape(n, 1)
+    c = p * (price / den)
+    # a price or denominator at or above 2**53 is divided exactly, as Python integers
+    if max(int(lut.max()), int(m_int.max()), int(s_int.max()) * MICRO) >= _EXACT_FLOAT:
+        den = np.broadcast_to(den, price.shape)
+        for i in np.flatnonzero((price >= _EXACT_FLOAT) | (den >= _EXACT_FLOAT)).tolist():
+            c.flat[i] = p.flat[i] * (int(price.flat[i]) / int(den.flat[i]))
+    return -(-thresholds // s_int), p, c
 
 
 def _opponents_above(key_cols: list[np.ndarray], q_p: np.ndarray) -> np.ndarray:

@@ -65,14 +65,18 @@ class DeviationCurve:
         object.__setattr__(self, "baseline_c", float(self.baseline_c))
         if not (len(self.grid) == len(self.delta_p) == len(self.delta_c)):
             raise InferenceError("grid, delta_p and delta_c must have equal length")
-        if not self.grid:
-            raise InferenceError("deviation curve must have at least one grid point")
-        for a, b in zip(self.grid, self.grid[1:]):
-            if not b > a:
-                raise InferenceError("grid must be strictly increasing")
+        _check_grid(self.grid)
         for x in (*self.delta_p, *self.delta_c, self.baseline_p, self.baseline_c):
             if not math.isfinite(x):
                 raise InferenceError("curve values must be finite")
+
+
+def _check_grid(grid: Sequence[float]) -> None:
+    if not grid:
+        raise InferenceError("deviation curve must have at least one grid point")
+    for a, b in zip(grid, grid[1:]):
+        if not b > a:
+            raise InferenceError("grid must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -121,35 +125,47 @@ def build_deviation_curve(history: ListingHistory, grid: Sequence[float]) -> Dev
     For each period the player's bid is swapped for the grid bid in every
     auction of the period (opponents fixed) and the per-period means of click
     probability and payment are taken; ``delta_*`` are the period averages of
-    (counterfactual - realized). Whole periods share one
-    :class:`~gspinfer.auction.DeviationSweep` of at most about :data:`BLOCK_CELLS` cells,
-    swept once at each auction's realized bid followed by the grid.
+    (counterfactual - realized). The grid is checked before any replay. Whole
+    periods share one :class:`~gspinfer.auction.DeviationSweep` of at most
+    about ``BLOCK_CELLS // 2`` threshold states, evaluated once at each auction's
+    realized bid; the grid is then looked up in blocks of whole periods of at
+    most about :data:`BLOCK_CELLS` cells, each through :meth:`~gspinfer.auction.DeviationSweep.rows`.
     """
     grid = [float(b) for b in grid]
+    _check_grid(grid)
+    bids = np.array(grid)
     bounds = history.period_bounds()
     sizes = np.diff(bounds)
-    step = max(1, BLOCK_CELLS // (len(grid) * int(sizes.max())))
+    step = max(1, BLOCK_CELLS // (len(grid) * int(sizes.max())))  # periods per block
+    # periods per sweep: whole blocks holding at most BLOCK_CELLS // 2 threshold states (a state's
+    # pricing keeps about twice the temporaries of a cell's lookup)
+    states = int(np.diff(history.offsets).max()) + 3
+    chunk = step * max(1, BLOCK_CELLS // (2 * states * step * int(sizes.max())))
     sums = np.zeros((2, 1 + len(grid)))  # click probability, payment; column 0 is the realized bid
-    for first in range(0, len(sizes), step):
-        last = min(first + step, len(sizes))
-        block = history.rows(bounds[first], bounds[last])
-        bids = np.column_stack((block.own_bid, np.broadcast_to(grid, (len(block), len(grid)))))
-        cells = DeviationSweep(block, history.listing_id).evaluate_many(bids)
-        # sums over a non-inner axis add in sample order, keeping the curve bit-identical to a scalar replay
-        # each period's auctions on one axis, padded to the block's longest period with -0.0, which adds nothing
-        size = sizes[first:last]
-        place = np.arange(len(block)) - np.repeat(bounds[first:last] - bounds[first], size)  # within its period
-        at = np.repeat(np.arange(last - first), size), place
-        for k, c in enumerate(cells):
-            periods = np.full((last - first, size.max(), c.shape[1]), -0.0)
-            periods[at] = c
-            mean = np.add.reduce(periods, axis=1) / size[:, None]  # every period's mean at once
-            # the running sum, then each period's realized mean and deviations, added in period order
-            rows = np.empty((1 + last - first, 1 + len(grid)))
-            rows[0] = sums[k]
-            rows[1:] = mean
-            rows[1:, 1:] -= rows[1:, :1]
-            sums[k] = np.add.reduce(rows, axis=0)
+    for start in range(0, len(sizes), chunk):
+        end = min(start + chunk, len(sizes))
+        sweep = DeviationSweep(history.rows(bounds[start], bounds[end]), history.listing_id)
+        realized = sweep.evaluate_many(history.own_bid[bounds[start]:bounds[end], None])
+        for first in range(start, end, step):
+            last = min(first + step, end)
+            lo, hi = bounds[first] - bounds[start], bounds[last] - bounds[start]
+            cells = sweep.rows(lo, hi).evaluate_many(bids)
+            # sums over a non-inner axis add in sample order, keeping the curve bit-identical to a scalar replay
+            # each period's auctions on one axis, padded to the block's longest period with -0.0, which adds nothing
+            size = sizes[first:last]
+            place = np.arange(hi - lo) - np.repeat(bounds[first:last] - bounds[first], size)  # within its period
+            at = np.repeat(np.arange(last - first), size), place
+            for k in (0, 1):
+                periods = np.full((last - first, size.max(), 1 + len(grid)), -0.0)
+                periods[at + (0,)] = realized[k][lo:hi, 0]
+                periods[at + (slice(1, None),)] = cells[k]
+                mean = np.add.reduce(periods, axis=1) / size[:, None]  # every period's mean at once
+                # the running sum, then each period's realized mean and deviations, added in period order
+                rows = np.empty((1 + last - first, 1 + len(grid)))
+                rows[0] = sums[k]
+                rows[1:] = mean
+                rows[1:, 1:] -= rows[1:, :1]
+                sums[k] = np.add.reduce(rows, axis=0)
     sums /= len(sizes)
     return DeviationCurve(grid, sums[0, 1:].tolist(), sums[1, 1:].tolist(), sums[0, 0], sums[1, 0])
 

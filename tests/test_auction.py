@@ -1,8 +1,11 @@
 import math
 import random
+from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gspinfer.auction import (
     AllocationError,
@@ -12,6 +15,7 @@ from gspinfer.auction import (
     DeviationSweep,
     ListingHistory,
     MAX_MAGNITUDE,
+    MICRO,
     MIN_SCORE,
     ValidationError,
     click_probability,
@@ -321,6 +325,112 @@ def assert_sweep_matches_replay(instances, bids):
         assert one_p.tolist() == ps[:, -1:].tolist() and one_c.tolist() == cs[:, -1:].tolist()
 
 
+_EXACT_FLOAT = 2**53  # integers below this convert to float64 exactly
+
+
+class CellSweep:
+    """The per-cell reference for :class:`DeviationSweep`: the same ``(P, C)``, computed cell by cell.
+
+    Every ``(auction, bid)`` cell counts the opponents above the bidder's
+    rank-score, finds its slot and next-slot price, and divides, with the
+    exact-integer branch for prices or denominators at or above 2**53.
+    """
+
+    __slots__ = ("_s", "_den", "_r", "_m", "_n_main", "_last_main", "_last", "_gamma",
+                 "_keys_q", "_keys_n", "_lut", "_off_q", "_off_n", "_alpha", "_off_a", "_exact")
+
+    def __init__(self, table: ListingHistory, bidder_id: str):
+        if bidder_id != table.listing_id:
+            raise AllocationError(f"no entry with id {bidder_id!r}")
+        n = len(table)
+        counts = table.offsets[1:] - table.offsets[:-1]
+        w = int(counts.max())
+        s_int = np.rint(table.own_score * MICRO).astype(np.int64).reshape(n, 1)
+        r_int = np.rint(table.rank_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
+        m_int = np.rint(table.mainline_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
+        n_main = table.mainline_count.reshape(n, 1)
+        # opponents' rank-scores and keys, one row per auction, padded with -1;
+        # a key exceeds the bidder's rank-score exactly when the opponent ranks above it
+        q = np.rint(table.score * MICRO).astype(np.int64) * np.rint(table.bid * MICRO).astype(np.int64)
+        cell = (np.arange(n) * w - table.offsets[:-1]).repeat(counts) + np.arange(len(q))
+        grid = np.full(n * w, -1, dtype=np.int64)
+        grid[cell] = q
+        keys = grid.copy()
+        keys[cell] += table.ahead
+        grid, keys = grid.reshape(n, w), keys.reshape(n, w)
+        # opponents passing the mainline reserve, then those passing only the
+        # rank reserve: keys padded with -1, rank-scores padded with 0, each sorted
+        qual = grid >= m_int
+        rest = (grid >= r_int) & ~qual
+        keys_q, q_q, keys_n, q_n = (np.where(mask, x, pad) for mask in (qual, rest) for x, pad in ((keys, -1), (grid, 0)))
+        for x in (keys_q, q_q, keys_n, q_n):
+            x.sort(axis=1)
+        w_q, w_n = int(qual.sum(axis=1).max()), int(rest.sum(axis=1).max())
+        # price lookups: the qualified rank-scores just below (up to the
+        # mainline count), then the rest queue's, each descending, 0 if vacant
+        w_qd = max(w_q, int(n_main.max())) + 1
+        lut = np.zeros((n, w_qd + w_n + 1), dtype=np.int64)
+        lut[:, :w_q] = q_q[:, w - w_q:][:, ::-1]
+        lut[:, w_qd:w_qd + w_n] = q_n[:, w - w_n:][:, ::-1]
+        # a slot past the last position has click factor 0
+        w_a = max(max(map(len, table.curves)), w_qd + w_n)
+        alpha = np.zeros((len(table.curves), w_a))
+        for i, c in enumerate(table.curves):
+            alpha[i, :len(c)] = c
+        self._s, self._den, self._r, self._m = s_int, s_int * MICRO, r_int, m_int
+        self._n_main, self._last_main = n_main, n_main - 1
+        self._last = np.array([len(c) - 1 for c in table.curves])[table.curve].reshape(n, 1)
+        self._gamma = table.own_quality.reshape(n, 1)
+        self._keys_q = [keys_q[:, k:k + 1] for k in range(w - w_q, w)]
+        self._keys_n = [keys_n[:, k:k + 1] for k in range(w - w_n, w)]
+        self._lut, self._alpha = lut.reshape(-1), alpha.reshape(-1)
+        self._off_q = np.arange(0, lut.size, lut.shape[1]).reshape(n, 1)
+        self._off_n = self._off_q + w_qd
+        self._off_a = table.curve.reshape(n, 1) * w_a
+        # no price or denominator reaches 2**53: numpy's division is exact
+        self._exact = max(int(lut.max()), int(m_int.max()), int(s_int.max()) * MICRO) < _EXACT_FLOAT
+
+    def _cells(self, bids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if bids.size and not (bids.min() >= 0.0 and bids.max() <= MAX_MAGNITUDE):
+            raise ValidationError(f"bids must lie in [0, {MAX_MAGNITUDE:g}]")
+        q_p = self._s * np.rint(bids * MICRO).astype(np.int64)
+        a_q = _opponents_above(self._keys_q, q_p)
+        a_n = _opponents_above(self._keys_n, q_p)
+        main = (q_p >= self._m) & (a_q < self._n_main)
+        hi = np.maximum(a_q, self._n_main)
+        # 0-based slot: in the mainline after the qualified bidders above; in
+        # the rest after the mainline (or every qualified bidder above, if
+        # more) and every unqualified bidder above
+        pos = np.where(main, a_q, hi + a_n)
+        # next slot's rank-score: the qualified bidder just below, and from the
+        # last mainline slot on also the head of the rest queue; none after the last slot
+        next_q = self._lut.take(np.where(main, a_q, hi) + self._off_q)
+        head = self._lut.take(np.where(main, 0, a_n) + self._off_n)
+        next_q = np.where(pos >= self._last_main, np.maximum(next_q, head), next_q)
+        next_q[pos >= self._last] = 0
+        price = np.maximum(next_q, np.where(main, self._m, self._r))
+        p = np.where(q_p >= self._r, self._alpha.take(pos + self._off_a), 0.0) * self._gamma
+        c = p * (price / self._den)
+        if not self._exact:
+            den = np.broadcast_to(self._den, price.shape)
+            for i in np.flatnonzero((price >= _EXACT_FLOAT) | (den >= _EXACT_FLOAT)).tolist():
+                c.flat[i] = p.flat[i] * (int(price.flat[i]) / int(den.flat[i]))
+        return p, c
+
+    def evaluate_many(self, bids: np.ndarray | Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """``(P, C)`` of shape ``(A, G)``: ``(G,)`` bids in every auction, or one row of an ``(A, G)`` matrix in each."""
+        bids = np.asarray(bids, dtype=np.float64)
+        return self._cells(bids if bids.ndim == 2 else bids.reshape(1, -1))
+
+
+def _opponents_above(key_cols: list[np.ndarray], q_p: np.ndarray) -> np.ndarray:
+    """Per cell, how many of the ``(A, 1)`` key columns exceed the rank-score."""
+    n = np.zeros(q_p.shape, dtype=np.int64)
+    for keys in key_cols:
+        n += keys > q_p
+    return n
+
+
 class TestSweepMatchesReplay:
     def test_differential_random_instances(self):
         rng = random.Random(20240811)
@@ -372,6 +482,95 @@ class TestSweepMatchesReplay:
         assert ps == [pytest.approx(x) for x in (0.25, 0.25, 0.5)]
         # at 3.0, b outranks a (q=3 vs 2) and pays a's rank-score / s_b = 2
         assert cs[2] == pytest.approx(0.5 * 2.0)
+
+
+def state_edges(rng: random.Random):
+    """Auctions of bidder ``p`` and bids at the edges of its threshold states.
+
+    The bids put ``p``'s micro rank-score on an opponent's key, one either
+    side of it, or on a reserve (exactly where ``p``'s micro-score divides the
+    threshold, and at the micro bids around it otherwise), plus random bids,
+    unsorted and repeated. Opponents tie with each other and with ``p``, win
+    or lose the tie by id, and reach 2**53; in some tables no auction has any.
+    """
+    most = rng.randint(0, 5)  # opponents per auction, at most
+    large = rng.random() < 0.3  # rank-scores near 1e16 and above, priced past 2**53
+
+    def magnitude(*small):
+        return round(rng.uniform(95, MAX_MAGNITUDE), 6) if large else rng.choice(small)
+
+    auctions = []
+    for _ in range(rng.randint(1, 6)):
+        curve = tuple(sorted({round(rng.uniform(0.05, 1.0), 2) for _ in range(rng.randint(1, 4))}, reverse=True))
+        cap = rng.randint(0, len(curve) + 1)
+        n_main = rng.choice([0, min(cap, len(curve)), rng.randint(0, min(cap, len(curve)))])
+        r = rng.choice([0.0, 1e-6, 0.5, 1.0, 40.0])
+        opponents = [BidderEntry(f"{rng.choice('az')}{k}", magnitude(1e-6, 1e-3, 0.5, 1.0, MAX_MAGNITUDE),
+                                 rng.choice([0.0, 0.5, 1.0]), magnitude(0.0, 0.5, 1.0, 2.5, MAX_MAGNITUDE))
+                     for k in range(rng.randint(0, most))]
+        own = BidderEntry("p", magnitude(MIN_SCORE, 2e-6, 1e-3, 0.5, 1.0, 3.0, MAX_MAGNITUDE),
+                          rng.choice([0.0, 0.7, 1.0]), rng.choice([0.0, 1.0]))
+        auctions.append(AuctionParams(
+            entries=(own, *opponents), rank_reserve=r,
+            mainline_reserve=min(MAX_MAGNITUDE, r + rng.choice([0.0, 0.5, 60.0])), mainline_cap=cap,
+            position_curve=curve, mainline_positions=frozenset(range(1, n_main + 1))))
+    micro = {0, 10**9, rng.randint(0, 10**9)}
+    for params in auctions:
+        s = round(params.entry("p").score * MICRO)
+        keys = [e.rank_score_int() + (e.id < "p") for e in params.entries if e.id != "p"]
+        for t in (*keys, params.rank_reserve_int(), params.mainline_reserve_int()):
+            for edge in (t - 1, t, t + 1):
+                micro.update(edge // s + d for d in (-1, 0, 1))
+    bids = [m / MICRO for m in micro if 0 <= m <= 10**9]
+    rng.shuffle(bids)
+    bids += rng.choices(bids, k=rng.randint(0, 8))
+    return auctions, bids
+
+
+def bits(cells):
+    """``(P, C)`` as float64 bytes, so that ``-0.0`` and ``0.0`` differ."""
+    return tuple(np.ascontiguousarray(x, dtype=np.float64).tobytes() for x in cells)
+
+
+class TestSweepMatchesCells:
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_cell_matches_the_per_cell_reference(self, seed, data):
+        auctions, bids = state_edges(random.Random(seed))
+        table = auctions_to_table(auctions, "p")
+        sweep, cells = DeviationSweep(table, "p"), CellSweep(table, "p")
+        assert bits(sweep.evaluate_many(bids)) == bits(cells.evaluate_many(bids))
+        # one row of bids per auction, and one bid per auction
+        rows = np.array([data.draw(st.permutations(bids)) for _ in range(len(table))])
+        assert bits(sweep.evaluate_many(rows)) == bits(cells.evaluate_many(rows))
+        assert bits(sweep.evaluate_many(rows[:, :1])) == bits(cells.evaluate_many(rows[:, :1]))
+        # a row range of the sweep is the sweep of the row range
+        start = data.draw(st.integers(0, len(table) - 1))
+        stop = data.draw(st.integers(start + 1, len(table)))
+        part = DeviationSweep(table.rows(start, stop), "p")
+        assert bits(sweep.rows(start, stop).evaluate_many(bids)) == bits(part.evaluate_many(bids))
+        assert bits(sweep.rows(start, stop).evaluate_many(rows[start:stop])) == bits(
+            part.evaluate_many(rows[start:stop]))
+
+    def test_the_edges_are_reached(self):
+        # over 200 draws the bids land on a key, either side of one and on a nonzero reserve, some
+        # rank-score at or above 2**53 rounds as a float64, and some table has no opponent at all
+        seen = set()
+        for seed in range(200):
+            auctions, bids = state_edges(random.Random(seed))
+            if all(len(params.entries) == 1 for params in auctions):
+                seen.add("no opponents")
+            for params in auctions:
+                s = round(params.entry("p").score * MICRO)
+                ranks = {s * round(b * MICRO) for b in bids}
+                keys = {e.rank_score_int() + (e.id < "p") for e in params.entries if e.id != "p"}
+                seen.update(name for name, shift in (("key", 0), ("key - 1", -1), ("key + 1", 1))
+                            if any(k + shift in ranks for k in keys))
+                if ranks & ({params.rank_reserve_int(), params.mainline_reserve_int()} - {0}):
+                    seen.add("reserve")
+                if any(q >= _EXACT_FLOAT and float(q) != q for q in (e.rank_score_int() for e in params.entries)):
+                    seen.add("2**53")
+        assert seen == {"no opponents", "key", "key - 1", "key + 1", "reserve", "2**53"}
 
 
 class TestTableColumnCheck:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gspinfer.auction import BLOCK_CELLS, AuctionParams, BidderEntry, DeviationSweep, row_to_auction
+from gspinfer import inference
+from gspinfer.auction import BLOCK_CELLS, AuctionParams, BidderEntry, row_to_auction
 from gspinfer.cli import main
 from gspinfer.inference import (
     DEFAULT_PRECISION,
@@ -29,7 +30,7 @@ from gspinfer.inference import (
 )
 from gspinfer.pipeline import InferenceConfig, infer_account, ingest
 
-from test_auction import auctions_to_table, random_params
+from test_auction import CellSweep, auctions_to_table, random_params
 
 
 @dataclass(frozen=True)
@@ -571,7 +572,8 @@ class TestConvexity:
 def build_deviation_curve_per_period(history, grid) -> DeviationCurve:
     """``build_deviation_curve`` with each period's means taken and added to the running sums on their own.
 
-    The oracle for its block reductions: every sum adds in the same order, so the two agree bit for bit.
+    The oracle for its sweeps and block reductions: every cell comes from the per-cell reference
+    ``CellSweep`` and every sum adds in the same order, so the two agree bit for bit.
     """
     grid = [float(b) for b in grid]
     bounds = history.period_bounds().tolist()
@@ -581,7 +583,7 @@ def build_deviation_curve_per_period(history, grid) -> DeviationCurve:
         last = min(first + step, len(bounds) - 1)
         block = history.rows(bounds[first], bounds[last])
         bids = np.column_stack((block.own_bid, np.broadcast_to(grid, (len(block), len(grid)))))
-        cells = DeviationSweep(block, history.listing_id).evaluate_many(bids)
+        cells = CellSweep(block, history.listing_id).evaluate_many(bids)
         for start, end in zip(bounds[first:last], bounds[first + 1:last + 1]):
             rows = slice(start - bounds[first], end - bounds[first])
             for k in (0, 1):
@@ -640,6 +642,18 @@ class TestBuildDeviationCurve:
     def history(self, bids, n_auct=1):
         auctions = [self.params_with_player(b) for b in bids for _ in range(n_auct)]
         return auctions_to_table(auctions, "L0", periods=[t + 1 for t in range(len(bids)) for _ in range(n_auct)])
+
+    @pytest.mark.parametrize("grid, message", [([], "at least one grid point"),
+                                               ([0.3, 0.2, 0.8], "strictly increasing"),
+                                               ([0.3, 0.3], "strictly increasing"),
+                                               ([0.3, math.nan], "strictly increasing")])
+    def test_grid_is_checked_before_any_sweep(self, grid, message, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the history was swept")
+
+        monkeypatch.setattr(inference, "DeviationSweep", no_sweep)
+        with pytest.raises(InferenceError, match=message):
+            build_deviation_curve(self.history([0.51, 0.3]), grid)
 
     def test_identity_deviation_is_zero(self):
         hist = self.history([0.51, 0.51, 0.51])

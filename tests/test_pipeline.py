@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from gspinfer import auctionlog, pipeline
 from gspinfer import cli
+from gspinfer.auction import BLOCK_CELLS
 from gspinfer.cli import CONFIG_KEYS, FIELD_KEYS, RUN_KEYS, ConfigError, build_learners, load_config, main
 from gspinfer.inference import DeviationCurve, InferenceError
 from gspinfer.pipeline import (
@@ -446,14 +447,19 @@ class TestColumnPass:
 PEAK_OVER_KEPT = 2.25
 
 
-def test_ingest_holds_its_tables_plus_one_block(tmp_path):
+def simulated_market(tmp_path, listings, periods, auctions):
+    """The seed-1 hedge market of ``listings x periods x auctions`` the memory bounds are measured on."""
     cfg = tmp_path / "market.cfg"
-    cfg.write_text("listings = 2\nperiods = 200\nauctions_per_period = 10\nalgorithm = hedge\nepsilon_max = 0.5\n"
-                   "grid_step = 0.01\nposition_curve = [1.0, 0.6, 0.35, 0.2]\nseed = 1\n")
+    cfg.write_text(f"listings = {listings}\nperiods = {periods}\nauctions_per_period = {auctions}\nalgorithm = hedge\n"
+                   "epsilon_max = 0.5\ngrid_step = 0.01\nposition_curve = [1.0, 0.6, 0.35, 0.2]\nseed = 1\n")
     c = load_config(str(cfg))
     market = MarketSpec(position_curve=tuple(c["position_curve"]))
+    return simulate_market(market, build_learners(c), c["periods"], c["auctions_per_period"], 1)
+
+
+def test_ingest_holds_its_tables_plus_one_block(tmp_path):
     path = str(tmp_path / "log.jsonl")
-    write_histories(simulate_market(market, build_learners(c), c["periods"], c["auctions_per_period"], 1), path)
+    write_histories(simulated_market(tmp_path, 2, 200, 10), path)
     lines = open(path, encoding="utf-8").readlines()
     shuffled = str(tmp_path / "shuffled.jsonl")
     with open(shuffled, "w", encoding="utf-8") as fh:
@@ -469,6 +475,27 @@ def test_ingest_holds_its_tables_plus_one_block(tmp_path):
         assert sum(map(len, tables)) == 2 * 200 * 10
         assert peak <= PEAK_OVER_KEPT * kept, (log, peak, kept)
         del tables
+
+
+# build_deviation_curve's traced peak over the bytes of one block of float64 cells (8 * BLOCK_CELLS), on the
+# markets below: the per-cell kernel, which priced every (auction, bid) cell of a block at once, read 17.07 and
+# 17.03 (numpy 2.4, Python 3.11); the bound leaves 17% above the larger. The threshold-state sweep reads 15.1
+# and 7.9: a sweep prices at most BLOCK_CELLS // 2 states, and larger sweeps read 26 and more on the first.
+CURVE_PEAK_OVER_BLOCK = 20.0
+
+
+@pytest.mark.parametrize("shape, grid_step", [((2, 200, 10), None), ((1, 50, 4), 0.004)])
+def test_curve_holds_a_bounded_working_set(tmp_path, shape, grid_step):
+    grid = InferenceConfig(grid_step=grid_step).bid_grid()
+    build = inspect.unwrap(pipeline.build_deviation_curve)  # without the suite's oracle around it
+    for history in simulated_market(tmp_path, *shape):
+        tracemalloc.start()
+        try:
+            build(history, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= CURVE_PEAK_OVER_BLOCK * 8 * BLOCK_CELLS, (shape, len(grid), peak)
 
 
 class TestMicroFixturePipeline:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gspinfer.auction import BLOCK_CELLS, DeviationSweep, row_to_auction
-from gspinfer.inference import boundary, build_deviation_curve
+from gspinfer.inference import InferenceError, boundary, build_deviation_curve
 from gspinfer.pipeline import default_bid_grid
 from gspinfer.simulate import (
     ALGORITHMS,
@@ -399,6 +399,11 @@ class TestRealizedRegret:
         hist, = simulate_market(simple_market(), [one_learner("hedge")], 5, 1, 1)
         with pytest.raises(SimulationError):
             realized_regret(hist, -0.1, default_bid_grid(1.0, 0.1))
+
+    def test_empty_grid_raises(self):
+        hist, = simulate_market(simple_market(), [one_learner("hedge")], 5, 1, 1)
+        with pytest.raises(InferenceError, match="at least one grid point"):
+            realized_regret(hist, 0.5, [])
 
 
 class TestHedgeRegretGuarantee:
