@@ -16,13 +16,14 @@ non-finite numbers where a number belongs, scores below
 Synthetic and real data flow through the same reader into one
 :class:`~gspinfer.auction.ListingHistory` table per listing.
 
-The reader checks each record's shape as its line is decoded and each
-column of numbers once per block of :data:`BLOCK_LINES` lines, with C-level
-operations, and formats no message; only when a check fails does it walk
-the records one by one, and the walk names the fault. Either pass holds the
-tables it builds plus one block of numbers as Python objects: each block is
-moved to int64/float64 arrays, and the arrays are gathered into table order
-one column at a time, each column's blocks dropped as it is gathered.
+The reader opens the log once and reads each record once. :func:`_fast`
+checks a record with C-level operations and formats no message; only a
+record it refuses goes through :func:`_parse_record`, which checks each
+value on its own and names the fault. The reader holds the tables it
+builds plus one block of numbers as Python objects: each block of
+:data:`BLOCK_LINES` lines is moved to int64/float64 arrays, and the arrays
+are gathered into table order one column at a time, each column's blocks
+dropped as it is gathered.
 """
 
 from __future__ import annotations
@@ -99,8 +100,13 @@ def _check_id(listing_id, line: int | None) -> str:
     return listing_id
 
 
-def _parse_record(obj, line: int):
-    """One record's listing id, period, mainline cap and count, truth, position curve, own numbers and competitors."""
+def _parse_record(text: str, line: int):
+    """The record on a stripped line: listing id, period, mainline cap and count, truth, position curve, own
+    numbers and competitors, each value checked on its own; else a ParseError naming the first fault."""
+    try:  # bad JSON, a non-finite constant, an over-long integer, deep nesting
+        obj = _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(line, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
     if not isinstance(obj, dict):
         raise ParseError(line, "record must be a JSON object")
     unknown = obj.keys() - REQUIRED_FIELDS - OPTIONAL_FIELDS
@@ -147,21 +153,18 @@ _DECODER = json.JSONDecoder(parse_constant=_non_finite)
 def ingest(path: str) -> list[ListingHistory]:
     """Read an auction log into one table per listing, ordered by listing id.
 
-    The log is read column by column (:func:`_columns`): each record's shape
-    is checked as its line is decoded, each column's types, int64 or float64
-    range and finiteness once per block of :data:`BLOCK_LINES` lines, and one
-    own bid per period and one truth per listing once the file is read. Only
-    when one of these fails is the log read again record by record
-    (:func:`_walk`), which names the fault. The range, contiguous-period and
-    truth checks run on the tables of either pass.
+    The file is opened once and each record read once (:func:`_read`): a
+    record goes through C-level checks (:func:`_fast`), and only one they
+    refuse is checked value by value (:func:`_parse_record`), which names the
+    fault. One own bid per period and one truth per listing are checked as
+    the records come. The range, contiguous-period and truth checks run on
+    the tables built from the records before the first fault.
 
     Raises :class:`ParseError` with the offending line number for undecodable
     lines, schema violations, out-of-range numbers (the first bad line before
     any other error), inconsistent per-period data, or non-contiguous periods.
     """
-    tables, error = _columns(path), None
-    if tables is None:
-        tables, error = _walk(path)
+    tables, error = _read(path)
     faults = []
     for table, lines in tables:
         rows = np.flatnonzero(table.invalid_rows())
@@ -185,15 +188,48 @@ def ingest(path: str) -> list[ListingHistory]:
 
 
 _FIELDS = REQUIRED_FIELDS | OPTIONAL_FIELDS
-_RECORD = itemgetter(
-    "listing_id", "period", "own_bid", "rank_reserve", "mainline_reserve", "mainline_cap",
-    "competitors", "position_curve",
-)
+_RECORD = itemgetter("listing_id", "period", "mainline_cap", "competitors", "position_curve")
 _ENTRY = itemgetter("score", "quality", "bid")
 _SCAN = _DECODER.scan_once  # (value, end) of the JSON value at an index; StopIteration if there is none
+_NUMBER = {int, float}
+
+
+def _fast(text: str):
+    """What :func:`_parse_record` returns for the record on a stripped line, or None if it may be malformed.
+
+    Each check is one C-level operation and none formats a message. The
+    listing id is only checked to be a string: the reader checks each new one.
+    """
+    try:
+        obj, end = _SCAN(text, 0)  # the decoder's own scan: no value, a second value or a bad one is a fault
+        if end != len(text) or type(obj) is not dict or not REQUIRED_FIELDS <= obj.keys() <= _FIELDS:
+            return None
+        lid, period, cap, comps, curve = _RECORD(obj)
+        n_main, truth = obj.get("mainline_count"), obj.get("truth_value")
+        # every entry has the three fields, so their lengths sum to three per entry only if none has more
+        if not (type(lid) is str and type(period) is int and type(cap) is int and -_INT64 <= period < _INT64
+                and -_INT64 <= cap < _INT64 and type(comps) is list and sum(map(len, comps)) == 3 * len(comps)
+                and type(curve) is list and curve
+                and (n_main is None or type(n_main) is int and 0 <= n_main <= len(curve))):
+            return None
+        values = [obj["own_bid"], obj.get("own_score", 1.0), obj.get("own_quality", 1.0), obj["rank_reserve"],
+                  obj["mainline_reserve"], *chain.from_iterable(map(_ENTRY, comps)), *curve]
+        if truth is not None:
+            values.append(truth)
+        if not set(map(type, values)) <= _NUMBER:  # so never a bool
+            return None
+        values = list(map(float, values))  # an integer past float64 overflows
+        if not all(map(math.isfinite, values)):
+            return None
+    except (ValueError, TypeError, KeyError, OverflowError, StopIteration, RecursionError):
+        return None
+    end = 5 + 3 * len(comps)
+    return (lid, period, cap, min(cap, len(curve)) if n_main is None else n_main,
+            None if truth is None else values[-1], tuple(values[end:end + len(curve)]), values[:5], values[5:end])
+
 
 #: Lines of log whose numbers ingest holds as Python objects: after each block of this many lines they are
-#: checked and moved to int64/float64 arrays, so ingest holds the tables it builds plus one block.
+#: moved to int64/float64 arrays, so ingest holds the tables it builds plus one block.
 BLOCK_LINES = 512
 
 
@@ -201,36 +237,22 @@ class _Numbers:
     """A log's numbers, gathered per record into lists that :meth:`flush` moves to arrays a block at a time.
 
     Per record ``ints`` gets its line, listing index, period, mainline cap and count, curve index and
-    competitor count, ``own`` its own bid, score and quality and both reserves, ``flat`` its competitors'
-    score, quality and bid, ``values`` its position curve, and ``truth_rows``/``truth_values`` its listing
-    index and truth, if it has one. Each of the 15 columns (7 + 5 + 3) keeps its own list of blocks.
+    competitor count, ``own`` its own bid, score and quality and both reserves, and ``flat`` its
+    competitors' score, quality and bid. Each of the 15 columns (7 + 5 + 3) keeps its own list of blocks.
     """
 
     def __init__(self):
-        self.ints, self.own, self.flat, self.values, self.truth_rows, self.truth_values = [], [], [], [], [], []
+        self.ints, self.own, self.flat = [], [], []
         self.blocks = [[] for _ in range(15)]
-        self.truths = [], []
 
     def flush(self) -> None:
-        """Move the lists to arrays, or raise ValueError or OverflowError, with no message, on a bad number.
-
-        Element types are ``int`` for the integer columns and ``int`` or ``float``, so never a ``bool``,
-        for the rest; integers must fit in int64 and numbers be finite as float64.
-        """
-        if not (set(map(type, self.ints)) <= {int}
-                and set(map(type, chain(self.own, self.flat, self.values, self.truth_values))) <= {int, float}):
-            raise ValueError
+        """Move the lists, whose numbers are checked, to int64 and float64 arrays, one per column."""
         ints = np.array(self.ints, dtype=np.int64).reshape(-1, 7)
-        own, flat, values, truth = (np.array(x, dtype=np.float64)
-                                    for x in (self.own, self.flat, self.values, self.truth_values))
-        if not all(np.isfinite(x).all() for x in (own, flat, values, truth)):
-            raise ValueError
+        own, flat = (np.array(x, dtype=np.float64) for x in (self.own, self.flat))
         for blocks, column in zip(self.blocks, chain(ints.T, own.reshape(-1, 5).T, flat.reshape(-1, 3).T)):
             blocks.append(column.copy())  # contiguous, and not a view that keeps the whole block
-        self.truths[0].append(np.array(self.truth_rows, dtype=np.int64))
-        self.truths[1].append(truth)
-        for x in (self.ints, self.own, self.flat, self.values, self.truth_rows, self.truth_values):
-            x.clear()  # in place: the readers hold the lists
+        for x in (self.ints, self.own, self.flat):
+            x.clear()
 
     def column(self, j: int) -> np.ndarray:
         """Column ``j`` of every flushed record, in file order; its blocks are dropped."""
@@ -239,118 +261,42 @@ class _Numbers:
         return np.concatenate(blocks)
 
 
-def _lines(path: str, numbers: _Numbers):
-    """Each line of the log, bytes, with its number; ``numbers`` is flushed after every :data:`BLOCK_LINES` lines.
+def _read(path: str) -> tuple[list[tuple[ListingHistory, np.ndarray]], ParseError | None]:
+    """:func:`_tables` of the records before the first malformed one, and its ParseError (None if there is none).
 
-    The caller flushes the last block.
-    """
-    with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 gets its line number
-        for line_no, raw in enumerate(fh, start=1):
-            yield line_no, raw
-            if not line_no % BLOCK_LINES:
-                numbers.flush()
-
-
-def _columns(path: str) -> list[tuple[ListingHistory, np.ndarray]] | None:
-    """:func:`_tables` of a well-formed log, or None, with no message, if any record is malformed.
-
-    Each line is decoded and its record's shape checked with C-level
-    operations: a JSON object with the required fields and no unknown one,
-    list-typed ``competitors``, each an object of exactly ``score``,
-    ``quality`` and ``bid``, and a non-empty ``position_curve`` list. Its
-    values are gathered raw, and every :data:`BLOCK_LINES` lines each column
-    of the block is checked once (:meth:`_Numbers.flush`): element types,
-    integers within int64, numbers within float64 and finite. Then one own
-    bid per period and one truth per listing are checked.
+    A record is read by :func:`_fast`, or by :func:`_parse_record` if that refuses it. The numbers are moved
+    to arrays after every :data:`BLOCK_LINES` lines.
     """
     ids: dict[str, int] = {}  # listing id -> index, in order of first appearance
     curves: list[dict[tuple[float, ...], int]] = []  # per listing, its distinct position curves
     numbers = _Numbers()
-    ints, own, flat, values = numbers.ints, numbers.own, numbers.flat, numbers.values
-    try:
-        for line_no, raw in _lines(path, numbers):
-            text = raw.decode("utf-8").strip()
-            if not text:
-                continue
-            obj, end = _SCAN(text, 0)  # the walk's decode without its wrapper: any failure is a fault
-            if end != len(text) or type(obj) is not dict or not REQUIRED_FIELDS <= obj.keys() <= _FIELDS:
-                return None
-            lid, period, bid, r, m, cap, comps, curve = _RECORD(obj)
-            k = ids.get(lid)  # an unhashable id raises TypeError
-            if k is None:
-                k = ids[_check_id(lid, line_no)] = len(curves)
-                curves.append({})
-            # every entry has the three fields, so their lengths sum to three per entry only if none has more
-            if type(comps) is not list or sum(map(len, comps)) != 3 * len(comps):
-                return None
-            flat.extend(chain.from_iterable(map(_ENTRY, comps)))
-            if type(curve) is not list or not curve:
-                return None
-            values.extend(curve)  # typed raw, not through the curve keys: True == 1.0 and hashes alike
-            n_main = obj.get("mainline_count")
-            if n_main is None:
-                n_main = min(cap, len(curve))
-            elif not 0 <= n_main <= len(curve):
-                return None
-            truth = obj.get("truth_value")
-            if truth is not None:
-                numbers.truth_rows.append(k)
-                numbers.truth_values.append(truth)
-            interned = curves[k]
-            index = interned.setdefault(tuple(map(float, curve)), len(interned))
-            ints.extend((line_no, k, period, cap, n_main, index, len(comps)))
-            own.extend((bid, obj.get("own_score", 1.0), obj.get("own_quality", 1.0), r, m))
-        numbers.flush()
-    except (ValueError, TypeError, KeyError, OverflowError, StopIteration, RecursionError):
-        return None
-    rows, truth = (np.concatenate(x) for x in numbers.truths)
-    order = np.argsort(rows, kind="stable")
-    listing, truth = rows[order], truth[order]
-    first = np.diff(listing, prepend=-1) != 0  # each listing's first truth in file order
-    if not (first[1:] | (truth[1:] == truth[:-1])).all():
-        return None
-    tables = _tables(ids, curves, numbers, dict(zip(listing[first].tolist(), truth[first].tolist())))
-    for table, _ in tables:
-        period, bid = table.period, table.own_bid
-        if not ((period[1:] != period[:-1]) | (bid[1:] == bid[:-1])).all():
-            return None
-    return tables
-
-
-def _walk(path: str) -> tuple[list[tuple[ListingHistory, np.ndarray]], ParseError | None]:
-    """:func:`_tables` of the records before the first malformed one, each checked on its own, and its ParseError.
-
-    The error is None when every record is well-formed.
-    """
-    ids: dict[str, int] = {}
-    curves: list[dict[tuple[float, ...], int]] = []
-    numbers = _Numbers()
-    bids: dict[tuple[int, int], float] = {}
-    truths: dict[int, float | None] = {}
+    bids: dict[tuple[int, int], float] = {}  # (listing index, period) -> the first own bid
+    truths: dict[int, float] = {}  # listing index -> the first truth: 0.0 and -0.0 are equal
     error = None
     try:
-        for line_no, raw in _lines(path, numbers):
-            try:  # bad UTF-8 or JSON, a non-finite constant, an over-long integer, deep nesting
-                text = raw.decode("utf-8").strip()
+        with open(path, "rb") as fh:  # decoded per line, so bad UTF-8 gets its line number
+            for line_no, raw in enumerate(fh, start=1):
+                if not (line_no - 1) % BLOCK_LINES:  # lines 1 to BLOCK_LINES make the first block
+                    numbers.flush()
+                try:
+                    text = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise ParseError(line_no, f"invalid JSON ({exc})") from exc
                 if not text:
                     continue
-                obj = _DECODER.decode(text)
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-            lid, period, cap, n_main, truth, curve, floats, entries = _parse_record(obj, line_no)
-            k = ids.setdefault(lid, len(curves))
-            if k == len(curves):
-                curves.append({})
-            index = curves[k].setdefault(curve, len(curves[k]))
-            numbers.ints.extend((line_no, k, period, cap, n_main, index, len(entries) // 3))
-            numbers.own.extend(floats)
-            numbers.flat.extend(entries)
-            if bids.setdefault((k, period), floats[0]) != floats[0]:
-                raise ParseError(line_no, f"inconsistent own_bid within listing {lid!r} period {period}")
-            if truth is not None and truths.get(k) not in (None, truth):
-                raise ParseError(line_no, f"inconsistent truth_value for listing {lid!r}")
-            if truths.get(k) is None:  # the first truth, as the column pass keeps: 0.0 and -0.0 are equal
-                truths[k] = truth
+                lid, period, cap, n_main, truth, curve, own, flat = _fast(text) or _parse_record(text, line_no)
+                k = ids.get(lid)
+                if k is None:
+                    k = ids[_check_id(lid, line_no)] = len(curves)
+                    curves.append({})
+                index = curves[k].setdefault(curve, len(curves[k]))
+                numbers.ints.extend((line_no, k, period, cap, n_main, index, len(flat) // 3))
+                numbers.own.extend(own)
+                numbers.flat.extend(flat)
+                if bids.setdefault((k, period), own[0]) != own[0]:
+                    raise ParseError(line_no, f"inconsistent own_bid within listing {lid!r} period {period}")
+                if truth is not None and truths.setdefault(k, truth) != truth:
+                    raise ParseError(line_no, f"inconsistent truth_value for listing {lid!r}")
     except ParseError as exc:
         error = exc
     numbers.flush()

@@ -160,7 +160,7 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
             try:
                 parsed = json.loads(raw_val)
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # a bare word, or nesting too deep to decode
                 parsed = raw_val
             try:
                 values[key] = CONFIG_KEYS[key][0](parsed)

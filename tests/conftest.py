@@ -7,23 +7,22 @@ from gspinfer import auctionlog, inference
 
 
 @pytest.fixture(scope="session", autouse=True)
-def column_pass_reads_every_well_formed_log():
-    """Every log a test ingests whose records are well-formed is read by the column pass alone.
+def fast_path_reads_every_well_formed_record():
+    """No record a test ingests is read by ``_parse_record``: ``_fast`` reads every well-formed one.
 
-    ``ingest`` walks the records only when the column pass finds a fault; a walk
-    that then finds none means the column pass rejected a log it should read.
+    ``ingest`` sends a record to ``_parse_record`` only when ``_fast`` refuses it, to name its fault;
+    a record ``_parse_record`` then returns means ``_fast`` refused a record it should read.
     """
-    walk = auctionlog._walk
+    parse = auctionlog._parse_record
 
-    @functools.wraps(walk)
-    def checked_walk(path):
-        tables, error = walk(path)
-        assert error is not None, f"the column pass rejected {path}, whose records are well-formed"
-        return tables, error
+    @functools.wraps(parse)
+    def checked_parse(text, line):
+        parse(text, line)
+        raise AssertionError(f"the fast path refused line {line}, which _parse_record reads: {text[:200]}")
 
-    auctionlog._walk = checked_walk
+    auctionlog._parse_record = checked_parse
     yield
-    auctionlog._walk = walk
+    auctionlog._parse_record = parse
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,7 +369,7 @@ def test_criterion_7_pipeline_determinism(tmp_path):
     files1 = export(summary_disk, arts_disk, config, str(out1))
     files2 = export(summary_disk, arts_disk, config, str(out2))
     bytes_equal = all(
-        open(f1, "rb").read() == open(f2, "rb").read() for f1, f2 in zip(files1, files2)
+        Path(f1).read_bytes() == Path(f2).read_bytes() for f1, f2 in zip(files1, files2)
     )
     log2 = tmp_path / "log2.jsonl"
     write_histories(acceptance_account(tmp_path), str(log2))

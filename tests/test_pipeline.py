@@ -10,6 +10,7 @@ import tempfile
 import tracemalloc
 from dataclasses import fields, replace
 from functools import cache
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -298,26 +299,18 @@ def typed(table):
     return [[(type(x), repr(x)) for x in c] for c in table.curves], (type(table.truth), repr(table.truth))
 
 
-def assert_column_pass_matches_walk(path):
-    """``ingest`` (the column pass, then the walk on a fault) against the per-record walk alone.
+def assert_fast_path_matches_parse_record(path):
+    """``ingest`` against ``ingest`` with every record read by ``_parse_record``, the reference.
 
-    Both give equal tables, curves and truth compared by value and type, or the same line and message; and
-    the column pass alone reads every log whose records the walk finds well-formed, to the walk's tables.
+    Both give equal tables, curves and truth compared by value and type, or the same line and message.
     """
-    walk = inspect.unwrap(auctionlog._walk)
-    with mock.patch.object(auctionlog, "_columns", lambda path: None), mock.patch.object(auctionlog, "_walk", walk):
+    parse = inspect.unwrap(auctionlog._parse_record)
+    with mock.patch.object(auctionlog, "_fast", lambda text: None), mock.patch.object(auctionlog, "_parse_record", parse):
         expected = ingest_outcome(path)
     got = ingest_outcome(path)
     assert got == expected
     if isinstance(got, list):
         assert [typed(t) for t in got] == [typed(t) for t in expected]
-    tables, error = walk(path)
-    if error is None:
-        columns = auctionlog._columns(path)
-        assert columns is not None
-        assert [t for t, _ in columns] == [t for t, _ in tables]
-        assert [typed(t) for t, _ in columns] == [typed(t) for t, _ in tables]
-        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(columns, tables))
 
 
 # block lengths that put a 3- or 12-line log's lines in several blocks, and the program's own
@@ -337,7 +330,7 @@ class TestIngestFuzz:
                 assert exc.line >= 1
             else:
                 assert isinstance(histories, list)
-            assert_column_pass_matches_walk(path)
+            assert_fast_path_matches_parse_record(path)
 
 
 @cache
@@ -401,20 +394,23 @@ class TestColumnPass:
     @example(block=auctionlog.BLOCK_LINES, order=range(12), mutations=[(3, ("competitors", 1, "bid"), 10**400)])
     @example(block=auctionlog.BLOCK_LINES, order=range(12), mutations=[(3, ("competitors", 1, "bid"), OVERFLOW)])
     @example(block=auctionlog.BLOCK_LINES, order=range(12), mutations=[(3, ("own_quality",), OVERFLOW)])
+    # two finite bids past MAX_MAGNITUDE whose sum overflows: a range fault, read by the fast path
+    @example(block=auctionlog.BLOCK_LINES, order=range(12),
+             mutations=[(3, ("competitors", 1, "bid"), 1.7e308), (3, ("competitors", 2, "bid"), 1.7e308)])
     # a second value on a line, and a competitor with a fourth field
     @example(block=auctionlog.BLOCK_LINES, order=range(12), mutations=[(3, ("period",), EXTRA_DATA)])
     @example(block=auctionlog.BLOCK_LINES, order=range(12), mutations=[(3, ("competitors", 1, "surprise"), 0.5)])
-    # blocks of 4 lines (1-4, 5-8, 9-12): a fault the block check finds in the first, a middle and the last block,
-    # on the last line of a block (checked as soon as it is read) and on the first line of the next
+    # blocks of 4 lines (1-4, 5-8, 9-12): a type fault in the first, a middle and the last block,
+    # on the last line of a block and on the first line of the next
     @example(block=4, order=range(12), mutations=[(1, ("own_bid",), True)])
     @example(block=4, order=range(12), mutations=[(5, ("competitors", 0, "bid"), True)])
     @example(block=4, order=range(12), mutations=[(10, ("period",), 2**63)])
     @example(block=4, order=range(12), mutations=[(3, ("own_quality",), OVERFLOW)])
     @example(block=4, order=range(12), mutations=[(4, ("mainline_cap",), True)])
-    # blocks of 5: the fault is on line 12, in the last block, which holds two lines and is checked after the loop
+    # blocks of 5: the fault is on line 12, in the last block, which holds two lines and is moved after the loop
     @example(block=5, order=range(12), mutations=[(11, ("position_curve", 0), True)])
     # blocks of 2: a range fault in the first block beats a type fault five blocks later, and a parse error
-    # in a middle block stops the walk with a block half flushed
+    # in a middle block stops the reader with a block half gathered
     @example(block=2, order=range(12), mutations=[(0, ("own_bid",), -0.2), (9, ("own_bid",), True)])
     @example(block=2, order=range(12), mutations=[(2, ("own_bid",), -0.2), (6, ("period",), BAD_JSON)])
     def test_mutated_log_matches_the_walk(self, order, mutations, block):
@@ -422,12 +418,12 @@ class TestColumnPass:
             path = os.path.join(tmp, "log.jsonl")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(mutated_log(order, mutations))
-            assert_column_pass_matches_walk(path)
+            assert_fast_path_matches_parse_record(path)
 
     def test_equal_truths_of_either_sign_keep_the_first(self, tmp_path):
         path = tmp_path / "log.jsonl"
         write_jsonl([dict(micro_fixture_records()[0], truth_value=t) for t in (0.0, -0.0)], path)
-        assert_column_pass_matches_walk(str(path))
+        assert_fast_path_matches_parse_record(str(path))
         assert repr(ingest(str(path))[0].truth) == "0.0"
 
     @pytest.mark.parametrize("block", [2, 3, auctionlog.BLOCK_LINES])
@@ -437,14 +433,14 @@ class TestColumnPass:
         path.write_text(text)
         with mock.patch.object(auctionlog, "BLOCK_LINES", block):
             assert ingest(str(path)) == []
-            assert_column_pass_matches_walk(str(path))
+            assert_fast_path_matches_parse_record(str(path))
 
 
-# Ingest's traced peak over the bytes its tables keep, on the 2 x 200 x 10 market below: 1.67 in the log's own
-# order and 1.84 with its lines shuffled (numpy 2.4, Python 3.11). The bound leaves 22% above the larger;
-# holding the whole log's numbers as Python objects until the file is read, as ingest once did, measured 4.17
-# and 4.80.
-PEAK_OVER_KEPT = 2.25
+# Ingest's traced peak over the bytes its tables keep, on the 2 x 200 x 10 market below, after one warm-up call:
+# 1.60 in the log's own order and with its lines shuffled (1142 KB over 712 KB; numpy 2.4, Python 3.11). The bound
+# leaves 22% above that. A second read of the file to name a fault, as ingest once had, measured 1.84; holding the
+# whole log's numbers as Python objects until the file is read measured 4.17 and 4.80 (cold).
+PEAK_OVER_KEPT = 1.95
 
 
 def simulated_market(tmp_path, listings, periods, auctions):
@@ -460,11 +456,12 @@ def simulated_market(tmp_path, listings, periods, auctions):
 def test_ingest_holds_its_tables_plus_one_block(tmp_path):
     path = str(tmp_path / "log.jsonl")
     write_histories(simulated_market(tmp_path, 2, 200, 10), path)
-    lines = open(path, encoding="utf-8").readlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines(keepends=True)
     shuffled = str(tmp_path / "shuffled.jsonl")
     with open(shuffled, "w", encoding="utf-8") as fh:
         fh.writelines(lines[k] for k in np.random.default_rng(0).permutation(len(lines)))
     del lines
+    ingest(path)  # what a first call leaves behind would count as kept: the ratio must not hang on test order
     for log in (path, shuffled):
         tracemalloc.start()
         try:
@@ -717,13 +714,18 @@ class TestWriteHistories:
                 assert a.read() == b.read()
 
 
-def loaded_after(statement: str, names: set[str]) -> str:
-    """The sorted list of ``names`` a fresh interpreter has in ``sys.modules`` after ``statement``, as printed."""
+def run_python(code: str, *argv: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """``python -c code argv`` in a fresh interpreter that imports this gspinfer, with ``stdin`` on a pipe."""
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys; {statement}; print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    return out.stdout.strip()
+    return subprocess.run([sys.executable, "-c", code, *argv], input=stdin, env=env, capture_output=True, check=False)
+
+
+def loaded_after(statement: str, names: set[str]) -> str:
+    """The sorted list of ``names`` a fresh interpreter has in ``sys.modules`` after ``statement``, as printed."""
+    out = run_python(f"import sys; {statement}; print(sorted(set({sorted(names)!r}) & set(sys.modules)))")
+    assert out.returncode == 0, out.stderr.decode()
+    return out.stdout.decode().strip()
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
@@ -744,6 +746,41 @@ def test_infer_and_predict_leave_the_simulator_and_pool_unloaded(tmp_path):
                  ["predict", str(log), "--config", str(cfg), "--out", str(tmp_path / "p.json")]):
         loaded = loaded_after(f"from gspinfer.cli import main; assert main({argv!r}) == 0", names)
         assert loaded.splitlines()[-1] == "[]"
+
+
+# gspinfer's command line, for run_python: its arguments follow the code
+CLI = "import sys; from gspinfer.cli import main; sys.exit(main(sys.argv[1:]))"
+# a shape fault and a type fault on line 4 of a piped log; a log on a pipe can be read only once
+PIPED_FAULTS = {"shape": ("competitors", {}), "type": ("own_bid", True)}
+
+
+@pytest.mark.parametrize("fault", sorted(PIPED_FAULTS))
+@pytest.mark.parametrize("command", ["predict", "infer"])
+def test_piped_log_with_a_malformed_line_exits_with_its_line(tmp_path, command, fault):
+    # ingest used to open the log again to name the fault, found a drained pipe and read no listing
+    log = tmp_path / "log.jsonl"
+    write_histories(tiny_market_histories(seed=17), str(log))
+    lines = log.read_text().splitlines(keepends=True)
+    field, value = PIPED_FAULTS[fault]
+    lines[3] = json.dumps(dict(json.loads(lines[3]), **{field: value})) + "\n"
+    out = tmp_path / "o"
+    done = run_python(CLI, command, "/dev/stdin", "--grid-step", "0.1",
+                      *(["--out", str(out)] if command == "infer" else []), stdin="".join(lines).encode())
+    assert done.returncode == 1 and done.stdout == b"" and not out.exists(), (done.returncode, done.stdout)
+    errors = json.loads(done.stderr)["errors"]
+    assert len(errors) == 1 and errors[0].startswith(f"line 4: {field}")
+
+
+def test_piped_log_gives_the_predictions_of_the_file(tmp_path):
+    log = tmp_path / "log.jsonl"
+    write_histories(tiny_market_histories(seed=17), str(log))
+    assert main(["infer", str(log), "--grid-step", "0.1", "--out", str(tmp_path / "file")]) == 0
+    expected = (tmp_path / "file" / "predictions.json").read_bytes()
+    done = run_python(CLI, "infer", "/dev/stdin", "--grid-step", "0.1", "--out", str(tmp_path / "pipe"),
+                      stdin=log.read_bytes())
+    assert done.returncode == 0 and (tmp_path / "pipe" / "predictions.json").read_bytes() == expected
+    done = run_python(CLI, "predict", "/dev/stdin", "--grid-step", "0.1", stdin=log.read_bytes())
+    assert done.returncode == 0 and done.stdout == expected
 
 
 def test_package_import_loads_no_submodule():
@@ -789,7 +826,7 @@ class TestDeterminism:
         files1 = export(summary, artifacts, config, str(out1))
         files2 = export(summary, artifacts, config, str(out2))
         for f1, f2 in zip(files1, files2):
-            assert open(f1, "rb").read() == open(f2, "rb").read()
+            assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
 
 class TestBundleCodec:
@@ -818,7 +855,7 @@ class TestBundleCodec:
         files_np = export(summary_np, artifacts_np, config, str(tmp_path / "b"))
         assert [os.path.basename(f) for f in files] == [os.path.basename(f) for f in files_np]
         for f, f_np in zip(files, files_np):
-            assert open(f, "rb").read() == open(f_np, "rb").read(), f
+            assert Path(f).read_bytes() == Path(f_np).read_bytes(), f
 
     @staticmethod
     def account(tmp_path, **config):
@@ -1027,6 +1064,8 @@ class TestConfigFile:
         ("rate_sample_sizes", "[1000, 2.5]"), ("epsilon_max", "true"),
         # no string, quoted or not, is a number
         ("periods", '"5"'), ("epsilon_max", '"0.5"'), ("precision", "inf"), ("rate_sample_sizes", '["1000"]'),
+        # too deep for json.loads, which raises RecursionError, not a decode error: it escaped as a traceback
+        pytest.param("position_curve", "[" * 100_000 + "]" * 100_000, id="position_curve-nested-too-deep"),
     ])
     def test_value_of_the_wrong_json_type_rejected(self, tmp_path, key, value):
         path = tmp_path / "cfg"
@@ -1242,6 +1281,19 @@ class TestCli:
         assert main([command, "--config", str(cfg), *args]) == 1
         errors = json.loads(capsys.readouterr().err)["errors"]
         assert len(errors) == 1 and errors[0].startswith("bid_max must lie in (0, 1000]")
+
+    @pytest.mark.parametrize("command", ["simulate", "infer", "predict", "rate-study"])
+    def test_config_nested_too_deep_exits_with_error_list(self, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"position_curve = {'[' * 100_000}{']' * 100_000}\n")
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        args = [str(log)] if command in ("infer", "predict") else []
+        assert main([command, "--config", str(cfg), *args, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        errors = json.loads(captured.err)["errors"]
+        assert len(errors) == 1 and errors[0].startswith(f"{cfg}:1: bad value for 'position_curve'")
+        assert captured.out == "" and not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["infer", "predict"])
     @pytest.mark.parametrize("width", ["0", "-0.05", "NaN", "1.5", "1e-300", "5e-5"])
