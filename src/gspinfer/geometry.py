@@ -179,14 +179,8 @@ class SingleSlotMarket:
 
     def population_curve(self, bids: Sequence[float]) -> DeviationCurve:
         p0, c0 = self.population_pc(self.own_bid)
-        ps, cs = zip(*(self.population_pc(b) for b in bids))
-        return DeviationCurve(
-            grid=tuple(bids),
-            delta_p=tuple(p - p0 for p in ps),
-            delta_c=tuple(c - c0 for c in cs),
-            baseline_p=p0,
-            baseline_c=c0,
-        )
+        ps, cs = np.array([self.population_pc(b) for b in bids]).T
+        return DeviationCurve(grid=bids, delta_p=ps - p0, delta_c=cs - c0, baseline_p=p0, baseline_c=c0)
 
 
 #: The market every rate study samples.
@@ -275,15 +269,9 @@ def _estimate_region(cfg: RateStudyConfig, n: int, rng: np.random.Generator) -> 
     bids = np.linspace(_MARKET.rival_low, _MARKET.rival_high, g)
     batch = n // (g + 1)
     draws = rng.uniform(_MARKET.rival_low, _MARKET.rival_high, size=(g + 1) * batch)
-    arms = [_MARKET.sample_pc(b, draws[k * batch:(k + 1) * batch]) for k, b in enumerate(bids)]
+    ps, cs = np.array([_MARKET.sample_pc(b, draws[k * batch:(k + 1) * batch]) for k, b in enumerate(bids)]).T
     p0, c0 = _MARKET.sample_pc(_MARKET.own_bid, draws[g * batch:])
-    curve = DeviationCurve(
-        grid=tuple(bids),
-        delta_p=tuple(p - p0 for p, _ in arms),
-        delta_c=tuple(c - c0 for _, c in arms),
-        baseline_p=p0,
-        baseline_c=c0,
-    )
+    curve = DeviationCurve(grid=bids, delta_p=ps - p0, delta_c=cs - c0, baseline_p=p0, baseline_c=c0)
     return SupportRegion(link_from_curve(curve), cfg.eps_cap)
 
 

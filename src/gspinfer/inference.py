@@ -11,12 +11,14 @@ average regret for a bidder with value-per-click ``v``:
     for every grid bid b':   v * dP(b') <= dC(b') + eps
 
 so the rationalizable set is the intersection of half-planes, one per grid
-bid. Everything else here is exact piecewise-linear geometry on that family:
-the value interval at a given ``eps``, the lower boundary ``eps(v)`` (the
-convex conjugate of the lower convex hull of the points ``(dP, dC)``), the
-smallest rationalizable additive regret ``eps0``, read off that hull's edge
-slopes, and the smallest *multiplicative* regret ``delta*`` (regret measured
-relative to the deviation utility), read exactly off the same hull.
+bid, and each query on it is a numpy reduction over the rows of the curve's
+read-only float64 arrays. Everything else here is exact piecewise-linear
+geometry on that family: the value interval at a given ``eps``, the lower
+boundary ``eps(v)`` (the convex conjugate of the lower convex hull of the
+points ``(dP, dC)``), the smallest rationalizable additive regret ``eps0``,
+read off that hull's edge slopes, and the smallest *multiplicative* regret
+``delta*`` (regret measured relative to the deviation utility), read exactly
+off the same hull.
 """
 
 from __future__ import annotations
@@ -41,42 +43,52 @@ class InferenceError(ValueError):
     """Raised when a history or curve cannot support the requested inference."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeviationCurve:
     """Counterfactual deviation landscape for one listing.
 
     ``delta_p[k]`` / ``delta_c[k]`` are the average changes in click
     probability / payment from switching every period's bid to ``grid[k]``.
     ``baseline_p`` / ``baseline_c`` are the averages realized by the actual
-    bid sequence.
+    bid sequence. The columns are read-only float64 arrays, copied from what
+    is given; every value must be finite and the grid strictly increasing.
     """
 
-    grid: tuple[float, ...]
-    delta_p: tuple[float, ...]
-    delta_c: tuple[float, ...]
+    grid: np.ndarray
+    delta_p: np.ndarray
+    delta_c: np.ndarray
     baseline_p: float
     baseline_c: float
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(float(b) for b in self.grid))
-        object.__setattr__(self, "delta_p", tuple(float(x) for x in self.delta_p))
-        object.__setattr__(self, "delta_c", tuple(float(x) for x in self.delta_c))
+        for name in ("grid", "delta_p", "delta_c"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
         object.__setattr__(self, "baseline_p", float(self.baseline_p))
         object.__setattr__(self, "baseline_c", float(self.baseline_c))
-        if not (len(self.grid) == len(self.delta_p) == len(self.delta_c)):
+        if not (self.grid.ndim == 1 and self.grid.shape == self.delta_p.shape == self.delta_c.shape):
             raise InferenceError("grid, delta_p and delta_c must have equal length")
+        if not (np.isfinite((self.grid, self.delta_p, self.delta_c)).all()
+                and math.isfinite(self.baseline_p) and math.isfinite(self.baseline_c)):
+            raise InferenceError("curve values must be finite")
         _check_grid(self.grid)
-        for x in (*self.delta_p, *self.delta_c, self.baseline_p, self.baseline_c):
-            if not math.isfinite(x):
-                raise InferenceError("curve values must be finite")
+
+    def __eq__(self, other):
+        if not isinstance(other, DeviationCurve):
+            return NotImplemented
+        return (self.baseline_p, self.baseline_c) == (other.baseline_p, other.baseline_c) and all(
+            np.array_equal(getattr(self, f), getattr(other, f)) for f in ("grid", "delta_p", "delta_c"))
+
+    def __reduce__(self):  # through the constructor, so an unpickled curve's columns are read-only too
+        return DeviationCurve, (self.grid, self.delta_p, self.delta_c, self.baseline_p, self.baseline_c)
 
 
-def _check_grid(grid: Sequence[float]) -> None:
-    if not grid:
+def _check_grid(grid: np.ndarray) -> None:
+    if not len(grid):
         raise InferenceError("deviation curve must have at least one grid point")
-    for a, b in zip(grid, grid[1:]):
-        if not b > a:
-            raise InferenceError("grid must be strictly increasing")
+    if not (grid[1:] > grid[:-1]).all():
+        raise InferenceError("grid must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -131,9 +143,8 @@ def build_deviation_curve(history: ListingHistory, grid: Sequence[float]) -> Dev
     realized bid; the grid is then looked up in blocks of whole periods of at
     most about :data:`BLOCK_CELLS` cells, each through :meth:`~gspinfer.auction.DeviationSweep.rows`.
     """
-    grid = [float(b) for b in grid]
+    grid = np.array(grid, dtype=np.float64)
     _check_grid(grid)
-    bids = np.array(grid)
     bounds = history.period_bounds()
     sizes = np.diff(bounds)
     step = max(1, BLOCK_CELLS // (len(grid) * int(sizes.max())))  # periods per block
@@ -149,7 +160,7 @@ def build_deviation_curve(history: ListingHistory, grid: Sequence[float]) -> Dev
         for first in range(start, end, step):
             last = min(first + step, end)
             lo, hi = bounds[first] - bounds[start], bounds[last] - bounds[start]
-            cells = sweep.rows(lo, hi).evaluate_many(bids)
+            cells = sweep.rows(lo, hi).evaluate_many(grid)
             # sums over a non-inner axis add in sample order, keeping the curve bit-identical to a scalar replay
             # each period's auctions on one axis, padded to the block's longest period with -0.0, which adds nothing
             size = sizes[first:last]
@@ -167,7 +178,7 @@ def build_deviation_curve(history: ListingHistory, grid: Sequence[float]) -> Dev
                 rows[1:, 1:] -= rows[1:, :1]
                 sums[k] = np.add.reduce(rows, axis=0)
     sums /= len(sizes)
-    return DeviationCurve(grid, sums[0, 1:].tolist(), sums[1, 1:].tolist(), sums[0, 0], sums[1, 0])
+    return DeviationCurve(grid, sums[0, 1:], sums[1, 1:], sums[0, 0], sums[1, 0])
 
 
 def value_interval(
@@ -178,38 +189,42 @@ def value_interval(
     One half-line ``v * dP(b') <= dC(b') + eps`` per grid bid, intersected
     with ``[0, v_max]``.
     """
-    return _half_line_interval(((dp, dc + eps) for dp, dc in zip(curve.delta_p, curve.delta_c)), v_max)
+    return _half_line_interval(curve.delta_p, curve.delta_c + eps, v_max)
 
 
-def _half_line_interval(rows, v_max: float) -> tuple[float, float] | None:
-    """Values ``v`` in ``[0, v_max]`` with ``v * a <= rhs`` for every ``(a, rhs)`` row, or None.
+def _half_line_interval(a: np.ndarray, rhs: np.ndarray, v_max: float) -> tuple[float, float] | None:
+    """Values ``v`` in ``[0, v_max]`` with ``v * a[k] <= rhs[k]`` for every row ``k``, or None.
 
     Positive coefficients give upper bounds, negative ones lower bounds, and
-    zero coefficients are pure feasibility tests.
+    zero coefficients are pure feasibility tests. The bounds are those a walk
+    from 0 and ``v_max`` keeps, so ``0.0`` and ``-0.0`` come out as it leaves them.
     """
-    lower = 0.0
-    upper = v_max
-    for a, rhs in rows:
-        if a > 0.0:
-            bound = rhs / a
-            if bound < upper:
-                upper = bound
-        elif a < 0.0:
-            bound = rhs / a
-            if bound > lower:
-                lower = bound
-        elif rhs < -FEASIBILITY_TOL:
-            return None
+    up, down = a > 0.0, a < 0.0
+    if rhs[~(up | down)].min(initial=0.0) < -FEASIBILITY_TOL:
+        return None
+    lower = max(0.0, (rhs[down] / a[down]).max(initial=0.0).item())  # Python's max keeps 0.0 against -0.0
+    highs = rhs[up] / a[up]
+    least = highs.min(initial=math.inf)
+    upper = _first(highs, least) if least < v_max else v_max
     if lower > upper + FEASIBILITY_TOL:
         return None
-    return (lower, min(upper, v_max))
+    return (lower, upper)
 
 
 def boundary(curve: DeviationCurve, v: float) -> float:
-    """Lower boundary of the rationalizable set: the largest deviation gain at ``v``."""
+    """Lower boundary of the rationalizable set: the largest deviation gain at ``v`` (the first of equal ones)."""
     if v < 0:
         raise InferenceError(f"value must be non-negative (got {v})")
-    return max(v * dp - dc for dp, dc in zip(curve.delta_p, curve.delta_c))
+    gains = v * curve.delta_p - curve.delta_c
+    return _first(gains, gains.max())
+
+
+def _first(x: np.ndarray, value: np.float64) -> float:
+    """The first entry of ``x`` equal to ``value``, its max or min: ``0.0`` or ``-0.0`` as a walk keeps it.
+
+    Not ``x[x.argmax()]``: ``infer`` runs no other arg-reduction, and paging its code in adds 64 KB of RSS.
+    """
+    return x[x == value][0].item()
 
 
 @dataclass(frozen=True)
@@ -233,7 +248,7 @@ class LinkFunction:
 
 
 def link_from_curve(curve: DeviationCurve) -> LinkFunction:
-    """The link function of a deviation curve: one monotone-chain pass over its rows sorted by ``dP``.
+    """The link function of a deviation curve: one monotone-chain pass over its rows sorted by ``dP``, then ``dC``.
 
     Of equal click changes only the first, smallest payment change is kept
     (the binding constraint). Points on or above a chord are dropped, so the
@@ -241,8 +256,9 @@ def link_from_curve(curve: DeviationCurve) -> LinkFunction:
     incremental cost per click the hull drops knots, and
     :func:`check_assumptions` reports that violation.
     """
+    order = np.lexsort((curve.delta_c, curve.delta_p))  # stable, as sorting the (dP, dC) pairs is
     hull: list[tuple[float, float]] = []
-    for z, c in sorted(zip(curve.delta_p, curve.delta_c)):
+    for z, c in zip(curve.delta_p[order].tolist(), curve.delta_c[order].tolist()):
         if hull and z == hull[-1][0]:
             continue
         while len(hull) >= 2:
@@ -272,7 +288,7 @@ def min_additive_regret(curve: DeviationCurve) -> tuple[float, tuple[float, floa
     sits at ``v = 0`` or at a positive edge slope: O(n log n + h * n) for
     ``h`` hull vertices.
     """
-    if max(curve.delta_p) < 0.0:
+    if curve.delta_p.max() < 0.0:
         raise InferenceError("minimum regret is unbounded below (every deviation loses clicks)")
     eps0 = min(boundary(curve, v) for v in _hull_breakpoints(curve))
     interval = value_interval(curve, eps0)
@@ -292,7 +308,7 @@ def min_additive_regret_bisect(
     value at v = 0, then bisects the feasibility predicate. Kept as an
     independent route for testing the hull-based minimum.
     """
-    if max(curve.delta_p) < 0.0:
+    if curve.delta_p.max() < 0.0:
         raise InferenceError("minimum regret is unbounded below (every deviation loses clicks)")
     hi = boundary(curve, 0.0)
     span = max(1.0, abs(hi))
@@ -314,53 +330,27 @@ def min_additive_regret_bisect(
     return hi
 
 
-def icc(curve: DeviationCurve, i: int, j: int) -> float | None:
-    """Incremental cost per click between grid rows ``i`` and ``j``.
-
-    ``(dC_i - dC_j) / (dP_i - dP_j)``; None when the click changes are equal
-    (excluded from monotonicity checks).
-    """
-    dp = curve.delta_p[i] - curve.delta_p[j]
-    if dp == 0.0:
-        return None
-    return (curve.delta_c[i] - curve.delta_c[j]) / dp
-
-
 def check_assumptions(curve: DeviationCurve) -> AssumptionReport:
     """Flag monotonicity of dP/dC and non-decreasing adjacent-segment ICC.
 
+    Monotonicity compares each row with the next. An ICC segment runs from
+    row 0 or a row whose dP differs from the row before to the next such row,
+    so a run of equal dP enters the ICC through its first row only.
     The ICC flag uses weak inequality on adjacent segments (equal slopes keep
     the piecewise-linear cost-vs-clicks curve convex); it is reported False
     outright when dP itself is non-monotone, since segment order is then
     meaningless. Each comparison allows a slack of 1e-12.
     """
     tol = 1e-12
-    sites: list[tuple[int, int]] = []
-    dp_mono = True
-    dc_mono = True
-    n = len(curve.grid)
-    for k in range(n - 1):
-        if curve.delta_p[k + 1] < curve.delta_p[k] - tol:
-            dp_mono = False
-            sites.append((k, k + 1))
-        if curve.delta_c[k + 1] < curve.delta_c[k] - tol:
-            dc_mono = False
-            sites.append((k, k + 1))
-    icc_inc = True
-    prev: float | None = None
-    last = 0
-    for k in range(1, n):
-        ratio = icc(curve, k, last)
-        if ratio is None:
-            continue
-        if prev is not None and ratio < prev - tol:
-            icc_inc = False
-            sites.append((last, k))
-        prev = ratio
-        last = k
-    if not dp_mono:
-        icc_inc = False
-    return AssumptionReport(dp_mono, dc_mono, icc_inc, tuple(sites))
+    dp, dc = curve.delta_p, curve.delta_c
+    falls_p, falls_c = dp[1:] < dp[:-1] - tol, dc[1:] < dc[:-1] - tol
+    steps = np.repeat(np.arange(len(dp) - 1), falls_p.astype(int) + falls_c)  # a step failing both is listed twice
+    knots = np.flatnonzero(np.concatenate(([True], dp[1:] != dp[:-1])))
+    icc = np.diff(dc[knots]) / np.diff(dp[knots])
+    drops = icc[1:] < icc[:-1] - tol
+    sites = np.concatenate((np.column_stack((steps, steps + 1)), np.column_stack((knots[1:-1], knots[2:]))[drops]))
+    dp_mono = not falls_p.any()
+    return AssumptionReport(dp_mono, not falls_c.any(), dp_mono and not drops.any(), tuple(map(tuple, sites.tolist())))
 
 
 def feasible_values_mult(
@@ -382,15 +372,10 @@ def feasible_values_mult(
         raise InferenceError(f"delta must lie in [0, 1) (got {delta})")
     one_minus = 1.0 - delta
     p_term = delta * curve.baseline_p
-    c_term = delta * curve.baseline_c
-
-    def coefficient(dp: float) -> float:
-        a = one_minus * dp
-        return 0.0 if abs(a - p_term) <= 1e-12 * max(abs(a), abs(p_term)) else a - p_term
-
-    return _half_line_interval(
-        ((coefficient(dp), one_minus * dc - c_term) for dp, dc in zip(curve.delta_p, curve.delta_c)), v_max
-    )
+    a = one_minus * curve.delta_p
+    coefficient = a - p_term
+    coefficient[np.abs(coefficient) <= 1e-12 * np.maximum(np.abs(a), abs(p_term))] = 0.0
+    return _half_line_interval(coefficient, one_minus * curve.delta_c - delta * curve.baseline_c, v_max)
 
 
 def min_mult_regret(
@@ -415,7 +400,7 @@ def min_mult_regret(
         vs = [v for v in _hull_breakpoints(curve) if v < v_max] + ([v_max] if math.isfinite(v_max) else [])
         ratios = [(max(0.0, boundary(curve, v) / (v * p0 - c0)), v) for v in vs if v * p0 - c0 > 0.0]
         if math.isinf(v_max) and p0 > 0.0:
-            ratios.append((max(0.0, max(curve.delta_p) / p0), math.inf))
+            ratios.append((max(0.0, curve.delta_p.max().item() / p0), math.inf))
         r = min(ratios)[0] if ratios else math.inf
         delta_star = r / (1.0 + r) if ratios else 1.0
         if delta_star > 1.0 - precision:
@@ -445,12 +430,12 @@ def default_value_cap(curve: DeviationCurve, eps_cap: float) -> float:
     the corner moves some ``v*`` and makes some curves not rationalizable,
     so ``infer`` keeps this cap.
     """
-    sup_dp = max(curve.delta_p)
+    sup_dp = curve.delta_p.max().item()
     if sup_dp <= 0.0:
         raise InferenceError(
             "no deviation gains clicks; supply an explicit value cap"
         )
-    return (eps_cap + max(curve.delta_c)) / sup_dp
+    return (eps_cap + _first(curve.delta_c, curve.delta_c.max())) / sup_dp
 
 
 def build_region(

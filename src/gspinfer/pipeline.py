@@ -17,6 +17,8 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .auction import MAX_MAGNITUDE, ListingHistory
 from .auctionlog import ParseError, _check_id, _value, ingest, write_histories  # noqa: F401 - read from here too
 from .inference import (
@@ -242,11 +244,13 @@ def _schema(kind: type) -> dict:
 
 
 def _encode(obj):
-    """A dataclass as a bundle object of its fields, recursively; anything else as it is (a tuple is a JSON list)."""
+    """A dataclass as a bundle object of its fields, recursively; an array as a list; anything else as it is."""
     if is_dataclass(obj):
         return {f.name: _encode(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, dict):
         return {k: _encode(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     return obj
 
 
@@ -269,10 +273,12 @@ def artifacts_to_json(
 def _decode(kind, x):
     """Bundle value ``x`` as a value of type ``kind``, else ValueError or KeyError.
 
-    A dataclass or a dict of kinds is read from an object with exactly its
-    keys, ``tuple[...]`` from a list, ``dict[str, X]`` from an object and
-    ``X | None`` from null too; anything else is checked by :func:`_value`.
+    A dataclass or a dict of kinds is read from an object with exactly its keys,
+    ``tuple[...]`` or a float array from a list, ``dict[str, X]`` from an object
+    and ``X | None`` from null too; anything else is checked by :func:`_value`.
     """
+    if kind is np.ndarray:
+        return [_value(v, float) for v in _value(x, list)]
     if type(kind) is type and not is_dataclass(kind):  # not isinstance: 3.10 calls tuple[...] a type
         return _value(x, kind)
     if isinstance(kind, dict) or is_dataclass(kind):

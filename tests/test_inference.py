@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from dataclasses import dataclass, replace
 
@@ -22,7 +23,7 @@ from gspinfer.inference import (
     check_assumptions,
     default_value_cap,
     feasible_values_mult,
-    icc,
+    link_from_curve,
     min_additive_regret,
     min_additive_regret_bisect,
     min_mult_regret,
@@ -30,6 +31,8 @@ from gspinfer.inference import (
 )
 from gspinfer.pipeline import InferenceConfig, infer_account, ingest
 
+import row_scans
+from row_scans import exact, icc, tuple_curve
 from test_auction import CellSweep, auctions_to_table, random_params
 
 
@@ -141,6 +144,26 @@ def min_mult_regret_bisect(
         v_interval=interval,
         iterations=iterations,
     )
+
+
+class TestDeviationCurve:
+    @pytest.mark.parametrize("grid", [(math.nan,), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_non_finite_grid_rejected(self, grid):
+        zeros = (0.0,) * len(grid)
+        with pytest.raises(InferenceError, match="must be finite"):
+            DeviationCurve(grid=grid, delta_p=zeros, delta_c=zeros, baseline_p=0.5, baseline_c=0.1)
+
+    def test_columns_are_read_only_float64_copies(self):
+        dps = np.array([-0.2, 0.1])
+        curve = DeviationCurve(grid=[0.5, 2], delta_p=dps, delta_c=(-0.15, 0.06), baseline_p=0.4, baseline_c=0.2)
+        dps[0] = 1.0
+        assert curve == micro_curve() and curve.delta_p[0] == -0.2
+        unpickled = pickle.loads(pickle.dumps(curve))  # as a worker process returns it
+        assert unpickled == curve
+        for column in (curve.grid, curve.delta_p, curve.delta_c, unpickled.grid, unpickled.delta_p, unpickled.delta_c):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
 
 
 class TestFeasibility:
@@ -339,17 +362,52 @@ class TestHullMatchesPairwiseOracle:
             assert min_additive_regret(curve)[0] == pairwise_eps0(curve)
 
 
+# few values and both zeros, so that runs of equal dP and gains tying at 0.0 and -0.0 are common
+SIGNED = st.sampled_from((-0.2, -0.1, -0.0, 0.0, 0.1, 0.2))
+
+
+class TestArrayFormsMatchRowScans:
+    """Each query on the curve's arrays returns what its row scan in ``row_scans`` returns, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=st.lists(st.tuples(SIGNED, SIGNED), min_size=1, max_size=6), v=st.sampled_from((0.0, 0.5, 1.0, 2.0)))
+    @example(rows=[(0.1, 0.0), (-0.1, 0.0), (0.2, 0.1)], v=0.0)  # gains 0.0 then -0.0
+    @example(rows=[(-0.1, 0.0), (0.1, 0.0), (0.2, 0.1)], v=0.0)  # gains -0.0 then 0.0
+    @example(rows=[(0.1, 0.0), (0.1, -0.0)], v=0.0)  # upper bounds 0.0 then -0.0 at eps = -0.0
+    @example(rows=[(0.1, -0.0), (0.1, 0.0)], v=0.0)  # upper bounds -0.0 then 0.0 at eps = -0.0
+    @example(rows=[(0.1, 0.1), (0.1, 0.2), (0.2, 0.1)], v=1.0)  # dP runs a, a, b
+    @example(rows=[(0.1, 0.1), (0.2, 0.2), (0.1, 0.0)], v=1.0)  # dP runs a, b, a
+    @example(rows=[(0.2, -0.1), (0.1, 0.2), (0.1, 0.0)], v=1.0)  # equal dP sorted by dC
+    @example(rows=[(-0.1, 0.0)], v=0.0)  # one row: a lower bound of -0.0
+    @example(rows=[(0.1, 0.1)], v=1.0)  # one row
+    def test_every_query_matches(self, rows, v):
+        curve = curve_from_rows(rows)
+        tuples = tuple_curve(curve)
+        assert exact(boundary(curve, v)) == exact(row_scans.boundary(tuples, v))
+        assert exact(link_from_curve(curve)) == exact(row_scans.link_from_curve(tuples))
+        assert exact(check_assumptions(curve)) == exact(row_scans.check_assumptions(tuples))
+        for cap in (math.inf, 1.0):
+            for eps in (-0.0, 0.0, 0.05):
+                assert exact(value_interval(curve, eps, cap)) == exact(row_scans.value_interval(tuples, eps, cap))
+            for delta in (0.0, 0.2, 0.5):
+                assert exact(feasible_values_mult(curve, delta, cap)) == exact(
+                    row_scans.feasible_values_mult(tuples, delta, cap))
+        if max(tuples.delta_p) > 0.0:
+            for eps_cap in (-0.0, 0.0, 0.5):
+                assert exact(default_value_cap(curve, eps_cap)) == exact(row_scans.default_value_cap(tuples, eps_cap))
+
+
 class TestIccAndAssumptions:
     def test_icc_values(self):
         curve = micro_curve(with_identity=True)
-        assert icc(curve, 1, 0) == pytest.approx(0.75)
-        assert icc(curve, 2, 1) == pytest.approx(0.6)
+        assert icc(tuple_curve(curve), 1, 0) == pytest.approx(0.75)
+        assert icc(tuple_curve(curve), 2, 1) == pytest.approx(0.6)
 
     def test_icc_undefined_marker(self):
         curve = DeviationCurve(
             grid=(1.0, 2.0), delta_p=(0.1, 0.1), delta_c=(0.0, 0.05), baseline_p=0.5, baseline_c=0.1
         )
-        assert icc(curve, 1, 0) is None
+        assert icc(tuple_curve(curve), 1, 0) is None
 
     def test_micro_with_identity_flags_icc_violation(self):
         report = check_assumptions(micro_curve(with_identity=True))
@@ -658,7 +716,7 @@ class TestBuildDeviationCurve:
     def test_identity_deviation_is_zero(self):
         hist = self.history([0.51, 0.51, 0.51])
         curve = build_deviation_curve(hist, [0.3, 0.51, 0.8])
-        k = curve.grid.index(0.51)
+        k = curve.grid.tolist().index(0.51)
         assert curve.delta_p[k] == 0.0 and curve.delta_c[k] == 0.0
 
     def test_losing_to_sole_winner_at_reserve(self):

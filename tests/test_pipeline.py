@@ -873,6 +873,26 @@ class TestBundleCodec:
         assert any(p["delta_star"] > config.learning_threshold for p in payload)
         return summary, artifacts, config
 
+    def test_no_numpy_value_reaches_an_output(self, tmp_path):
+        # a numpy int among the violation sites makes json.dumps raise, and a
+        # numpy float prints as np.float64(...) in the CSVs
+        summary, artifacts, config = self.account(tmp_path)
+        assert any(art.region.assumptions.violation_sites and art.prediction.delta_star > config.learning_threshold
+                   for art in artifacts.values())
+
+        def leaves(x):
+            if isinstance(x, dict):
+                x = [*x.keys(), *x.values()]
+            if isinstance(x, (list, tuple)):
+                for y in x:
+                    yield from leaves(y)
+            else:
+                yield x
+
+        outputs = (artifacts_to_json(summary, artifacts, config), predictions_payload(artifacts),
+                   [art.region.boundary for art in artifacts.values()])
+        assert {type(x) for x in leaves(outputs)} <= {int, float, str, bool, type(None)}
+
     def test_round_trip_restores_objects(self, tmp_path):
         summary, artifacts, config = self.account(tmp_path)
         bundle = json.loads(json.dumps(artifacts_to_json(summary, artifacts, config)))
