@@ -324,8 +324,9 @@ class ListingHistory:
         bad = ~_entries_ok(self.own_score, self.own_quality, self.own_bid)
         counts = self.offsets[1:] - self.offsets[:-1]
         bad[np.arange(len(self)).repeat(counts)[~_entries_ok(self.score, self.quality, self.bid)]] = True
-        if self.listing_id[:1] == "c":  # it may share a log's id with a competitor
-            bad |= [self.listing_id in map(_log_name, range(k)) for k in counts.tolist()]
+        digits = self.listing_id[1:]
+        if digits.isascii() and digits.isdigit() and self.listing_id == _log_name(int(digits)):
+            bad |= counts > int(digits)  # a row with more competitors gives one of them the listing's id
         # slots per position curve, -1 if the curve is malformed
         slots = np.array([len(c) if c and all(0.0 < a <= 1.0 for a in c) and all(b < a for a, b in zip(c, c[1:]))
                           else -1 for c in self.curves])
@@ -429,19 +430,16 @@ class DeviationSweep:
             raise ValidationError(f"bids must lie in [0, {MAX_MAGNITUDE:g}]")
         micro = np.rint(bids * MICRO).astype(np.int64)
         n, t = self._least.shape
-        if micro.ndim == 2:
+        flat = micro.reshape(-1)
+        if micro.ndim < 2 and (flat[1:] >= flat[:-1]).all():
+            # a shared sorted grid: the first bid that reaches each threshold, then per bid the thresholds reached
+            g = len(flat)
+            first = np.searchsorted(flat, self._least) + np.arange(0, n * (g + 1), g + 1).reshape(n, 1)
+            state = np.bincount(first.reshape(-1), minlength=n * (g + 1)).reshape(n, g + 1)[:, :g].cumsum(axis=1)
+        else:  # per threshold, the bids that reach it
             state = np.zeros(np.broadcast_shapes((n, 1), micro.shape), dtype=np.int64)
             for least in self._least.T:
                 state += least[:, None] <= micro
-        else:
-            # the first sorted bid that reaches each threshold, then per bid the thresholds reached
-            micro = micro.reshape(-1)
-            g = len(micro)
-            order = np.argsort(micro, kind="stable")
-            first = np.searchsorted(micro[order], self._least) + np.arange(0, n * (g + 1), g + 1).reshape(n, 1)
-            state = np.bincount(first.reshape(-1), minlength=n * (g + 1)).reshape(n, g + 1)[:, :g].cumsum(axis=1)
-            if (order[1:] < order[:-1]).any():
-                state = state[:, order.argsort()]
         state += np.arange(0, n * (t + 1), t + 1).reshape(n, 1)
         return self._p.take(state), self._c.take(state)
 

@@ -123,11 +123,10 @@ class PointPrediction:
 
 @dataclass(frozen=True)
 class RationalizableRegion:
-    """The bounded rationalizable set: caps, boundary samples, diagnostics."""
+    """The rationalizable set's value cap, ``eps0`` and diagnostics; its lower boundary is :func:`boundary`."""
 
     value_cap: float
     epsilon_min: float
-    boundary: tuple[tuple[float, float], ...]
     assumptions: AssumptionReport
 
 
@@ -187,8 +186,10 @@ def value_interval(
     """Values rationalizable at additive regret ``eps``, or None if empty.
 
     One half-line ``v * dP(b') <= dC(b') + eps`` per grid bid, intersected
-    with ``[0, v_max]``.
+    with ``[0, v_max]``. A NaN ``eps`` or ``v_max`` raises :class:`InferenceError`.
     """
+    if math.isnan(eps):
+        raise InferenceError("eps must not be NaN")
     return _half_line_interval(curve.delta_p, curve.delta_c + eps, v_max)
 
 
@@ -199,6 +200,8 @@ def _half_line_interval(a: np.ndarray, rhs: np.ndarray, v_max: float) -> tuple[f
     zero coefficients are pure feasibility tests. The bounds are those a walk
     from 0 and ``v_max`` keeps, so ``0.0`` and ``-0.0`` come out as it leaves them.
     """
+    if math.isnan(v_max):
+        raise InferenceError("v_max must not be NaN")
     up, down = a > 0.0, a < 0.0
     if rhs[~(up | down)].min(initial=0.0) < -FEASIBILITY_TOL:
         return None
@@ -212,9 +215,9 @@ def _half_line_interval(a: np.ndarray, rhs: np.ndarray, v_max: float) -> tuple[f
 
 
 def boundary(curve: DeviationCurve, v: float) -> float:
-    """Lower boundary of the rationalizable set: the largest deviation gain at ``v`` (the first of equal ones)."""
-    if v < 0:
-        raise InferenceError(f"value must be non-negative (got {v})")
+    """The set's lower boundary at a finite ``v >= 0``: the largest deviation gain (the first of equal ones)."""
+    if not 0.0 <= v < math.inf:
+        raise InferenceError(f"v must be finite and non-negative (got {v})")
     gains = v * curve.delta_p - curve.delta_c
     return _first(gains, gains.max())
 
@@ -367,6 +370,7 @@ def feasible_values_mult(
     proportional to ``(P0, C0)`` cancels at its own ``delta``: a coefficient
     within 1e-12 of the larger of its two terms counts as 0, so the row only
     tests its right-hand side instead of bounding ``v`` by rounding noise.
+    A NaN ``v_max`` raises :class:`InferenceError`.
     """
     if not 0.0 <= delta < 1.0:
         raise InferenceError(f"delta must lie in [0, 1) (got {delta})")
@@ -391,7 +395,7 @@ def min_mult_regret(
     the midpoint of the candidates tying ``r*`` (to 1e-12, relative); ``iterations`` counts candidates; a
     ``delta*`` above ``1 - precision`` is not rationalizable.
     """
-    if precision <= 0:
+    if not precision > 0:
         raise InferenceError(f"precision must be positive (got {precision})")
     interval = feasible_values_mult(curve, 0.0, v_max)
     delta_star, ratios = 0.0, []
@@ -438,31 +442,13 @@ def default_value_cap(curve: DeviationCurve, eps_cap: float) -> float:
     return (eps_cap + _first(curve.delta_c, curve.delta_c.max())) / sup_dp
 
 
-def build_region(
-    curve: DeviationCurve,
-    eps_cap: float,
-    v_max: float | None = None,
-    boundary_samples: int = 201,
-) -> RationalizableRegion:
-    """Assemble the bounded rationalizable set for one curve.
+def build_region(curve: DeviationCurve, eps_cap: float, v_max: float | None = None) -> RationalizableRegion:
+    """The value cap, ``eps0`` and the assumption diagnostics of one curve.
 
-    Samples the lower boundary on an even value grid over ``[0, value_cap]``
-    and attaches the assumption diagnostics. ``v_max`` overrides the default
-    steepest-half-plane value cap.
+    ``v_max`` overrides the default steepest-half-plane value cap.
     """
-    if boundary_samples < 2:
-        raise InferenceError("boundary_samples must be at least 2")
     cap = float(v_max) if v_max is not None else default_value_cap(curve, eps_cap)
     if not (cap > 0 and math.isfinite(cap)):
         raise InferenceError(f"value cap must be positive and finite (got {cap})")
     eps0, _ = min_additive_regret(curve)
-    step = cap / (boundary_samples - 1)
-    pts = tuple(
-        (k * step, boundary(curve, k * step)) for k in range(boundary_samples)
-    )
-    return RationalizableRegion(
-        value_cap=cap,
-        epsilon_min=eps0,
-        boundary=pts,
-        assumptions=check_assumptions(curve),
-    )
+    return RationalizableRegion(value_cap=cap, epsilon_min=eps0, assumptions=check_assumptions(curve))

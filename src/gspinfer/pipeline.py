@@ -27,6 +27,7 @@ from .inference import (
     InferenceError,
     PointPrediction,
     RationalizableRegion,
+    boundary,
     build_deviation_curve,
     build_region,
     min_mult_regret,
@@ -55,6 +56,8 @@ class InferenceConfig:
 
     ``grid_step=None`` means one percent of ``bid_max``. ``value_cap=None``
     derives the cap from the steepest half-plane at ``epsilon_max``.
+    ``boundary_samples`` is the number of even values on ``[0, value_cap]``
+    at which :func:`export` renders each listing's boundary.
     """
 
     bid_max: float = 1.0
@@ -131,12 +134,7 @@ def infer_listing(history: ListingHistory, config: InferenceConfig, grid: Sequen
     ``grid`` is ``config.bid_grid()``, which :func:`infer_account` computes once.
     """
     curve = build_deviation_curve(history, grid)
-    region = build_region(
-        curve,
-        eps_cap=config.epsilon_max,
-        v_max=config.value_cap,
-        boundary_samples=config.boundary_samples,
-    )
+    region = build_region(curve, eps_cap=config.epsilon_max, v_max=config.value_cap)
     prediction = min_mult_regret(curve, precision=config.precision, v_max=region.value_cap)
     return ListingArtifacts(
         curve=curve,
@@ -357,15 +355,18 @@ def export(
 
     Emits ``nr_boundary_<id>.csv``, ``predictions.json``,
     ``account_summary.json``, ``histogram_delta.csv`` and
-    ``scatter_v_delta.csv``; returns the written paths. ``config`` gives the
-    ``delta*`` histogram's bucket width and the scatter's learning threshold.
-    Re-running on the same inputs reproduces the files byte for byte, and
-    each file is renamed into place once written, so none is ever left
-    half-written under its own name. An
+    ``scatter_v_delta.csv``; returns the written paths. Each boundary CSV is
+    :func:`~gspinfer.inference.boundary` of the listing's curve at
+    ``config.boundary_samples`` even values on ``[0, value_cap]``; ``config``
+    also gives the ``delta*`` histogram's bucket width and the scatter's
+    learning threshold. Re-running on the same inputs reproduces the files
+    byte for byte, and each file is renamed into place once written, so none
+    is ever left half-written under its own name. Before anything is written,
+    a config :meth:`InferenceConfig.bid_grid` rejects raises its error, and an
     ``out_dir`` that holds a boundary CSV of a listing not in ``artifacts``
-    raises :class:`FileExistsError` naming it, before anything is written, so
-    the boundary files name the run's listings.
+    raises :class:`FileExistsError` naming it, so the boundary files name the run's listings.
     """
+    config.bid_grid()
     boundaries = {f"nr_boundary_{lid}.csv" for lid in artifacts}
     if os.path.isdir(out_dir):
         for name in sorted(os.listdir(out_dir)):
@@ -373,11 +374,11 @@ def export(
                 raise FileExistsError(f"{os.path.join(out_dir, name)} is the boundary of a listing this run does not "
                                       "export; remove it or choose another output directory")
     os.makedirs(out_dir, exist_ok=True)
-    written = [
-        _write_csv(os.path.join(out_dir, f"nr_boundary_{lid}.csv"), ["v", "epsilon"],
-                   ([repr(v), repr(e)] for v, e in artifacts[lid].region.boundary))
-        for lid in sorted(artifacts)
-    ]
+    written = []
+    for lid, art in sorted(artifacts.items()):
+        step = art.region.value_cap / (config.boundary_samples - 1)
+        rows = ([repr(k * step), repr(boundary(art.curve, k * step))] for k in range(config.boundary_samples))
+        written.append(_write_csv(os.path.join(out_dir, f"nr_boundary_{lid}.csv"), ["v", "epsilon"], rows))
     predictions = predictions_payload(artifacts)
     written.append(_json_dump(predictions, os.path.join(out_dir, "predictions.json")))
     # the roll-up, summed in listing-id order: delta* histogram, learning-phase scatter, mean shading ratio

@@ -1,5 +1,7 @@
+import functools
 import math
 import random
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -552,6 +554,20 @@ class TestSweepMatchesCells:
         assert bits(sweep.rows(start, stop).evaluate_many(rows[start:stop])) == bits(
             part.evaluate_many(rows[start:stop]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_any_bid_vector_matches_the_per_cell_reference(self, seed):
+        # a sorted vector takes the shared-grid lookup, with or without repeats; an unsorted one is looked up
+        # per threshold, as a matrix is; one scalar bid gives one column and no bids no column
+        auctions, bids = state_edges(random.Random(seed))
+        table = auctions_to_table(auctions, "p")
+        sweep, cells = DeviationSweep(table, "p"), CellSweep(table, "p")
+        for vector in (sorted(bids), sorted(set(bids)), sorted(bids, reverse=True), bids + bids[:1], bids[0],
+                       np.float64(bids[-1]), [], np.array([])):
+            got, want = sweep.evaluate_many(vector), cells.evaluate_many(vector)
+            assert got[0].shape == want[0].shape == (len(table), np.size(vector))
+            assert bits(got) == bits(want)
+
     def test_the_edges_are_reached(self):
         # over 200 draws the bids land on a key, either side of one and on a nonzero reserve, some
         # rank-score at or above 2**53 rounds as a float64, and some table has no opponent at all
@@ -571,6 +587,16 @@ class TestSweepMatchesCells:
                 if any(q >= _EXACT_FLOAT and float(q) != q for q in (e.rank_score_int() for e in params.entries)):
                     seen.add("2**53")
         assert seen == {"no opponents", "key", "key - 1", "key + 1", "reserve", "2**53"}
+
+
+@functools.cache
+def clash_table() -> ListingHistory:
+    """Bidder ``p``'s table of auctions with 0 to 1001 competitors, every row valid."""
+    return auctions_to_table([AuctionParams(
+        entries=(BidderEntry("p", 1.0, 0.5, 0.7), *(BidderEntry(f"x{k}", 1.0, 0.5, 0.5) for k in range(w))),
+        rank_reserve=0.1, mainline_reserve=0.2, mainline_cap=1, position_curve=(0.9, 0.5),
+        mainline_positions=frozenset({1}),
+    ) for w in (0, 1, 2, 3, 7, 8, 999, 1000, 1001)], "p")
 
 
 class TestTableColumnCheck:
@@ -597,6 +623,15 @@ class TestTableColumnCheck:
         assert 0 < flagged.sum() < len(bad)
         for a in range(len(bad)):
             assert flagged[a] == (bad.row_error(a) is not None), (a, bad.row_error(a))
+
+    # a listing id shares a competitor's id in a log only when it is c<j> with at least three digits, no padding
+    # beyond them, and the row has more than j competitors
+    @pytest.mark.parametrize("lid", ["c000", "c001", "c002", "c999", "c1000", "c0001", "c00", "c7", "c", "c-01",
+                                     "camp", "c\u0663", "L0"])
+    def test_id_clash_with_a_competitor_matches_row_check(self, lid):
+        table = replace(clash_table(), listing_id=lid)
+        flagged = table.invalid_rows()
+        assert flagged.tolist() == [table.row_error(a) is not None for a in range(len(table))]
 
     def test_row_error_is_the_reference_message(self):
         table = auctions_to_table([two_entry_params()], "b")

@@ -29,7 +29,7 @@ from gspinfer.inference import (
     min_mult_regret,
     value_interval,
 )
-from gspinfer.pipeline import InferenceConfig, infer_account, ingest
+from gspinfer.pipeline import AccountSummary, InferenceConfig, ListingArtifacts, export, infer_account, ingest
 
 import row_scans
 from row_scans import exact, icc, tuple_curve
@@ -164,6 +164,31 @@ class TestDeviationCurve:
             assert column.dtype == np.float64
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = 0.0
+
+
+class TestNonFiniteArguments:
+    # each used to answer: an IndexError or inf, every value, a NaN bound, a NaN bound, a prediction
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -0.1])
+    def test_boundary_needs_a_finite_non_negative_value(self, v):
+        with pytest.raises(InferenceError, match="v must be finite and non-negative"):
+            boundary(micro_curve(), v)
+
+    def test_value_interval_rejects_nan_eps(self):
+        with pytest.raises(InferenceError, match="eps must not be NaN"):
+            value_interval(micro_curve(), math.nan)
+
+    def test_value_interval_rejects_nan_cap(self):
+        with pytest.raises(InferenceError, match="v_max must not be NaN"):
+            value_interval(micro_curve(), 0.02, v_max=math.nan)
+        assert value_interval(micro_curve(), 0.02, v_max=math.inf) == value_interval(micro_curve(), 0.02)
+
+    def test_feasible_values_mult_rejects_nan_cap(self):
+        with pytest.raises(InferenceError, match="v_max must not be NaN"):
+            feasible_values_mult(micro_curve(), 0.2, v_max=math.nan)
+
+    def test_min_mult_regret_rejects_nan_precision(self):
+        with pytest.raises(InferenceError, match="precision must be positive"):
+            min_mult_regret(micro_curve(), precision=math.nan, v_max=1.4)
 
 
 class TestFeasibility:
@@ -769,14 +794,21 @@ class TestRegion:
         curve = micro_curve()
         assert default_value_cap(curve, 0.08) == pytest.approx((0.08 + 0.06) / 0.1)
 
-    def test_region_boundary_samples(self):
-        region = build_region(micro_curve(), eps_cap=0.08, boundary_samples=141)
+    def test_region_boundary_samples(self, tmp_path):
+        # the region keeps no boundary: export renders it from the curve at boundary_samples even values
+        curve = micro_curve()
+        region = build_region(curve, eps_cap=0.08)
         assert region.value_cap == pytest.approx(1.4)
-        assert len(region.boundary) == 141
-        v, e = region.boundary[70]
-        assert v == pytest.approx(0.7) and e == pytest.approx(0.01)
         assert region.epsilon_min == pytest.approx(0.01)
-        assert boundary(micro_curve(), 0.0) == pytest.approx(0.15)
+        config = InferenceConfig(epsilon_max=0.08, boundary_samples=141)
+        art = ListingArtifacts(curve, region, min_mult_regret(curve, v_max=region.value_cap), mean_bid=0.5)
+        export(AccountSummary(1), {"L0": art}, config, str(tmp_path))
+        rows = (tmp_path / "nr_boundary_L0.csv").read_text().splitlines()
+        assert rows[0] == "v,epsilon" and len(rows) == 1 + 141
+        v, e = map(float, rows[1 + 70].split(","))
+        assert v == 70 * (region.value_cap / 140) and e == boundary(curve, v)
+        assert v == pytest.approx(0.7) and e == pytest.approx(0.01)
+        assert rows[1] == f"0.0,{boundary(curve, 0.0)!r}" and boundary(curve, 0.0) == pytest.approx(0.15)
 
     def test_region_needs_positive_dp(self):
         curve = DeviationCurve(

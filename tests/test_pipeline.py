@@ -18,7 +18,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gspinfer import auctionlog, pipeline
+from conftest import everywhere
+from gspinfer import auctionlog, inference, pipeline
 from gspinfer import cli
 from gspinfer.auction import BLOCK_CELLS
 from gspinfer.cli import CONFIG_KEYS, FIELD_KEYS, RUN_KEYS, ConfigError, build_learners, load_config, main
@@ -524,6 +525,16 @@ class TestMicroFixturePipeline:
         assert float(v) == pytest.approx(0.7, abs=1e-9)
         assert float(eps) == pytest.approx(0.01, abs=1e-9)
 
+    @pytest.mark.parametrize("knob", [{"boundary_samples": 1}, {"histogram_bucket_width": 0.0}])
+    def test_export_checks_its_config_before_writing(self, tmp_path, knob):
+        # one boundary sample would divide by zero, and a zero bucket width raised ZeroDivisionError
+        # after the boundary CSVs and predictions.json were written
+        config = InferenceConfig(grid_step=0.1)
+        summary, artifacts = infer_account(tiny_market_histories(seed=17), config)
+        with pytest.raises(InferenceError):
+            export(summary, artifacts, replace(config, **knob), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
 
 class TestAccountSummary:
     @pytest.mark.parametrize("width", [0.3, 0.4, 0.7, 0.07])
@@ -889,9 +900,16 @@ class TestBundleCodec:
             else:
                 yield x
 
-        outputs = (artifacts_to_json(summary, artifacts, config), predictions_payload(artifacts),
-                   [art.region.boundary for art in artifacts.values()])
+        outputs = (artifacts_to_json(summary, artifacts, config), predictions_payload(artifacts))
         assert {type(x) for x in leaves(outputs)} <= {int, float, str, bool, type(None)}
+        # the boundary rows export renders from each curve, where a numpy float would print as np.float64(...)
+        export(summary, artifacts, config, str(tmp_path / "out"))
+        for lid in artifacts:
+            rows = (tmp_path / "out" / f"nr_boundary_{lid}.csv").read_text().splitlines()
+            assert rows[0] == "v,epsilon" and len(rows) == 1 + config.boundary_samples
+            for row in rows[1:]:
+                v, e = row.split(",")
+                assert repr(float(v)) == v and repr(float(e)) == e
 
     def test_round_trip_restores_objects(self, tmp_path):
         summary, artifacts, config = self.account(tmp_path)
@@ -1175,8 +1193,28 @@ class TestCli:
                    for name in ("predictions.json", "artifacts.json")}
         assert digests == {
             "predictions.json": "356f294afd10806e3eb220b4b8a40ec3d06889018dece45a0b2a239433b35be6",
-            "artifacts.json": "812ad8f52ddece90d3f107c37ae503a6a0896ebb2c16c447418f5a9e1f23c556",
+            "artifacts.json": "31a4618ef84128cc31c89c09b4d8e90f0550c1ef59863589d3f39deb6d2b325e",
         }
+
+    def test_predict_samples_no_boundary(self, tmp_path, capsys):
+        # predict writes no boundary CSV, so the boundary queries it makes do not grow with boundary_samples
+        log = tmp_path / "log.jsonl"
+        write_histories(tiny_market_histories(seed=17), str(log))
+        counts = []
+        for samples in (2, 1001):
+            cfg = tmp_path / "cfg"
+            cfg.write_text(f"grid_step = 0.1\nboundary_samples = {samples}\n")
+            calls = []
+            query = inference.boundary
+
+            def counted(curve, v):
+                calls.append(v)
+                return query(curve, v)
+
+            with everywhere(query, counted):
+                assert main(["predict", "--config", str(cfg), str(log)]) == 0
+            counts.append(len(calls))
+        assert 0 < counts[0] == counts[1] < 1001
 
     def test_simulate_outputs_match_pinned_digests(self, tmp_path, capsys):
         # Two learners that meet each other as competitors, ten auctions a
@@ -1208,7 +1246,7 @@ class TestCli:
     OUTPUT_PINS = {
         "fine-grid": {
             "account_summary.json": "94c56541691495defd780d84d7d63fa44c4312758e1669fa99e04dba449a37ef",
-            "artifacts.json": "812ad8f52ddece90d3f107c37ae503a6a0896ebb2c16c447418f5a9e1f23c556",
+            "artifacts.json": "31a4618ef84128cc31c89c09b4d8e90f0550c1ef59863589d3f39deb6d2b325e",
             "histogram_delta.csv": "a6e0146711c54cceba61b6f5cc93fc50ee03e248dd465e425c5a5d47f170f893",
             "nr_boundary_L000.csv": "026fc1425a998490ba27adb31f42fab89aa56176094e0f9fbc3822b001e0e5c9",
             "predictions.json": "356f294afd10806e3eb220b4b8a40ec3d06889018dece45a0b2a239433b35be6",
@@ -1222,7 +1260,7 @@ class TestCli:
         },
         "two-learners": {
             "account_summary.json": "63c5adb4805706689b63a944b0816af99e3fd7fd31fca619266db24b9ff7962c",
-            "artifacts.json": "6c6ae8dabc8f45af5a52e29bb723ac785f0ac75902fafb120945b83b4e2dc4e8",
+            "artifacts.json": "c61ea2773f3e0927b8f74855de7a9821a718329e571674531d43f6834def71f9",
             "histogram_delta.csv": "e164fa44edf3f35d9a42641484703122a4f18f710ef8842dd13927df5e2e7560",
             "nr_boundary_L000.csv": "47ad14867834a0c2fd972a440aa352a0daa4785d796ba8f93a14822d878c33de",
             "nr_boundary_L001.csv": "7c798e6860d10e7d111650eb538a4e1c828914d3d548f003c8d1095c1ff75e5d",
@@ -1238,7 +1276,7 @@ class TestCli:
         },
         "failed-listing": {
             "account_summary.json": "17447e46c70c47d3426071f625425b1b3a3ee65c2df1502b0e3630b5ecc70ac9",
-            "artifacts.json": "5e2dfb5b7bfe93a1b011540c1f56cb7a874ea3c463e45e1ecee2a8ed0f3838bb",
+            "artifacts.json": "9212eeb2a67895afaaf6d65f2e84b1c151734eaefff0fc88f27f8b3ef80a694a",
             "histogram_delta.csv": "9217364a0abf085dd79b589bd982945866cc6616990a8cc9e6ac6e0adfc128a3",
             "nr_boundary_L000.csv": "3e152e2900f0030d5a4d3982fc2b2c37f65f8e7af7cbd8ad3e05042df14d45d4",
             "nr_boundary_L001.csv": "fd0a8e7a5a8d8acdea6fd0be1faf0f952d6b2eec41981af7b9545b00ceb0f01f",
@@ -1524,8 +1562,8 @@ class TestCli:
     BUNDLE_DAMAGE = {
         "empty-object": (None, "KeyError: 'summary'"),
         "truncated": (None, "not a JSON bundle"),
-        "one-number-boundary-row": (
-            lambda b, lst: lst["region"].update(boundary=[[1]]), "expected a list of 2, got [1]"),
+        "one-integer-v-interval": (
+            lambda b, lst: lst["prediction"].update(v_interval=[1]), "expected a list of 2, got [1]"),
         "string-bucket-width": (
             lambda b, lst: b["config"].update(histogram_bucket_width="0.05"), "expected float, got '0.05'"),
         "string-value-cap": (
@@ -1562,6 +1600,9 @@ class TestCli:
         "old-shading-ratios": (lambda b, lst: b["summary"].update(shading_ratios={}), "unexpected key 'shading_ratios'"),
         "old-shading-ratio": (lambda b, lst: lst.update(shading_ratio=0.5), "unexpected key 'shading_ratio'"),
         "old-epsilon-cap": (lambda b, lst: lst["region"].update(epsilon_cap=1.0), "unexpected key 'epsilon_cap'"),
+        # a bundle that still holds the rendered boundary samples, which export now computes from the curve
+        "old-region-boundary": (
+            lambda b, lst: lst["region"].update(boundary=[[0.0, 0.15], [1.4, 0.08]]), "unexpected key 'boundary'"),
         # the config's copies of the roll-up's knobs
         "old-bucket-width": (lambda b, lst: b["summary"].update(bucket_width=0.05), "unexpected key 'bucket_width'"),
         "old-learning-threshold": (
