@@ -24,6 +24,11 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
+# numpy's import starts an OpenBLAS worker thread per core, and no command makes a BLAS call big enough to use
+# one (rate-study's largest is a 4-point polyfit); a count the user set, or a numpy already loaded, is left be
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from .pipeline import (
@@ -195,7 +200,7 @@ def _build(cls, cfg: dict, **given):
 def build_learners(cfg: dict) -> list[LearnerSpec]:
     """Learner roster with ground-truth values drawn from the seeded range.
 
-    The learners bid on the grid that ``infer`` replays, ``InferenceConfig.bid_grid``.
+    The learners bid on the grid that ``infer`` replays, ``InferenceConfig.bid_grid()``.
     """
     from .simulate import LearnerConfig, LearnerSpec, SimulationError
 
@@ -235,7 +240,8 @@ def cmd_infer(args, cfg) -> int:
 
 
 def cmd_predict(args, cfg) -> int:
-    summary, artifacts = infer_account(ingest(args.log), _build(InferenceConfig, cfg), jobs=cfg["jobs"])
+    config = _build(InferenceConfig, cfg)  # first: a bad value is named before the log is read
+    summary, artifacts = infer_account(ingest(args.log), config, jobs=cfg["jobs"])
     predictions = predictions_payload(artifacts)
     if args.out:
         _json_dump(predictions, args.out)

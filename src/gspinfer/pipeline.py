@@ -52,7 +52,7 @@ def default_bid_grid(bid_max: float, step_fraction: float = 0.01) -> tuple[float
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    """Knobs for per-listing inference.
+    """Knobs for per-listing inference; making one with a value no listing could run with raises InferenceError.
 
     ``grid_step=None`` means one percent of ``bid_max``. ``value_cap=None``
     derives the cap from the steepest half-plane at ``epsilon_max``.
@@ -69,8 +69,7 @@ class InferenceConfig:
     histogram_bucket_width: float = 0.05
     value_cap: float | None = None
 
-    def bid_grid(self) -> tuple[float, ...]:
-        """The deviation grid; raises :class:`InferenceError` for any config value no listing could run with."""
+    def __post_init__(self):
         if not 0.0 < self.bid_max <= MAX_MAGNITUDE:
             raise InferenceError(f"bid_max must lie in (0, {MAX_MAGNITUDE:g}] (got {self.bid_max})")
         step = self.grid_step if self.grid_step is not None else 0.01 * self.bid_max
@@ -97,7 +96,11 @@ class InferenceConfig:
         grid = default_bid_grid(self.bid_max, fraction)
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise InferenceError(f"bid_max {self.bid_max} is too small for a grid rounded to 12 decimals")
-        return grid
+        object.__setattr__(self, "_grid", grid)  # not a field: the codec, == and repr see only the knobs
+
+    def bid_grid(self) -> tuple[float, ...]:
+        """The deviation grid, built and checked once, when the config was made."""
+        return self._grid
 
     def bucket_edges(self) -> list[float]:
         """The ``delta*`` histogram's edges: multiples of the width, then 1.0 (the last bucket counts up to 1)."""
@@ -128,12 +131,9 @@ class AccountSummary:
 # ---------------------------------------------------------------------------
 
 
-def infer_listing(history: ListingHistory, config: InferenceConfig, grid: Sequence[float]) -> ListingArtifacts:
-    """Deviation curve on ``grid``, bounded region, and point prediction for one listing.
-
-    ``grid`` is ``config.bid_grid()``, which :func:`infer_account` computes once.
-    """
-    curve = build_deviation_curve(history, grid)
+def infer_listing(history: ListingHistory, config: InferenceConfig) -> ListingArtifacts:
+    """Deviation curve on ``config.bid_grid()``, bounded region, and point prediction for one listing."""
+    curve = build_deviation_curve(history, config.bid_grid())
     region = build_region(curve, eps_cap=config.epsilon_max, v_max=config.value_cap)
     prediction = min_mult_regret(curve, precision=config.precision, v_max=region.value_cap)
     return ListingArtifacts(
@@ -150,10 +150,10 @@ def ProcessPoolExecutor(max_workers: int):  # noqa: N802 - stands in for the cla
     return pool(max_workers=max_workers)
 
 
-def _infer_one(args: tuple[ListingHistory, InferenceConfig, tuple[float, ...]]):
-    history, config, grid = args
+def _infer_one(args: tuple[ListingHistory, InferenceConfig]):
+    history, config = args
     try:
-        return history.listing_id, infer_listing(history, config, grid), None
+        return history.listing_id, infer_listing(history, config), None
     except ValueError as exc:
         return history.listing_id, None, str(exc)
 
@@ -166,16 +166,13 @@ def infer_account(
     """Run inference over every listing; the summary counts them and keeps each failure.
 
     A listing whose inference fails is recorded under ``errors`` and the run
-    continues; a bad config value (from :meth:`InferenceConfig.bid_grid`) or
-    ``jobs`` below 1 raises :class:`InferenceError` before any listing runs.
-    ``jobs > 1`` fans listings out to a process pool; results are identical
-    to the serial run.
+    continues; ``jobs`` below 1 raises :class:`InferenceError` before any
+    listing runs. ``jobs > 1`` fans listings out to a process pool, each task
+    carrying the config and so its grid; results are identical to the serial run.
     """
     if jobs < 1:
         raise InferenceError(f"jobs must be at least 1 (got {jobs})")
-    grid = config.bid_grid()
-    ordered = sorted(histories, key=lambda h: h.listing_id)
-    tasks = [(h, config, grid) for h in ordered]
+    tasks = [(h, config) for h in sorted(histories, key=lambda h: h.listing_id)]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             results = list(pool.map(_infer_one, tasks))
@@ -304,12 +301,11 @@ def artifacts_from_json(
     """Inverse of :func:`artifacts_to_json`: the summary, artifacts and config it encodes.
 
     A bundle that lacks a key, has a key it does not write, holds a value of the
-    wrong type or shape, a config that :meth:`InferenceConfig.bid_grid` rejects,
+    wrong type or shape, a config :class:`InferenceConfig` rejects when it is made,
     a listing id that cannot name a file or a wrong listing count raises :class:`ParseError`.
     """
     try:
         top = _decode({"summary": AccountSummary, "listings": dict[str, dict], "config": InferenceConfig}, bundle)
-        top["config"].bid_grid()
         if top["summary"].listing_count != len(top["listings"]):
             raise ValueError(f"listing_count {top['summary'].listing_count} but {len(top['listings'])} listings")
         artifacts = {}
@@ -362,11 +358,9 @@ def export(
     learning threshold. Re-running on the same inputs reproduces the files
     byte for byte, and each file is renamed into place once written, so none
     is ever left half-written under its own name. Before anything is written,
-    a config :meth:`InferenceConfig.bid_grid` rejects raises its error, and an
-    ``out_dir`` that holds a boundary CSV of a listing not in ``artifacts``
+    an ``out_dir`` that holds a boundary CSV of a listing not in ``artifacts``
     raises :class:`FileExistsError` naming it, so the boundary files name the run's listings.
     """
-    config.bid_grid()
     boundaries = {f"nr_boundary_{lid}.csv" for lid in artifacts}
     if os.path.isdir(out_dir):
         for name in sorted(os.listdir(out_dir)):

@@ -111,21 +111,24 @@ def min_mult_regret_bisect(
     Maintains ``(lo, hi)`` with the value set empty at ``lo`` and non-empty at
     ``hi``; stops when ``hi - lo < precision`` or the value interval at ``hi``
     is narrower than ``precision``. The value prediction is the midpoint of
-    the interval at the accepted regret level.
+    the interval at the accepted regret level. Each feasibility test is the
+    row scan's, on the curve as tuples, so the oracle shares no array code
+    with ``min_mult_regret``.
     """
     if precision <= 0:
         raise InferenceError(f"precision must be positive (got {precision})")
-    interval = feasible_values_mult(curve, 0.0, v_max)
+    rows = tuple_curve(curve)
+    interval = row_scans.feasible_values_mult(rows, 0.0, v_max)
     iterations = 0
     if interval is None:
         hi = 1.0 - precision
-        interval = feasible_values_mult(curve, hi, v_max)
+        interval = row_scans.feasible_values_mult(rows, hi, v_max)
         if interval is None:
             raise InferenceError("not rationalizable under value cap")
         lo = 0.0
         while hi - lo >= precision and interval[1] - interval[0] >= precision:
             mid = 0.5 * (lo + hi)
-            trial = feasible_values_mult(curve, mid, v_max)
+            trial = row_scans.feasible_values_mult(rows, mid, v_max)
             iterations += 1
             if trial is None:
                 lo = mid

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -526,9 +527,9 @@ class TestMicroFixturePipeline:
         assert float(eps) == pytest.approx(0.01, abs=1e-9)
 
     @pytest.mark.parametrize("knob", [{"boundary_samples": 1}, {"histogram_bucket_width": 0.0}])
-    def test_export_checks_its_config_before_writing(self, tmp_path, knob):
-        # one boundary sample would divide by zero, and a zero bucket width raised ZeroDivisionError
-        # after the boundary CSVs and predictions.json were written
+    def test_config_export_would_fail_on_cannot_be_made(self, tmp_path, knob):
+        # one boundary sample would divide by zero, and a zero bucket width raised ZeroDivisionError after the
+        # boundary CSVs and predictions.json were written; neither config can be made, so export never gets one
         config = InferenceConfig(grid_step=0.1)
         summary, artifacts = infer_account(tiny_market_histories(seed=17), config)
         with pytest.raises(InferenceError):
@@ -759,6 +760,27 @@ def test_infer_and_predict_leave_the_simulator_and_pool_unloaded(tmp_path):
         assert loaded.splitlines()[-1] == "[]"
 
 
+# prints OPENBLAS_NUM_THREADS and the process's thread count after the statement given as its one argument
+BLAS_PROBE = ("import os, re, sys; exec(sys.argv[1]); print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+              "re.search(r'Threads:\\s+(\\d+)', open('/proc/self/status').read())[1])")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the thread count from /proc")
+def test_cli_import_starts_one_blas_thread_unless_told_otherwise(monkeypatch):
+    # numpy's import starts an OpenBLAS worker per core, and no command makes a BLAS call that could use one
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+
+    def probe(statement: str) -> list[str]:
+        done = run_python(BLAS_PROBE, statement)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout.decode().split()
+
+    assert probe("import gspinfer.cli") == ["1", "1"]
+    assert probe("import numpy; import gspinfer.cli")[0] == "None"  # a process that loaded numpy first keeps its env
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert probe("import gspinfer.cli")[0] == "2"  # and a count the user set wins
+
+
 # gspinfer's command line, for run_python: its arguments follow the code
 CLI = "import sys; from gspinfer.cli import main; sys.exit(main(sys.argv[1:]))"
 # a shape fault and a type fault on line 4 of a piped log; a log on a pipe can be read only once
@@ -869,7 +891,7 @@ class TestBundleCodec:
             assert Path(f).read_bytes() == Path(f_np).read_bytes(), f
 
     @staticmethod
-    def account(tmp_path, **config):
+    def account(tmp_path):
         """A summary with errors, its artifacts (some in the scatter, each with a shading ratio) and config."""
         # a listing whose every deviation loses clicks fails and is kept under errors
         solo = dict(micro_fixture_records()[0], listing_id="Z9", own_bid=1.0, competitors=[],
@@ -877,7 +899,7 @@ class TestBundleCodec:
         path = tmp_path / "solo.jsonl"
         write_jsonl([solo], path)
         histories = tiny_market_histories(seed=7, listings=3) + ingest(str(path))
-        config = InferenceConfig(grid_step=0.1, epsilon_max=1.0, **config)
+        config = InferenceConfig(grid_step=0.1, epsilon_max=1.0)
         summary, artifacts = infer_account(histories, config)
         payload = predictions_payload(artifacts)
         assert summary.errors and all(p["shading_ratio"] for p in payload)
@@ -922,7 +944,7 @@ class TestBundleCodec:
     def test_every_one_place_damage_rejected(self, tmp_path):
         # each value in turn replaced by one of another JSON type, then each
         # object in turn given a key the bundle does not write
-        account = self.account(tmp_path, boundary_samples=5)
+        account = self.account(tmp_path)
         bundle = json.loads(json.dumps(artifacts_to_json(*account)))
 
         def places(node):
@@ -1316,8 +1338,10 @@ class TestCli:
         digests["predict stdout"] = hashlib.sha256(stdout).hexdigest()
         assert digests == self.OUTPUT_PINS[market]
 
+    BAD_GRID_STEPS = ["0", "-0.01", "1.5", "nan", "1e-6"]
+
     @pytest.mark.parametrize("command", ["infer", "predict"])
-    @pytest.mark.parametrize("step", ["0", "-0.01", "1.5", "nan", "1e-6"])
+    @pytest.mark.parametrize("step", BAD_GRID_STEPS)
     def test_bad_grid_step_exits_with_error_list(self, tmp_path, capsys, command, step):
         log = tmp_path / "log.jsonl"
         write_histories(tiny_market_histories(seed=17), str(log))
@@ -1326,6 +1350,13 @@ class TestCli:
         errors = json.loads(captured.err)["errors"]
         assert len(errors) == 1 and errors[0].startswith("grid step must lie in (0, bid_max]")
         assert captured.out == "" and not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["infer", "predict"])
+    def test_bad_config_is_named_before_the_log_is_read(self, tmp_path, capsys, command):
+        # the config is made, and so checked, before the log is opened
+        assert main([command, str(tmp_path / "missing.jsonl"), "--grid-step", "0", "--out", str(tmp_path / "o")]) == 1
+        errors = json.loads(capsys.readouterr().err)["errors"]
+        assert len(errors) == 1 and errors[0].startswith("grid step must lie in (0, bid_max]")
 
     @pytest.mark.parametrize("command", ["simulate", "infer", "predict"])
     def test_bid_max_beyond_magnitude_bound_exits_with_error_list(self, tmp_path, capsys, command):
@@ -1353,8 +1384,10 @@ class TestCli:
         assert len(errors) == 1 and errors[0].startswith(f"{cfg}:1: bad value for 'position_curve'")
         assert captured.out == "" and not (tmp_path / "o").exists()
 
+    BAD_BUCKET_WIDTHS = ["0", "-0.05", "NaN", "1.5", "1e-300", "5e-5"]
+
     @pytest.mark.parametrize("command", ["infer", "predict"])
-    @pytest.mark.parametrize("width", ["0", "-0.05", "NaN", "1.5", "1e-300", "5e-5"])
+    @pytest.mark.parametrize("width", BAD_BUCKET_WIDTHS)
     def test_bad_bucket_width_exits_with_error_list(self, tmp_path, capsys, command, width):
         cfg = tmp_path / "cfg"
         cfg.write_text(f"histogram_bucket_width = {width}\n")
@@ -1394,6 +1427,49 @@ class TestCli:
         errors = json.loads(captured.err)["errors"]
         assert len(errors) == 1 and errors[0].startswith(self.BAD_INFERENCE_CONFIG[line])
         assert captured.out == "" and not (tmp_path / "o").exists()
+
+    # each bad inference value the commands above refuse, but jobs, which only infer_account reads
+    @pytest.mark.parametrize("line, start", [
+        *((line, start) for line, start in BAD_INFERENCE_CONFIG.items() if not line.startswith("jobs")),
+        *((f"grid_step = {step}", "grid step must lie in (0, bid_max]") for step in BAD_GRID_STEPS),
+        *((f"histogram_bucket_width = {w}", "histogram_bucket_width must lie in (0, 1]") for w in BAD_BUCKET_WIDTHS),
+        ("bid_max = 2000", "bid_max must lie in (0, 1000]"),
+    ])
+    def test_bad_inference_value_refuses_the_config_itself(self, line, start):
+        # a config that exists is valid, so no caller has to check one again
+        key, _, value = line.partition(" = ")
+        with pytest.raises(InferenceError) as caught:
+            InferenceConfig(**{key: int(value) if key == "boundary_samples" else float(value)})
+        assert str(caught.value).startswith(start)
+
+    def test_each_command_builds_its_grid_once(self, tmp_path, capsys):
+        # checking a config builds no grid beyond the one the command runs on
+        cfg = tmp_path / "cfg"
+        cfg.write_text("listings = 2\nperiods = 4\nauctions_per_period = 2\ngrid_step = 0.1\n")
+        log, out = tmp_path / "log.jsonl", tmp_path / "out"
+        commands = {
+            "simulate": ["simulate", "--config", str(cfg), "--out", str(log)],
+            "infer": ["infer", str(log), "--config", str(cfg), "--out", str(out)],
+            "export": ["export", str(out / "artifacts.json"), "--out", str(tmp_path / "export")],
+            "predict": ["predict", str(log), "--config", str(cfg)],
+        }
+        build, builds = pipeline.default_bid_grid, {}
+
+        def counted(*args):
+            builds[command] += 1
+            return build(*args)
+
+        for command, argv in commands.items():
+            builds[command] = 0
+            with everywhere(build, counted):
+                assert main(argv) == 0
+        assert builds == {"simulate": 1, "infer": 1, "export": 1, "predict": 1}
+
+    def test_pickled_config_keeps_its_grid(self):
+        # an equivalence: a --jobs worker runs on the grid of the config it unpickles
+        config = InferenceConfig(grid_step=0.004)
+        copy = pickle.loads(pickle.dumps(config))
+        assert copy == config and copy.bid_grid() == config.bid_grid() and len(copy.bid_grid()) == 251
 
     # config lines -> the key the one error names; each used to end in a traceback, name a competitor's
     # bid or another spelling, or run with a truncated or null value
