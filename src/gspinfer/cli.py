@@ -24,11 +24,6 @@ import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
-# numpy's import starts an OpenBLAS worker thread per core, and no command makes a BLAS call big enough to use
-# one (rate-study's largest is a 4-point polyfit); a count the user set, or a numpy already loaded, is left be
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 import numpy as np
 
 from .pipeline import (
@@ -230,8 +225,9 @@ def cmd_simulate(args, cfg) -> int:
 
 
 def cmd_infer(args, cfg) -> int:
+    histories = ingest(args.log)  # first, as in predict: a log error is named before a config error
     config = _build(InferenceConfig, cfg)
-    summary, artifacts = infer_account(ingest(args.log), config, jobs=cfg["jobs"])
+    summary, artifacts = infer_account(histories, config, jobs=cfg["jobs"])
     bundle = artifacts_to_json(summary, artifacts, config)
     written = export(summary, artifacts, config, args.out)  # first: it refuses an --out that holds another run's files
     _json_dump(bundle, os.path.join(args.out, "artifacts.json"))
@@ -240,8 +236,7 @@ def cmd_infer(args, cfg) -> int:
 
 
 def cmd_predict(args, cfg) -> int:
-    config = _build(InferenceConfig, cfg)  # first: a bad value is named before the log is read
-    summary, artifacts = infer_account(ingest(args.log), config, jobs=cfg["jobs"])
+    summary, artifacts = infer_account(ingest(args.log), _build(InferenceConfig, cfg), jobs=cfg["jobs"])
     predictions = predictions_payload(artifacts)
     if args.out:
         _json_dump(predictions, args.out)
