@@ -391,12 +391,13 @@ class DeviationSweep:
     change only where its rank-score reaches a threshold: an opponent's key
     (its rank-score, plus one if it wins the tie) or a reserve. So each
     auction with ``w`` opponents has ``w + 3`` threshold states. The
-    constructor sorts each auction's thresholds, prices every state once at
-    one rank-score inside it, and keeps the least micro bid that reaches each
-    threshold. :meth:`evaluate_many` ``(bids)`` returns ``(P, C)`` of shape
-    ``(A, G)``, one row per auction and one column per bid: the same ``(G,)``
-    bids in every auction, or an ``(A, G)`` matrix with one row of bids per
-    auction. It counts the thresholds each bid reaches and looks the state up.
+    constructor sorts each auction's thresholds, prices every state once,
+    reading the opponents above it off the thresholds' order, and keeps the
+    least micro bid that reaches each threshold. :meth:`evaluate_many`
+    ``(bids)`` returns ``(P, C)`` of shape ``(A, G)``, one row per auction and
+    one column per bid: the same ``(G,)`` bids in every auction, or an
+    ``(A, G)`` matrix with one row of bids per auction. It counts the
+    thresholds each bid reaches and looks the state up.
     :meth:`rows` is the sweep of a row range, sharing this one's arrays.
 
     Every cell equals ``replay_at_bid(row_to_auction(table, a), bidder_id, bid)``
@@ -447,9 +448,9 @@ class DeviationSweep:
 def _threshold_states(table: ListingHistory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per auction, the least micro bid reaching each sorted threshold, and ``(P, C)`` in each threshold state.
 
-    State ``k`` holds the rank-scores that reach exactly the first ``k``
-    thresholds; it is priced at its least rank-score (the ``k``-th threshold,
-    or one below the first). A state between equal thresholds is never looked up.
+    State ``k`` holds the rank-scores that reach exactly the first ``k`` thresholds; it is priced at its least
+    rank-score (the ``k``-th threshold, or one below the first). The opponents above it are read off the thresholds'
+    order: the keys after the ``k``-th threshold. A state between equal thresholds is never looked up.
     """
     n = len(table)
     counts = table.offsets[1:] - table.offsets[:-1]
@@ -467,14 +468,13 @@ def _threshold_states(table: ListingHistory) -> tuple[np.ndarray, np.ndarray, np
     keys = grid.copy()
     keys[cell] += table.ahead
     grid, keys = grid.reshape(n, w), keys.reshape(n, w)
-    # opponents passing the mainline reserve, then those passing only the
-    # rank reserve: keys padded with -1, rank-scores padded with 0, each sorted
+    # rank-scores of the opponents passing the mainline reserve, then of
+    # those passing only the rank reserve, padded with 0, each sorted
     qual = grid >= m_int
     rest = (grid >= r_int) & ~qual
-    keys_q, q_q, keys_n, q_n = (np.where(mask, x, pad) for mask in (qual, rest) for x, pad in ((keys, -1), (grid, 0)))
-    for x in (keys_q, q_q, keys_n, q_n):
-        x.sort(axis=1)
-    w_q, w_n = int(qual.sum(axis=1).max()), int(rest.sum(axis=1).max())
+    q_q, q_n = (np.sort(np.where(mask, grid, 0), axis=1) for mask in (qual, rest))
+    n_q, n_n = qual.sum(axis=1, keepdims=True), rest.sum(axis=1, keepdims=True)
+    w_q, w_n = int(n_q.max()), int(n_n.max())
     # price lookups: the qualified rank-scores just below (up to the
     # mainline count), then the rest queue's, each descending, 0 if vacant
     w_qd = max(w_q, int(n_main.max())) + 1
@@ -490,9 +490,13 @@ def _threshold_states(table: ListingHistory) -> tuple[np.ndarray, np.ndarray, np
     den = s_int * MICRO
     thresholds = np.sort(np.concatenate((keys, r_int, m_int), axis=1), axis=1)
     q_p = np.concatenate((thresholds[:, :1] - 1, thresholds), axis=1)
+    # opponents above state k: the w + 2 - k thresholds after the k-th less the reserves; below the mainline
+    # reserve, every qualified one, then rest-queue ones (below the rank reserve, where p = 0, also unranked ones).
+    # A state between equal thresholds is never looked up: the clips only keep its lut and alpha indices in range.
+    above = (w + 2 - np.arange(w + 3)) - (r_int > q_p) - (m_int > q_p)
+    a_q = np.where(above < n_q, above, n_q)
+    a_n = np.where(above < a_q + n_n, above - a_q, n_n)
     # the bidder's slot and next-slot price in each state
-    a_q = _opponents_above([keys_q[:, k:k + 1] for k in range(w - w_q, w)], q_p)
-    a_n = _opponents_above([keys_n[:, k:k + 1] for k in range(w - w_n, w)], q_p)
     main = (q_p >= m_int) & (a_q < n_main)
     hi = np.maximum(a_q, n_main)
     # 0-based slot: in the mainline after the qualified bidders above; in
@@ -504,7 +508,7 @@ def _threshold_states(table: ListingHistory) -> tuple[np.ndarray, np.ndarray, np
     off_q = np.arange(0, lut.size, lut.shape[1]).reshape(n, 1)
     lut = lut.reshape(-1)
     next_q = lut.take(np.where(main, a_q, hi) + off_q)
-    head = lut.take(np.where(main, 0, a_n) + off_q + w_qd)
+    head = lut.take(a_n + off_q + w_qd)
     next_q = np.where(pos >= n_main - 1, np.maximum(next_q, head), next_q)
     next_q[pos >= last] = 0
     price = np.maximum(next_q, np.where(main, m_int, r_int))
@@ -517,11 +521,3 @@ def _threshold_states(table: ListingHistory) -> tuple[np.ndarray, np.ndarray, np
         for i in np.flatnonzero((price >= _EXACT_FLOAT) | (den >= _EXACT_FLOAT)).tolist():
             c.flat[i] = p.flat[i] * (int(price.flat[i]) / int(den.flat[i]))
     return -(-thresholds // s_int), p, c
-
-
-def _opponents_above(key_cols: list[np.ndarray], q_p: np.ndarray) -> np.ndarray:
-    """Per cell, how many of the ``(A, 1)`` key columns exceed the rank-score."""
-    n = np.zeros(q_p.shape, dtype=np.int64)
-    for keys in key_cols:
-        n += keys > q_p
-    return n

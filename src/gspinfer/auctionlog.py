@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 import struct
+from contextlib import contextmanager, suppress
 from itertools import chain
 from operator import itemgetter
 from typing import Sequence
@@ -363,11 +366,11 @@ class _EntryTexts(dict):
 def write_histories(histories: Sequence[ListingHistory], path: str) -> None:
     """Serialize histories to the JSONL auction-log format (round-trip exact).
 
-    Lines are formatted from the columns as ``json.dumps(record, separators=(",", ":"))`` writes them;
-    each distinct competitor entry is formatted once per call.
+    Lines are formatted as ``json.dumps(record, separators=(",", ":"))`` writes them, each distinct competitor
+    entry once per call, and replace ``path`` whole (:func:`_replacing`): a failed write leaves the old file.
     """
     entries = _EntryTexts()
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for h in histories:
             # an entry's key is its 24 bytes, so -0.0 and 0.0 stay apart
             keys = np.stack((h.score, h.bid, h.quality), axis=1).view("S24").ravel().tolist()
@@ -386,3 +389,29 @@ def write_histories(histories: Sequence[ListingHistory], path: str) -> None:
                     "" if own_quality == 1.0 else ',"own_quality":%r' % own_quality, truth)
                 for lo, hi, period, own_bid, r, m, cap, curve, n_main, own_score, own_quality in rows
             ))
+
+
+@contextmanager
+def _replacing(path: str, newline: str | None = None):
+    """A text file that becomes ``path``: written under a temporary name in its directory, then renamed to it.
+
+    If writing raises, the temporary file is removed, so no file is ever half-written under ``path``. Only a
+    new name or a regular file is replaced so; anything else (a symlink, a FIFO, a device) is written through.
+    """
+    try:
+        regular = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        return
+    tmp = os.path.join(os.path.dirname(path), f".gspinfer-{os.getpid()}.tmp")  # short: ``path`` may fill NAME_MAX
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

@@ -321,8 +321,8 @@ def main(argv: list[str] | None = None) -> int:
             if val is not None:
                 cfg[key] = val
         return args.func(args, cfg)
-    except (ValueError, OSError) as exc:  # every gspinfer error class is a ValueError
-        sys.stderr.write(json.dumps({"errors": [str(exc)]}) + "\n")
+    except (ValueError, OSError, MemoryError) as exc:  # every gspinfer error class is a ValueError
+        sys.stderr.write(json.dumps({"errors": [str(exc) or type(exc).__name__]}) + "\n")
         return 1
 
 

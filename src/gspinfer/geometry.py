@@ -18,6 +18,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
+from .auction import MICRO
 from .inference import DeviationCurve, LinkFunction, link_from_curve
 
 
@@ -171,10 +172,10 @@ class SingleSlotMarket:
         resolution and score ties go to the tracked bidder (its id sorts
         first).
         """
-        rival_q = np.rint(rivals * 1e6)
-        win = rival_q <= round(float(bid) * 1e6)
+        rival_q = np.rint(rivals * MICRO)
+        win = rival_q <= round(float(bid) * MICRO)
         p = self.quality * (self.alpha_bottom + (self.alpha_top - self.alpha_bottom) * win.mean())
-        c = self.quality * self.alpha_top * float(np.mean(win * (rival_q / 1e6)))
+        c = self.quality * self.alpha_top * float(np.mean(win * (rival_q / MICRO)))
         return float(p), c
 
     def population_curve(self, bids: Sequence[float]) -> DeviationCurve:

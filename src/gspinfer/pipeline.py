@@ -11,8 +11,6 @@ import csv
 import json
 import math
 import os
-import stat
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cache
 from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
@@ -20,7 +18,7 @@ from typing import TYPE_CHECKING, Sequence, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .auction import MAX_MAGNITUDE, ListingHistory
-from .auctionlog import ParseError, _check_id, _value, ingest, write_histories  # noqa: F401 - read from here too
+from .auctionlog import ParseError, _check_id, _replacing, _value, ingest, write_histories  # noqa: F401 - read from here too
 from .inference import (
     DEFAULT_PRECISION,
     DeviationCurve,
@@ -196,32 +194,6 @@ def infer_account(
 def _json_text(obj) -> str:
     """The JSON form of every output: two-space indent, sorted keys, final newline."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-@contextmanager
-def _replacing(path: str, newline: str | None = None):
-    """A text file that becomes ``path``: written under a temporary name in its directory, then renamed to it.
-
-    If writing raises, the temporary file is removed, so no file is ever half-written under ``path``. Only a
-    new name or a regular file is replaced so; anything else (a symlink, a FIFO, a device) is written through.
-    """
-    try:
-        regular = stat.S_ISREG(os.lstat(path).st_mode)
-    except FileNotFoundError:
-        regular = True
-    if not regular:
-        with open(path, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        return
-    tmp = os.path.join(os.path.dirname(path), f".gspinfer-{os.getpid()}.tmp")  # short: ``path`` may fill NAME_MAX
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
 
 
 def _json_dump(obj, path: str) -> str:

@@ -570,7 +570,9 @@ class TestSweepMatchesCells:
 
     def test_the_edges_are_reached(self):
         # over 200 draws the bids land on a key, either side of one and on a nonzero reserve, some
-        # rank-score at or above 2**53 rounds as a float64, and some table has no opponent at all
+        # rank-score at or above 2**53 rounds as a float64, and some table has no opponent at all; and
+        # some thresholds are equal (two keys, a key and a reserve, the two reserves), leaving the
+        # threshold state between them unreached
         seen = set()
         for seed in range(200):
             auctions, bids = state_edges(random.Random(seed))
@@ -582,11 +584,19 @@ class TestSweepMatchesCells:
                 keys = {e.rank_score_int() + (e.id < "p") for e in params.entries if e.id != "p"}
                 seen.update(name for name, shift in (("key", 0), ("key - 1", -1), ("key + 1", 1))
                             if any(k + shift in ranks for k in keys))
-                if ranks & ({params.rank_reserve_int(), params.mainline_reserve_int()} - {0}):
+                reserves = {params.rank_reserve_int(), params.mainline_reserve_int()}
+                if ranks & (reserves - {0}):
                     seen.add("reserve")
+                if len(keys) < len(params.entries) - 1:
+                    seen.add("equal keys")
+                if keys & reserves:
+                    seen.add("key on a reserve")
+                if len(reserves) == 1:
+                    seen.add("equal reserves")
                 if any(q >= _EXACT_FLOAT and float(q) != q for q in (e.rank_score_int() for e in params.entries)):
                     seen.add("2**53")
-        assert seen == {"no opponents", "key", "key - 1", "key + 1", "reserve", "2**53"}
+        assert seen == {"no opponents", "key", "key - 1", "key + 1", "reserve", "2**53",
+                        "equal keys", "key on a reserve", "equal reserves"}
 
 
 @functools.cache

@@ -983,6 +983,17 @@ class TestWritesReplaceWholeFiles:
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["rows.csv"]
 
+    def test_log_write_that_raises_part_way_keeps_the_previous_log(self, tmp_path):
+        log = tmp_path / "log.jsonl"
+        histories = tiny_market_histories(seed=17, periods=200)
+        write_histories(histories, str(log))
+        before = log.read_bytes()
+        # both listings' lines, more than a file buffer, are written before the third entry, not a table, raises
+        with pytest.raises(AttributeError):
+            write_histories([*histories[::-1], None], str(log))
+        assert log.read_bytes() == before
+        assert os.listdir(tmp_path) == ["log.jsonl"]
+
     def test_predict_out_writes_through_a_symlink(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         write_histories(tiny_market_histories(seed=17), str(log))
@@ -1591,6 +1602,19 @@ class TestCli:
         assert main(["infer", str(missing), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert json.loads(err)["errors"]
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 3.27 TiB"), "Unable to allocate 3.27 TiB"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_failed_allocation_exits_with_error_list(self, tmp_path, capsys, monkeypatch, exc, message):
+        # raised, not allocated: a host that overcommits memory would try to fill a real allocation
+        def simulate(args, cfg):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_simulate", simulate)
+        assert main(["simulate", "--out", str(tmp_path / "log.jsonl")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"errors": [message]}
 
     @pytest.mark.parametrize("command", ["predict", "infer"])
     def test_bad_number_exits_with_error_list(self, tmp_path, capsys, command):
