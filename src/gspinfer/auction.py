@@ -381,23 +381,73 @@ def row_to_auction(table: ListingHistory, a: int) -> AuctionParams:
 BLOCK_CELLS = 4096
 
 _EXACT_FLOAT = 2**53  # integers below this convert to float64 exactly
+_NEVER = np.iinfo(np.int64).max  # a least micro bid that no bid reaches
+
+
+class PreparedTable:
+    """The bid-independent half of a :class:`DeviationSweep`: what no bid moves in a table, derived once.
+
+    Per auction, the integer own score, price denominator and reserves, the
+    mainline count, the last slot and click factors; per competitor, its micro
+    score and its cell in a padded layout. ``DeviationSweep(prepared,
+    bidder_id)`` prices it from the table's ``bid`` column as it is then, so
+    bids written there are priced without preparing again. :meth:`rows`
+    prepares a row range.
+    """
+
+    def __init__(self, table: ListingHistory):
+        n = len(table)
+        counts = table.offsets[1:] - table.offsets[:-1]
+        width = int(counts.max()) + 3  # threshold states: below every threshold, then one per opponent and reserve
+        s_int = np.rint(table.own_score * MICRO).astype(np.int64)
+        m_int, r_int = np.rint(np.stack((table.mainline_reserve, table.rank_reserve)) * MICRO * MICRO).astype(np.int64)
+        last = np.array([len(c) - 1 for c in table.curves])
+        # a slot past the last position has click factor 0: each row is wider than any slot a state reaches
+        w_a = max(int(last.max()) + 1, width - 1 + int(table.mainline_count.max()))
+        alpha = np.zeros((len(table.curves), w_a))
+        for i, c in enumerate(table.curves):
+            alpha[i, :len(c)] = c
+        self.listing_id, self._offsets, self._bid = table.listing_id, table.offsets, table.bid
+        self._alpha = alpha.reshape(-1)
+        self._columns = np.stack((s_int, s_int * MICRO, table.mainline_count, last[table.curve], table.curve * w_a,
+                                  m_int, r_int)).reshape(7, n, 1)
+        self._quality = table.own_quality.reshape(n, 1)
+        self._score = np.rint(table.score * MICRO).astype(np.int64)
+        self._cell = (np.arange(n) * width - table.offsets[:-1]).repeat(counts) + np.arange(table.offsets[-1])
+        # added to the opponents' rank-scores, laid out in a grid of -1, it gives the thresholds: each key (the
+        # rank-score, plus one if the opponent wins the tie), -1 for padding, the two reserves, and below them all -2
+        shift = np.zeros(n * width, dtype=np.int64)
+        shift[self._cell] += table.ahead
+        self._shift = shift.reshape(n, width)
+        self._shift[:, -3:] = np.stack((np.full(n, -1), r_int + 1, m_int + 1), axis=1)
+        self._over = width - 1 - np.arange(width)  # thresholds over each state
+        self._den_max = int(s_int.max()) * MICRO  # for the exact-division test
+
+    def rows(self, start: int, stop: int) -> PreparedTable:
+        """The preparation of table rows ``start:stop``; its arrays are views of this one's."""
+        lo, hi = self._offsets[[start, stop]] - self._offsets[0]
+        view = object.__new__(PreparedTable)
+        view.__dict__.update(self.__dict__, _offsets=self._offsets[start:stop + 1], _bid=self._bid[lo:hi],
+                             _score=self._score[lo:hi], _cell=self._cell[lo:hi] - start * self._shift.shape[1],
+                             _columns=self._columns[:, start:stop], _quality=self._quality[start:stop],
+                             _shift=self._shift[start:stop])
+        return view
 
 
 class DeviationSweep:
     """One bidder's (click probability, expected payment) over a row range of its table.
 
     ``DeviationSweep(table, bidder_id)`` takes listing ``bidder_id``'s
-    :class:`ListingHistory`, or rows of it. In GSP the bidder's slot and price
-    change only where its rank-score reaches a threshold: an opponent's key
-    (its rank-score, plus one if it wins the tie) or a reserve. So each
-    auction with ``w`` opponents has ``w + 3`` threshold states. The
-    constructor sorts each auction's thresholds, prices every state once,
-    reading the opponents above it off the thresholds' order, and keeps the
-    least micro bid that reaches each threshold. :meth:`evaluate_many`
-    ``(bids)`` returns ``(P, C)`` of shape ``(A, G)``, one row per auction and
-    one column per bid: the same ``(G,)`` bids in every auction, or an
-    ``(A, G)`` matrix with one row of bids per auction. It counts the
-    thresholds each bid reaches and looks the state up.
+    :class:`ListingHistory`, or rows of it, and prepares it; or its
+    :class:`PreparedTable`. In GSP the bidder's slot and price change only
+    where its rank-score reaches a threshold: an opponent's key (its
+    rank-score, plus one if it wins the tie) or a reserve. So each auction
+    with ``w`` opponents has ``w + 3`` threshold states. The constructor
+    prices every state once and keeps the least micro bid that reaches each
+    threshold. :meth:`evaluate_many` ``(bids)`` returns ``(P, C)`` of shape
+    ``(A, G)``, one row per auction and one column per bid: the same ``(G,)``
+    bids in every auction, or an ``(A, G)`` matrix with one row of bids per
+    auction. It counts the thresholds each bid reaches and looks the state up.
     :meth:`rows` is the sweep of a row range, sharing this one's arrays.
 
     Every cell equals ``replay_at_bid(row_to_auction(table, a), bidder_id, bid)``
@@ -413,10 +463,11 @@ class DeviationSweep:
 
     __slots__ = ("_least", "_p", "_c")
 
-    def __init__(self, table: ListingHistory, bidder_id: str):
+    def __init__(self, table: ListingHistory | PreparedTable, bidder_id: str):
         if bidder_id != table.listing_id:
             raise AllocationError(f"no entry with id {bidder_id!r}")
-        self._least, self._p, self._c = _threshold_states(table)
+        self._least, self._p, self._c = _threshold_states(
+            PreparedTable(table) if isinstance(table, ListingHistory) else table)
 
     def rows(self, start: int, stop: int) -> DeviationSweep:
         """The sweep of table rows ``start:stop``; its arrays are views of this one's."""
@@ -433,91 +484,65 @@ class DeviationSweep:
         n, t = self._least.shape
         flat = micro.reshape(-1)
         if micro.ndim < 2 and (flat[1:] >= flat[:-1]).all():
-            # a shared sorted grid: the first bid that reaches each threshold, then per bid the thresholds reached
+            # a shared sorted grid: the first bid that reaches each threshold, counted along the flat rows; as
+            # column 0, which no bid reaches, counts after each auction's last bid, the count is the flat state
             g = len(flat)
-            first = np.searchsorted(flat, self._least) + np.arange(0, n * (g + 1), g + 1).reshape(n, 1)
-            state = np.bincount(first.reshape(-1), minlength=n * (g + 1)).reshape(n, g + 1)[:, :g].cumsum(axis=1)
+            first = flat.searchsorted(self._least) + np.arange(0, n * (g + 1), g + 1).reshape(n, 1)
+            state = np.bincount(first.reshape(-1), minlength=n * (g + 1)).cumsum().reshape(n, g + 1)[:, :g]
         else:  # per threshold, the bids that reach it
             state = np.zeros(np.broadcast_shapes((n, 1), micro.shape), dtype=np.int64)
-            for least in self._least.T:
+            for least in self._least.T[1:]:
                 state += least[:, None] <= micro
-        state += np.arange(0, n * (t + 1), t + 1).reshape(n, 1)
+            state += np.arange(0, n * t, t).reshape(n, 1)
         return self._p.take(state), self._c.take(state)
 
 
-def _threshold_states(table: ListingHistory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per auction, the least micro bid reaching each sorted threshold, and ``(P, C)`` in each threshold state.
+def _threshold_states(prepared: PreparedTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pricing half of the sweep, which reads only the competitors' bids: ``(least, P, C)``, one row per auction.
 
-    State ``k`` holds the rank-scores that reach exactly the first ``k`` thresholds; it is priced at its least
-    rank-score (the ``k``-th threshold, or one below the first). The opponents above it are read off the thresholds'
-    order: the keys after the ``k``-th threshold. A state between equal thresholds is never looked up.
+    State ``k`` holds the rank-scores that reach exactly the first ``k`` sorted thresholds; it is priced at its least
+    rank-score (the ``k``-th threshold, or one below the first). ``least[:, k]`` is the least micro bid reaching the
+    ``k``-th threshold; column 0 holds ``_NEVER``. A state between equal thresholds is never looked up.
     """
-    n = len(table)
-    counts = table.offsets[1:] - table.offsets[:-1]
-    w = int(counts.max())
-    s_int = np.rint(table.own_score * MICRO).astype(np.int64).reshape(n, 1)
-    r_int = np.rint(table.rank_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
-    m_int = np.rint(table.mainline_reserve * MICRO * MICRO).astype(np.int64).reshape(n, 1)
-    n_main = table.mainline_count.reshape(n, 1)
-    # opponents' rank-scores and keys, one row per auction, padded with -1;
-    # a key exceeds the bidder's rank-score exactly when the opponent ranks above it
-    q = np.rint(table.score * MICRO).astype(np.int64) * np.rint(table.bid * MICRO).astype(np.int64)
-    cell = (np.arange(n) * w - table.offsets[:-1]).repeat(counts) + np.arange(len(q))
-    grid = np.full(n * w, -1, dtype=np.int64)
-    grid[cell] = q
-    keys = grid.copy()
-    keys[cell] += table.ahead
-    grid, keys = grid.reshape(n, w), keys.reshape(n, w)
-    # rank-scores of the opponents passing the mainline reserve, then of
-    # those passing only the rank reserve, padded with 0, each sorted
-    qual = grid >= m_int
-    rest = (grid >= r_int) & ~qual
-    q_q, q_n = (np.sort(np.where(mask, grid, 0), axis=1) for mask in (qual, rest))
-    n_q, n_n = qual.sum(axis=1, keepdims=True), rest.sum(axis=1, keepdims=True)
-    w_q, w_n = int(n_q.max()), int(n_n.max())
-    # price lookups: the qualified rank-scores just below (up to the
-    # mainline count), then the rest queue's, each descending, 0 if vacant
-    w_qd = max(w_q, int(n_main.max())) + 1
-    lut = np.zeros((n, w_qd + w_n + 1), dtype=np.int64)
-    lut[:, :w_q] = q_q[:, w - w_q:][:, ::-1]
-    lut[:, w_qd:w_qd + w_n] = q_n[:, w - w_n:][:, ::-1]
-    # a slot past the last position has click factor 0
-    w_a = max(max(map(len, table.curves)), w_qd + w_n)
-    alpha = np.zeros((len(table.curves), w_a))
-    for i, c in enumerate(table.curves):
-        alpha[i, :len(c)] = c
-    last = np.array([len(c) - 1 for c in table.curves])[table.curve].reshape(n, 1)
-    den = s_int * MICRO
-    thresholds = np.sort(np.concatenate((keys, r_int, m_int), axis=1), axis=1)
-    q_p = np.concatenate((thresholds[:, :1] - 1, thresholds), axis=1)
-    # opponents above state k: the w + 2 - k thresholds after the k-th less the reserves; below the mainline
-    # reserve, every qualified one, then rest-queue ones (below the rank reserve, where p = 0, also unranked ones).
-    # A state between equal thresholds is never looked up: the clips only keep its lut and alpha indices in range.
-    above = (w + 2 - np.arange(w + 3)) - (r_int > q_p) - (m_int > q_p)
-    a_q = np.where(above < n_q, above, n_q)
-    a_n = np.where(above < a_q + n_n, above - a_q, n_n)
-    # the bidder's slot and next-slot price in each state
-    main = (q_p >= m_int) & (a_q < n_main)
-    hi = np.maximum(a_q, n_main)
-    # 0-based slot: in the mainline after the qualified bidders above; in
-    # the rest after the mainline (or every qualified bidder above, if
-    # more) and every unqualified bidder above
-    pos = np.where(main, a_q, hi + a_n)
-    # next slot's rank-score: the qualified bidder just below, and from the
-    # last mainline slot on also the head of the rest queue; none after the last slot
-    off_q = np.arange(0, lut.size, lut.shape[1]).reshape(n, 1)
-    lut = lut.reshape(-1)
-    next_q = lut.take(np.where(main, a_q, hi) + off_q)
-    head = lut.take(a_n + off_q + w_qd)
-    next_q = np.where(pos >= n_main - 1, np.maximum(next_q, head), next_q)
+    n, width = prepared._shift.shape
+    s_int, den, n_main, last, curve_off, m_int, r_int = prepared._columns
+    # opponents' rank-scores, one row per auction, padded with -1; a key
+    # exceeds the bidder's rank-score exactly when the opponent ranks above it
+    grid = np.full(n * width, -1, dtype=np.int64)
+    grid[prepared._cell] = prepared._score * np.rint(prepared._bid * MICRO).astype(np.int64)
+    grid = grid.reshape(n, width)
+    q_p = grid + prepared._shift
+    q_p.sort(axis=1)
+    # rank-scores of the opponents passing the mainline reserve (qualified), then of every opponent passing the
+    # rank reserve (ranked), each padded with 0 and sorted: from the top, the qualified ones, then the rest queue
+    passing = grid >= prepared._columns[-2:]  # the mainline reserve, then the rank reserve
+    queues = np.where(passing, grid, 0)
+    queues.sort(axis=2)
+    qualified, ranked = queues
+    below_m, below_r = prepared._columns[-2:] > q_p
+    at_m = ~below_m
+    # 0-based slot. At or above the mainline reserve, the k' thresholds over the state are qualified opponents:
+    # slot k', in the mainline while k' < n_main. Below it, the mainline reserve, the n_q qualified opponents
+    # and k' - 1 - n_q rest-queue ones are over it: the rest comes after the mainline (or every qualified
+    # bidder, if more), so the slot is max(n_q, n_main) + k' - 1 - n_q. Below the rank reserve p is 0.
+    gap = np.maximum(n_main - passing[0].sum(axis=1, keepdims=True), 0)
+    pos = np.where(below_m, (prepared._over - 1) + gap, prepared._over)
+    main = at_m & (prepared._over < n_main)
+    # next slot's rank-score: before the last mainline slot, the qualified opponent just below (qualified[k]);
+    # from it on, the ranked one just below (ranked[k], or ranked[k + 1] below the mainline reserve, which is one
+    # of the thresholds over the state); none after the last slot
+    next_q = np.where(below_m, np.concatenate((ranked[:, 1:], ranked[:, -1:]), axis=1), ranked)
+    next_q = np.where(at_m & (prepared._over < n_main - 1), qualified, next_q)
     next_q[pos >= last] = 0
     price = np.maximum(next_q, np.where(main, m_int, r_int))
-    p = np.where(q_p >= r_int, alpha.reshape(-1).take(pos + table.curve.reshape(n, 1) * w_a), 0.0)
-    p *= table.own_quality.reshape(n, 1)
+    p = np.where(below_r, 0.0, prepared._alpha.take(pos + curve_off))
+    p *= prepared._quality
     c = p * (price / den)
     # a price or denominator at or above 2**53 is divided exactly, as Python integers
-    if max(int(lut.max()), int(m_int.max()), int(s_int.max()) * MICRO) >= _EXACT_FLOAT:
+    if max(int(price.max()), prepared._den_max) >= _EXACT_FLOAT:
         den = np.broadcast_to(den, price.shape)
         for i in np.flatnonzero((price >= _EXACT_FLOAT) | (den >= _EXACT_FLOAT)).tolist():
             c.flat[i] = p.flat[i] * (int(price.flat[i]) / int(den.flat[i]))
-    return -(-thresholds // s_int), p, c
+    least = -(-q_p // s_int)
+    least[:, 0] = _NEVER
+    return least, p, c

@@ -203,6 +203,8 @@ def build_learners(cfg: dict) -> list[LearnerSpec]:
     low, high = cfg["value_low"], cfg["value_high"]
     if not (math.isfinite(low) and math.isfinite(high) and low <= high):
         raise SimulationError(f"values must be finite with value_low <= value_high (got {low}, {high})")
+    if low < 0:  # a drawn value below 0 would be refused only when the seed happened to draw one
+        raise SimulationError(f"value_low must be non-negative (got {low})")
     if cfg["seed"] < 0:
         raise SimulationError(f"seed must be non-negative (got {cfg['seed']})")
     config = _build(LearnerConfig, cfg, algorithm=cfg["algorithm"], bid_grid=grid)
@@ -220,7 +222,8 @@ def cmd_simulate(args, cfg) -> int:
     market = _build(MarketSpec, cfg, background=_build(BackgroundSpec, cfg))
     histories = simulate_market(market, learners, cfg["periods"], cfg["auctions_per_period"], cfg["seed"])
     write_histories(histories, args.out)
-    print(f"wrote {sum(len(h.period_bounds()) - 1 for h in histories)} periods for {len(histories)} listings to {args.out}")
+    records = sum(map(len, histories))
+    print(f"wrote {records} records ({cfg['periods']} periods) for {len(histories)} listings to {args.out}")
     return 0
 
 

@@ -9,10 +9,13 @@ validated end to end.
 
 Payoffs come from one :class:`~gspinfer.auction.DeviationSweep` per period
 for the whole market: the learners' tables are interleaved into one market
-table (rows by period, then learner, then auction), and each period's rows
-are swept at once at every learner's grid bids. A lone learner's
-competitors are all drawn up front, so its payoffs are swept in blocks of
-whole periods.
+table (rows by period, then learner, then auction), prepared once as a
+:class:`~gspinfer.auction.PreparedTable`, and each period's rows are priced
+at the bids just written into them and swept at once at the union of the
+learners' grids. Every learner's payoffs are one reduction of
+``value * P - C`` over its auctions. A lone learner's competitors are all
+drawn up front, so the same loop sweeps its payoffs in blocks of whole
+periods.
 
 Each listing's history is its :class:`~gspinfer.auction.ListingHistory`
 table. Its competitors are, in a fixed order, the other learners and then
@@ -29,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .auction import BLOCK_CELLS, MAX_MAGNITUDE, DeviationSweep, ListingHistory, log_ahead
+from .auction import BLOCK_CELLS, MAX_MAGNITUDE, DeviationSweep, ListingHistory, PreparedTable, log_ahead
 from .inference import boundary, build_deviation_curve
 
 ALGORITHMS = ("hedge", "epsilon_greedy", "fixed_best_response")
@@ -82,9 +85,9 @@ def hedge_step(weights: np.ndarray, payoffs: np.ndarray, eta: float) -> np.ndarr
     payoffs = np.asarray(payoffs, dtype=float)
     if weights.shape != payoffs.shape:
         raise SimulationError("weights and payoffs must have the same shape")
-    if not np.all(np.isfinite(payoffs)):
+    if not np.isfinite(payoffs).all():
         raise SimulationError("payoffs must be finite")
-    if np.any(weights < 0) or not math.isclose(float(weights.sum()), 1.0, rel_tol=1e-9, abs_tol=1e-12):
+    if (weights < 0).any() or not math.isclose(float(weights.sum()), 1.0, rel_tol=1e-9, abs_tol=1e-12):
         raise SimulationError("weights must form a probability vector")
     if eta < 0:
         raise SimulationError("learning rate must be non-negative")
@@ -295,10 +298,14 @@ def simulate_market(
     # learner's are all drawn up front (swept in blocks of whole periods),
     # other learners' bids are known one period at a time, when one sweep of
     # the market table covers every learner's rows at the union of their grids.
+    # The market is prepared once; each sweep prices its rows at the bids written into it.
     market = tables[0] if n_learners == 1 else _interleave(tables, periods, n)
+    prepared = PreparedTable(market)
     grids = [st.grid for st in states]
     grid = grids[0] if len(set(grids)) == 1 else tuple(np.unique(np.concatenate(grids)).tolist())
     columns = [None if g == grid else np.searchsorted(grid, g) for g in grids]
+    bid_grid = np.array(grid)
+    values = np.array([ls.value for ls in learners]).reshape(n_learners, 1, 1)
     step = max(1, BLOCK_CELLS // (n * len(grid))) if n_learners == 1 else 1
     width = n_learners * n  # rows per period of the market table
     own_bid = market.own_bid.reshape(periods, n_learners, n)
@@ -312,13 +319,12 @@ def simulate_market(
         opponent_bid[t] = bids[opponents][:, None]
         if t == stop:
             start, stop = t, min(t + step, periods)
-            ps, cs = DeviationSweep(market.rows(start * width, stop * width), market.listing_id).evaluate_many(grid)
+            sweep = DeviationSweep(prepared.rows(start * width, stop * width), market.listing_id)
+            ps, cs = (x.reshape(stop - start, n_learners, n, len(grid)) for x in sweep.evaluate_many(bid_grid))
+            # every learner's payoff in every period of the block: its auctions' mean of value * P - C
+            payoffs = np.add.reduce(values * ps - cs, axis=2) / n
         for i, st in enumerate(states):
-            a = (t - start) * width + i * n
-            p, c = ps[a:a + n], cs[a:a + n]
-            if columns[i] is not None:
-                p, c = p[:, columns[i]], c[:, columns[i]]
-            st.update(np.add.reduce(st.spec.value * p - c, axis=0) / n)
+            st.update(payoffs[t - start, i] if columns[i] is None else payoffs[t - start, i, columns[i]])
     if n_learners > 1:
         for i, table in enumerate(tables):
             table.own_bid[:] = own_bid[:, i].reshape(-1)

@@ -19,6 +19,7 @@ from gspinfer.auction import (
     MAX_MAGNITUDE,
     MICRO,
     MIN_SCORE,
+    PreparedTable,
     ValidationError,
     click_probability,
     cost_per_click,
@@ -553,6 +554,15 @@ class TestSweepMatchesCells:
         assert bits(sweep.rows(start, stop).evaluate_many(bids)) == bits(part.evaluate_many(bids))
         assert bits(sweep.rows(start, stop).evaluate_many(rows[start:stop])) == bits(
             part.evaluate_many(rows[start:stop]))
+        # and so is the pricing of a row range of the prepared table, which keeps the whole table's padding,
+        # and of a row range of that range
+        prepared = PreparedTable(table).rows(start, stop)
+        assert bits(DeviationSweep(prepared, "p").evaluate_many(bids)) == bits(part.evaluate_many(bids))
+        assert bits(DeviationSweep(prepared, "p").evaluate_many(rows[start:stop])) == bits(
+            part.evaluate_many(rows[start:stop]))
+        inner = data.draw(st.integers(0, stop - start - 1))
+        assert bits(DeviationSweep(prepared.rows(inner, stop - start), "p").evaluate_many(bids)) == bits(
+            DeviationSweep(table.rows(start + inner, stop), "p").evaluate_many(bids))
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))

@@ -1546,6 +1546,25 @@ class TestCli:
         assert self.BAD_SIMULATION_KEY.get(lines, "") in errors[0]
         assert captured.out == "" and not (tmp_path / "o").exists()
 
+    def test_negative_value_low_is_refused_whatever_the_seed(self, tmp_path, capsys):
+        # the range used to be accepted, and the run failed only for seeds that drew a negative value, naming it
+        cfg = tmp_path / "cfg"
+        cfg.write_text("listings = 2\nperiods = 5\nauctions_per_period = 1\nvalue_low = -0.1\nvalue_high = 0.9\n")
+        for seed in range(8):
+            assert main(["simulate", "--config", str(cfg), "--seed", str(seed), "--out", str(tmp_path / "o")]) == 1
+            captured = capsys.readouterr()
+            assert json.loads(captured.err) == {"errors": ["value_low must be non-negative (got -0.1)"]}
+            assert captured.out == "" and not (tmp_path / "o").exists()
+
+    def test_simulate_reports_its_records_and_periods(self, tmp_path, capsys):
+        # the line used to sum the periods over the listings: "wrote 40 periods" for a 20-period market
+        cfg = tmp_path / "cfg"
+        cfg.write_text("listings = 2\nperiods = 20\nauctions_per_period = 3\n")
+        log = tmp_path / "log.jsonl"
+        assert main(["simulate", "--config", str(cfg), "--out", str(log)]) == 0
+        assert capsys.readouterr().out == f"wrote 120 records (20 periods) for 2 listings to {log}\n"
+        assert len(log.read_text().splitlines()) == 120
+
     def test_predict_out_matches_infer_predictions(self, tmp_path, capsys):
         log = tmp_path / "log.jsonl"
         write_histories(tiny_market_histories(seed=17), str(log))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gspinfer.auction import BLOCK_CELLS, DeviationSweep, row_to_auction
+from gspinfer.auction import BLOCK_CELLS, MAX_MAGNITUDE, MICRO, DeviationSweep, row_to_auction
 from gspinfer.inference import InferenceError, boundary, build_deviation_curve
 from gspinfer.pipeline import default_bid_grid
 from gspinfer.simulate import (
@@ -297,6 +297,35 @@ class TestMarketSweep:
             assert got == expected
             for a, b in zip(got, expected):
                 assert a.own_bid.tobytes() == b.own_bid.tobytes() and a.bid.tobytes() == b.bid.tobytes()
+
+    # markets the rosters above never meet, each with the scale of its learners' values, scores and grids
+    MARKETS = {
+        # every opponent's rank-score is at or above 2**53, so each price it sets is divided as Python integers
+        "prices at or above 2**53": (MarketSpec(rank_reserve=200.0, mainline_reserve=400.0, background=BackgroundSpec(
+            bid_low=100.0, bid_high=MAX_MAGNITUDE, score_low=500.0, score_high=MAX_MAGNITUDE)), MAX_MAGNITUDE),
+        "no background": (MarketSpec(background=BackgroundSpec(count=0)), 1.0),
+        "no mainline": (MarketSpec(mainline_count=0), 1.0),
+        # the learners' low bids and many background bids rank below the rank reserve, and more below the mainline one
+        "binding reserves": (MarketSpec(rank_reserve=0.35, mainline_reserve=0.7), 1.0),
+    }
+
+    @pytest.mark.parametrize("market", list(MARKETS))
+    @pytest.mark.parametrize("roster", ["lone hedge", "lone fixed_best_response", "two hedge", "three, off-grid bids"])
+    @pytest.mark.parametrize("auctions", [1, 10])
+    def test_other_markets_match_one_sweep_per_learner_and_period(self, market, roster, auctions):
+        spec, scale = self.MARKETS[market]
+        learners = [LearnerSpec(f"L{i:03d}", (0.3 + 0.25 * i) * scale,
+                                LearnerConfig(alg, tuple(b * scale for b in grid)), own_score=(1.0 - 0.1 * i) * scale)
+                    for i, (alg, grid) in enumerate(ROSTERS[roster])]
+        for seed in range(2):
+            got = simulate_market(spec, learners, 15, auctions, seed)
+            expected = simulate_market_per_learner(spec, learners, 15, auctions, seed)
+            assert got == expected
+            for a, b in zip(got, expected):
+                assert a.own_bid.tobytes() == b.own_bid.tobytes() and a.bid.tobytes() == b.bid.tobytes()
+            if scale == MAX_MAGNITUDE:  # the background opponents follow the other learners in each row
+                score, bid = (x.reshape(len(got[0]), -1)[:, len(learners) - 1:] for x in (got[0].score, got[0].bid))
+                assert (np.rint(score * MICRO) * np.rint(bid * MICRO) >= 2**53).all()
 
 
 def draw_loop(spec, rng, period):
